@@ -33,6 +33,7 @@ from .multiview import (
 )
 from .polymatroid import (
     BetaVector,
+    Polymatroid,
     RankFunction,
     SpaceSignature,
     ValidationReport,

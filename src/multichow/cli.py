@@ -10,10 +10,11 @@ input / genericity exhaustion, 4 inapplicable criterion.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
-from dataclasses import dataclass, field
-from itertools import product
+from dataclasses import dataclass
+from typing import Callable
 
 from . import multidegree as mdg
 from . import multiview as mv
@@ -23,6 +24,10 @@ from .errors import (
     InapplicableError,
     MultichowError,
     PreconditionError,
+    array,
+    decimal,
+    field,
+    ints,
 )
 
 EXIT_CODES = {
@@ -32,37 +37,12 @@ EXIT_CODES = {
     "inapplicable": 4,
 }
 
-#: Which library operations each subcommand exposes.  Every public operation
-#: appears exactly once; the coverage test in the test suite enforces this.
-SUBCOMMAND_OPERATIONS = {
-    "validate-rank": ("validate_rank_function",),
-    "support": ("support_from_projections",),
-    "projections": ("projections_from_support",),
-    "betas": ("enumerate_beta",),
-    "analyze": (
-        "is_one_deficient",
-        "minimal_tight_set",
-        "is_circuit",
-        "criterion_form",
-        "is_hypersurface",
-        "determines_variety",
-    ),
-    "chow-degree": ("chow_form_multidegree", "multidegree_add"),
-    "slice": ("slice_multidegree",),
-    "tensor": ("multifocal_tensor",),
-    "residual": ("chow_residual",),
-    "contract": ("tensor_contract",),
-    "oracle-multidegree": ("intersection_count_oracle", "multiview_multidegree"),
-    "oracle-epsilon": ("epsilon_oracle", "project_point"),
-    "sz-test": ("sz_membership",),
-}
-
 
 @dataclass
 class CommandResult:
     status: str
     payload: object
-    diagnostics: list = field(default_factory=list)
+    diagnostics: tuple = ()
     format: str = "compact"
 
     @property
@@ -74,64 +54,55 @@ class CommandResult:
 # input parsing helpers
 
 
-def _load_input(args) -> object:
-    if args.input is not None:
-        with open(args.input, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    else:
-        text = sys.stdin.read()
+def _load_input(args) -> dict:
     try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise PreconditionError(f"malformed JSON input: {exc}")
-
-
-def _parse_signature(obj) -> pm.SpaceSignature:
-    try:
-        return pm.SpaceSignature(tuple(obj["n"]), int(obj["r"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise PreconditionError(f"input needs 'n' and 'r': {exc}")
+        if args.input is None:
+            text = sys.stdin.read()
+        else:
+            with open(args.input, "r", encoding="utf-8") as handle:
+                text = handle.read()
+        obj = json.loads(text)
+    except (OSError, ValueError) as exc:
+        raise PreconditionError(f"cannot read JSON input: {exc}")
+    if not isinstance(obj, dict):
+        raise PreconditionError("input must be a JSON object")
+    return obj
 
 
 def _sig_and_delta(obj) -> tuple[pm.SpaceSignature, pm.RankFunction]:
     """Accept either an explicit rank function or a multidegree to read
     projection dimensions from."""
-    if isinstance(obj, dict) and "coefficients" in obj:
+    if "coefficients" in obj:
         md = mdg.Multidegree.from_json(obj)
         return md.sig, md.rank_function()
-    sig = _parse_signature(obj)
-    try:
-        delta = pm.RankFunction.from_json(obj["rank_function"])
-    except (KeyError, TypeError) as exc:
-        raise PreconditionError(f"input needs 'rank_function': {exc}")
-    return sig, delta
+    sig = pm.SpaceSignature(field(obj, "n", ints), field(obj, "r", int))
+    return sig, field(obj, "rank_function", pm.RankFunction.from_json)
 
 
-def _parse_beta(obj, key="beta") -> pm.BetaVector:
-    try:
-        return pm.BetaVector(tuple(int(b) for b in obj[key]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise PreconditionError(f"input needs '{key}': {exc}")
+def _parse_beta(obj) -> pm.BetaVector:
+    return field(obj, "beta", lambda beta: pm.BetaVector(ints(beta)))
+
+
+def _parse_vectors(obj, key) -> list:
+    return field(obj, key, lambda vecs: [mv.parse_vector(v, 3) for v in array(vecs)])
 
 
 def _parse_multidegree(obj) -> mdg.Multidegree:
     if "multidegrees" in obj:
-        parts = [mdg.Multidegree.from_json(part) for part in obj["multidegrees"]]
+        parts = field(
+            obj, "multidegrees", lambda mds: [mdg.Multidegree.from_json(p) for p in array(mds)]
+        )
         if not parts:
             raise PreconditionError("'multidegrees' must be nonempty")
         total = parts[0]
         for part in parts[1:]:
             total = mdg.multidegree_add(total, part)
         return total
-    if isinstance(obj, dict) and "multidegree" in obj:
-        return mdg.Multidegree.from_json(obj["multidegree"])
-    if isinstance(obj, dict) and "coefficients" in obj:
+    if "multidegree" in obj:
+        return field(obj, "multidegree", mdg.Multidegree.from_json)
+    if "coefficients" in obj:
         return mdg.Multidegree.from_json(obj)
     raise PreconditionError("input needs 'multidegree' (or top-level coefficients)")
-
-
-def _parse_cameras(obj) -> mv.CameraConfiguration:
-    return mv.CameraConfiguration.from_json(obj)
 
 
 # ---------------------------------------------------------------------------
@@ -150,15 +121,12 @@ def _cmd_support(obj, args):
 
 
 def _cmd_projections(obj, args):
-    try:
-        n = tuple(int(x) for x in obj["n"])
-        support = [tuple(int(g) for g in gamma) for gamma in obj["support"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise PreconditionError(f"input needs 'n' and 'support': {exc}")
+    n = field(obj, "n", ints)
+    support = field(obj, "support", lambda gammas: [ints(g) for g in array(gammas)])
     if not support:
         raise PreconditionError("rank function undefined for empty support")
     r = sum(n) - sum(support[0])
-    if "r" in obj and int(obj["r"]) != r:
+    if "r" in obj and field(obj, "r", int) != r:
         raise PreconditionError(
             f"given r={obj['r']} contradicts support total degree (implies r={r})"
         )
@@ -175,83 +143,66 @@ def _cmd_betas(obj, args):
     return {"betas": [list(b.beta) for b in betas]}
 
 
-def _analyze_one(md, sig, delta, beta):
-    record = {"beta": list(beta.beta)}
-    record["hypersurface"] = mdg.is_hypersurface(md, beta)
-    record["determines"] = mdg.determines_variety(md, beta)
-    record["one_deficient"] = pm.is_one_deficient(sig, delta, beta)
-    record["circuit"] = pm.is_circuit(sig, delta, beta)
-    if record["one_deficient"]:
-        record["tight_set"] = list(pm.minimal_tight_set(sig, delta, beta))
-    else:
-        record["tight_set"] = None
-    form = mdg.criterion_form(md, beta)
-    record["criterion_form"] = [str(c) for c in form]
-    if record["hypersurface"]:
-        record["chow_degree"] = [
-            str(d) for d in mdg.chow_form_multidegree(md, beta).degrees
-        ]
-    else:
-        record["chow_degree"] = None
-    return record
+def _analyze_one(md, polymatroid, beta):
+    hypersurface = mdg.is_hypersurface(md, beta)
+    determines = mdg.determines_variety(md, beta)
+    one_deficient = polymatroid.is_one_deficient(beta)
+    return {
+        "beta": list(beta.beta),
+        "hypersurface": hypersurface,
+        "determines": determines,
+        "one_deficient": one_deficient,
+        "circuit": polymatroid.is_circuit(beta),
+        "tight_set": list(polymatroid.minimal_tight_set(beta)) if one_deficient else None,
+        "criterion_form": [decimal(c) for c in mdg.criterion_form(md, beta)],
+        "chow_degree": [decimal(d) for d in mdg.chow_form_multidegree(md, beta).degrees]
+        if hypersurface
+        else None,
+    }
 
 
 def _cmd_analyze(obj, args):
     md = _parse_multidegree(obj)
-    sig = md.sig
-    delta = md.rank_function()
+    polymatroid = pm.Polymatroid(md.sig, md.rank_function())
     if args.all_beta:
-        records = []
-        for raw in product(*(range(n + 1) for n in sig.n)):
-            if sum(raw) != sig.r + 1:
-                continue
-            records.append(_analyze_one(md, sig, delta, pm.BetaVector(raw)))
-        return {"results": records}
-    beta = _parse_beta(obj)
-    return _analyze_one(md, sig, delta, beta)
+        betas = pm.profiles(md.sig.n, md.sig.r + 1)
+        return {
+            "results": [_analyze_one(md, polymatroid, pm.BetaVector(b)) for b in betas]
+        }
+    return _analyze_one(md, polymatroid, _parse_beta(obj))
 
 
 def _cmd_chow_degree(obj, args):
     md = _parse_multidegree(obj)
     beta = _parse_beta(obj)
     degree = mdg.chow_form_multidegree(md, beta)
-    return {"chow_degree": [str(d) for d in degree.degrees]}
+    return {"chow_degree": [decimal(d) for d in degree.degrees]}
 
 
 def _cmd_slice(obj, args):
     md = _parse_multidegree(obj)
     beta = _parse_beta(obj)
-    try:
-        subset = [int(i) for i in obj["subset"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise PreconditionError(f"input needs 'subset': {exc}")
+    subset = field(obj, "subset", ints)
     return mdg.slice_multidegree(md, subset, beta).to_json()
 
 
 def _cmd_tensor(obj, args):
-    config = _parse_cameras(obj)
+    config = mv.CameraConfiguration.from_json(obj)
     beta = _parse_beta(obj)
     tensor = mv.multifocal_tensor(config, beta)
     return tensor.to_json()
 
 
 def _cmd_residual(obj, args):
-    config = _parse_cameras(obj)
-    try:
-        spaces = mv.LinearSpaceTuple.from_json(obj["spaces"])
-    except (KeyError, TypeError) as exc:
-        raise PreconditionError(f"input needs 'spaces': {exc}")
-    return {"residual": str(mv.chow_residual(config, spaces))}
+    config = mv.CameraConfiguration.from_json(obj)
+    spaces = field(obj, "spaces", mv.LinearSpaceTuple.from_json)
+    return {"residual": decimal(mv.chow_residual(config, spaces))}
 
 
 def _cmd_contract(obj, args):
-    try:
-        tensor = mv.MultifocalTensor.from_json(obj["tensor"])
-        coords = obj["coordinates"]
-    except (KeyError, TypeError) as exc:
-        raise PreconditionError(f"input needs 'tensor' and 'coordinates': {exc}")
-    coords = [mv._parse_vec(vec, 3) for vec in coords]
-    return {"value": str(mv.tensor_contract(tensor, coords))}
+    tensor = field(obj, "tensor", mv.MultifocalTensor.from_json)
+    coords = _parse_vectors(obj, "coordinates")
+    return {"value": decimal(mv.tensor_contract(tensor, coords))}
 
 
 def _counts_json(counts):
@@ -259,11 +210,8 @@ def _counts_json(counts):
 
 
 def _cmd_oracle_multidegree(obj, args):
-    config = _parse_cameras(obj)
-    try:
-        gamma = tuple(int(g) for g in obj["gamma"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise PreconditionError(f"input needs 'gamma': {exc}")
+    config = mv.CameraConfiguration.from_json(obj)
+    gamma = field(obj, "gamma", ints)
     counts = mv.intersection_count_oracle(config, gamma, args.trials, args.seed)
     majority = mv.majority_count(counts)
     expected = mv.multiview_multidegree(config.k).coefficient(gamma)
@@ -275,68 +223,78 @@ def _cmd_oracle_multidegree(obj, args):
 
 
 def _cmd_oracle_epsilon(obj, args):
-    config = _parse_cameras(obj)
+    config = mv.CameraConfiguration.from_json(obj)
     beta = _parse_beta(obj)
     counts = mv.epsilon_oracle(config, beta, args.trials, args.seed)
     return {"counts": _counts_json(counts)}
 
 
 def _cmd_sz_test(obj, args):
-    config = _parse_cameras(obj)
+    config = mv.CameraConfiguration.from_json(obj)
     beta = _parse_beta(obj)
-    try:
-        candidate = obj["candidate"]
-    except (KeyError, TypeError) as exc:
-        raise PreconditionError(f"input needs 'candidate': {exc}")
+    candidate = _parse_vectors(obj, "candidate")
     tensor = mv.multifocal_tensor(config, beta)
     member = mv.sz_membership(config, tensor, candidate, args.trials, args.seed)
     return {"member": member}
 
 
-HANDLERS = {
-    "validate-rank": _cmd_validate_rank,
-    "support": _cmd_support,
-    "projections": _cmd_projections,
-    "betas": _cmd_betas,
-    "analyze": _cmd_analyze,
-    "chow-degree": _cmd_chow_degree,
-    "slice": _cmd_slice,
-    "tensor": _cmd_tensor,
-    "residual": _cmd_residual,
-    "contract": _cmd_contract,
-    "oracle-multidegree": _cmd_oracle_multidegree,
-    "oracle-epsilon": _cmd_oracle_epsilon,
-    "sz-test": _cmd_sz_test,
+# ---------------------------------------------------------------------------
+# the subcommand table and dispatch
+
+
+@dataclass(frozen=True)
+class Subcommand:
+    """A handler, the library operations it exposes, and the arguments it
+    takes beyond ``--input`` and ``--format`` as (flag, keywords) pairs."""
+
+    handler: Callable
+    operations: tuple[str, ...]
+    arguments: tuple = ()
+
+
+#: The arguments of the randomized oracles.
+SEEDED = (("--trials", {"type": int, "default": 20}), ("--seed", {"type": int, "default": 0}))
+
+#: Every public operation appears in exactly one subcommand; the coverage
+#: test in the test suite enforces this.
+SUBCOMMANDS = {
+    "validate-rank": Subcommand(_cmd_validate_rank, ("validate_rank_function",)),
+    "support": Subcommand(_cmd_support, ("support_from_projections",)),
+    "projections": Subcommand(_cmd_projections, ("projections_from_support",)),
+    "betas": Subcommand(
+        _cmd_betas,
+        ("enumerate_beta",),
+        (("--criterion", {"choices": ("hypersurface", "determining"), "required": True}),),
+    ),
+    "analyze": Subcommand(
+        _cmd_analyze,
+        (
+            "is_one_deficient",
+            "minimal_tight_set",
+            "is_circuit",
+            "criterion_form",
+            "is_hypersurface",
+            "determines_variety",
+        ),
+        (("--all-beta", {"action": "store_true"}),),
+    ),
+    "chow-degree": Subcommand(
+        _cmd_chow_degree, ("chow_form_multidegree", "multidegree_add")
+    ),
+    "slice": Subcommand(_cmd_slice, ("slice_multidegree",)),
+    "tensor": Subcommand(_cmd_tensor, ("multifocal_tensor",)),
+    "residual": Subcommand(_cmd_residual, ("chow_residual",)),
+    "contract": Subcommand(_cmd_contract, ("tensor_contract",)),
+    "oracle-multidegree": Subcommand(
+        _cmd_oracle_multidegree,
+        ("intersection_count_oracle", "multiview_multidegree"),
+        SEEDED,
+    ),
+    "oracle-epsilon": Subcommand(
+        _cmd_oracle_epsilon, ("epsilon_oracle", "project_point"), SEEDED
+    ),
+    "sz-test": Subcommand(_cmd_sz_test, ("sz_membership",), SEEDED),
 }
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="multichow",
-        description="Multidegree criteria and multifocal tensors, exactly.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in HANDLERS:
-        p = sub.add_parser(name)
-        p.add_argument("--input", help="path to the JSON input (default: stdin)")
-        p.add_argument(
-            "--format",
-            choices=("pretty", "compact"),
-            default="compact",
-            help="whitespace style of the JSON output",
-        )
-        if name == "betas":
-            p.add_argument(
-                "--criterion",
-                choices=("hypersurface", "determining"),
-                required=True,
-            )
-        if name == "analyze":
-            p.add_argument("--all-beta", action="store_true", dest="all_beta")
-        if name in ("oracle-multidegree", "oracle-epsilon", "sz-test"):
-            p.add_argument("--trials", type=int, default=20)
-            p.add_argument("--seed", type=int, default=0)
-    return parser
 
 
 class _ArgumentError(PreconditionError):
@@ -348,22 +306,43 @@ class _Parser(argparse.ArgumentParser):
         raise _ArgumentError(message)
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    parser = _Parser(
+        prog="multichow",
+        description="Multidegree criteria and multifocal tensors, exactly.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, command in SUBCOMMANDS.items():
+        p = sub.add_parser(name)
+        p.add_argument("--input", help="path to the JSON input (default: stdin)")
+        p.add_argument(
+            "--format",
+            choices=("pretty", "compact"),
+            default="compact",
+            help="whitespace style of the JSON output",
+        )
+        for flag, keywords in command.arguments:
+            p.add_argument(flag, **keywords)
+    return parser
+
+
 def run(argv) -> CommandResult:
     """Parse argv, dispatch, and map failures to statuses."""
     try:
-        args = _build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
     except _ArgumentError as exc:
-        return CommandResult("precondition-failed", None, [str(exc)])
+        return CommandResult("precondition-failed", None, (str(exc),))
     try:
         obj = _load_input(args)
-        payload = HANDLERS[args.command](obj, args)
+        payload = SUBCOMMANDS[args.command].handler(obj, args)
         return CommandResult("ok", payload, format=args.format)
     except InapplicableError as exc:
-        return CommandResult("inapplicable", None, [str(exc)], args.format)
+        return CommandResult("inapplicable", None, (str(exc),), args.format)
     except DegenerateInputError as exc:
-        return CommandResult("degenerate-input", None, [str(exc)], args.format)
-    except (PreconditionError, MultichowError) as exc:
-        return CommandResult("precondition-failed", None, [str(exc)], args.format)
+        return CommandResult("degenerate-input", None, (str(exc),), args.format)
+    except MultichowError as exc:
+        return CommandResult("precondition-failed", None, (str(exc),), args.format)
 
 
 def render(payload, fmt: str) -> str:

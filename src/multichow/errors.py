@@ -1,4 +1,6 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, plus the one reader of
+input fields and the one writer of decimal strings, which report malformed
+data as :class:`PreconditionError`."""
 
 
 class MultichowError(Exception):
@@ -24,3 +26,40 @@ class DegenerateInputError(MultichowError):
 class InapplicableError(MultichowError):
     """The requested construction does not apply to the given input (e.g.
     asking for the degree of an incidence form that is identically zero)."""
+
+
+def field(obj, key, parse):
+    """``parse(obj[key])``; a missing key or a value that ``parse`` rejects
+    (``"x"``, ``"1/0"``, a string where an array belongs, ...) becomes a
+    :class:`PreconditionError` naming the key."""
+    try:
+        value = obj[key]
+    except (KeyError, TypeError):
+        raise PreconditionError(f"input needs '{key}'")
+    try:
+        return parse(value)
+    except (TypeError, ValueError, ArithmeticError) as exc:
+        raise PreconditionError(f"malformed '{key}': {exc}")
+
+
+def array(value) -> list:
+    """The items of a JSON array; anything else (a string in particular,
+    which would otherwise be read character by character) is rejected."""
+    if not isinstance(value, (list, tuple)):
+        raise TypeError(f"expected an array, got {type(value).__name__}")
+    return list(value)
+
+
+def ints(value) -> tuple[int, ...]:
+    """A JSON array of integers (entries as lenient as ``int``)."""
+    return tuple(int(x) for x in array(value))
+
+
+def decimal(number) -> str:
+    """``str(number)`` for output, refusing numbers past Python's
+    integer-string digit limit, which stays in force as a guard against
+    quadratic-time conversions."""
+    try:
+        return str(number)
+    except ValueError as exc:
+        raise PreconditionError(f"result too large to write: {exc}")

@@ -9,9 +9,6 @@ numbers coercible to ``Fraction``.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
-
-Row = Sequence[Fraction]
 
 
 def frac_rows(m) -> list[list[Fraction]]:

@@ -21,14 +21,20 @@ separately by the fiber-counting oracle in :mod:`multichow.multiview`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import product
+from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .errors import CycleInputError, InapplicableError, PreconditionError
+from .errors import (
+    CycleInputError,
+    InapplicableError,
+    PreconditionError,
+    array,
+    decimal,
+    field,
+    ints,
+)
 from .polymatroid import (
-    BetaVector,
-    GammaVector,
+    RankFunction,
     SpaceSignature,
     as_beta,
     mask_of,
@@ -40,20 +46,21 @@ VARIETY = "variety"
 CYCLE = "cycle"
 
 
-def _consistent_support(sig: SpaceSignature, support: Iterable[GammaVector]) -> bool:
-    """Round trip support -> projection dims -> support."""
-    support = sorted(tuple(g) for g in support)
+def _consistent_rank_function(sig: SpaceSignature, support: tuple) -> RankFunction | None:
+    """Round trip of a sorted support -> projection dims -> support; the
+    projection dimensions when the support comes back unchanged, else
+    ``None``."""
     if not support:
-        return False
+        return None
     try:
         delta = projections_from_support(sig, support)
         back = support_from_projections(sig, delta)
     except PreconditionError:
-        return False
-    return sorted(back) == support
+        return None
+    return delta if back == support else None
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Multidegree:
     """Sparse map gamma -> a_gamma with strictly positive coefficients."""
 
@@ -83,20 +90,15 @@ class Multidegree:
                 )
             clean[gamma] = a
         object.__setattr__(self, "coeffs", clean)
-        if self.tag == VARIETY and not _consistent_support(self.sig, clean):
-            raise PreconditionError(
-                "support fails the polymatroid consistency check; "
-                "construct with tag='cycle' for reducible/cycle-level data"
-            )
-
-    def __eq__(self, other):
-        if not isinstance(other, Multidegree):
-            return NotImplemented
-        return (
-            self.sig == other.sig
-            and dict(self.coeffs) == dict(other.coeffs)
-            and self.tag == other.tag
-        )
+        delta = None
+        if self.tag == VARIETY:
+            delta = _consistent_rank_function(self.sig, self.support())
+            if delta is None:
+                raise PreconditionError(
+                    "support fails the polymatroid consistency check; "
+                    "construct with tag='cycle' for reducible/cycle-level data"
+                )
+        object.__setattr__(self, "_delta", delta)
 
     def support(self) -> tuple[tuple, ...]:
         return tuple(sorted(self.coeffs))
@@ -105,35 +107,30 @@ class Multidegree:
         """a_gamma; out-of-range or absent exponents give 0."""
         return self.coeffs.get(tuple(gamma), 0)
 
-    def rank_function(self):
-        return projections_from_support(self.sig, self.support())
+    def rank_function(self) -> RankFunction:
+        """Projection dimensions read off the support, computed once."""
+        if self._delta is None:
+            delta = projections_from_support(self.sig, self.support())
+            object.__setattr__(self, "_delta", delta)
+        return self._delta
 
     @classmethod
     def from_json(cls, obj) -> "Multidegree":
-        try:
-            sig = SpaceSignature(tuple(obj["n"]), int(obj["r"]))
-            entries = obj["coefficients"]
-            tag = obj.get("tag", VARIETY)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise PreconditionError(f"malformed multidegree JSON: {exc}")
+        sig = SpaceSignature(field(obj, "n", ints), field(obj, "r", int))
         coeffs = {}
-        for entry in entries:
-            try:
-                gamma = tuple(int(g) for g in entry["gamma"])
-                a = int(str(entry["a"]))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise PreconditionError(f"malformed coefficient entry: {exc}")
+        for entry in field(obj, "coefficients", array):
+            gamma = field(entry, "gamma", ints)
             if gamma in coeffs:
                 raise PreconditionError(f"gamma {gamma} appears more than once")
-            coeffs[gamma] = a
-        return cls(sig, coeffs, tag)
+            coeffs[gamma] = field(entry, "a", lambda a: int(str(a)))
+        return cls(sig, coeffs, obj.get("tag", VARIETY))
 
     def to_json(self) -> dict:
         return {
             "n": list(self.sig.n),
             "r": self.sig.r,
             "coefficients": [
-                {"gamma": list(gamma), "a": str(self.coeffs[gamma])}
+                {"gamma": list(gamma), "a": decimal(self.coeffs[gamma])}
                 for gamma in self.support()
             ],
             "tag": self.tag,

@@ -25,9 +25,9 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 
 from . import linalg
-from .errors import DegenerateInputError, PreconditionError
+from .errors import DegenerateInputError, PreconditionError, array, decimal, field, ints
 from .multidegree import Multidegree
-from .polymatroid import BetaVector, SpaceSignature, as_beta
+from .polymatroid import SpaceSignature, as_beta
 
 MAX_RESAMPLES = 32
 
@@ -42,8 +42,10 @@ def _as_camera(rows) -> Camera:
     return rows
 
 
-def _parse_vec(entries, length: int) -> Vec:
-    vec = tuple(Fraction(str(x)) if isinstance(x, str) else Fraction(x) for x in entries)
+def parse_vector(entries, length: int) -> Vec:
+    """An array of ``length`` exact rationals (numbers or strings such as
+    ``"-2/3"``)."""
+    vec = tuple(Fraction(x) for x in array(entries))
     if len(vec) != length:
         raise PreconditionError(f"expected a vector of length {length}")
     return vec
@@ -86,11 +88,16 @@ class CameraConfiguration:
 
     @classmethod
     def from_json(cls, obj) -> "CameraConfiguration":
-        try:
-            cams = obj["cameras"]
-        except (KeyError, TypeError) as exc:
-            raise PreconditionError(f"malformed camera JSON: {exc}")
-        return cls(tuple(tuple(_parse_vec(row, 4) for row in cam) for cam in cams))
+        return cls(
+            field(
+                obj,
+                "cameras",
+                lambda cams: tuple(
+                    tuple(parse_vector(row, 4) for row in array(cam))
+                    for cam in array(cams)
+                ),
+            )
+        )
 
     def to_json(self) -> dict:
         return {
@@ -133,10 +140,9 @@ class LinearSpaceTuple:
 
     @classmethod
     def from_json(cls, obj) -> "LinearSpaceTuple":
-        return cls(tuple(tuple(_parse_vec(f, 3) for f in factor) for factor in obj))
-
-    def to_json(self) -> list:
-        return [[[str(x) for x in f] for f in factor] for factor in self.forms]
+        return cls(
+            tuple(tuple(parse_vector(f, 3) for f in array(factor)) for factor in array(obj))
+        )
 
 
 @dataclass(frozen=True)
@@ -175,22 +181,18 @@ class MultifocalTensor:
 
     @classmethod
     def from_json(cls, obj) -> "MultifocalTensor":
-        try:
-            beta = tuple(int(b) for b in obj["beta"])
-            raw = obj["entries"]
-        except (KeyError, TypeError) as exc:
-            raise PreconditionError(f"malformed tensor JSON: {exc}")
-        entries = {}
-        for entry in raw:
-            index = tuple(int(a) for a in entry["index"])
-            entries[index] = Fraction(str(entry["value"]))
+        beta = field(obj, "beta", ints)
+        entries = {
+            field(entry, "index", ints): field(entry, "value", lambda v: Fraction(str(v)))
+            for entry in field(obj, "entries", array)
+        }
         return cls(beta, entries)
 
     def to_json(self) -> dict:
         return {
             "beta": list(self.beta),
             "entries": [
-                {"index": list(index), "value": str(value)}
+                {"index": list(index), "value": decimal(value)}
                 for index, value in sorted(self.entries.items())
                 if value != 0
             ],
@@ -382,18 +384,20 @@ def random_form(rng: random.Random, length: int = 3) -> Vec:
     )
 
 
-def random_independent_forms(rng: random.Random, count: int, length: int = 3):
+def _independent_forms(rng, draw, count: int, what: str) -> tuple[Vec, ...]:
+    """``count`` forms, each drawn until it is independent of the earlier ones."""
     forms: list[Vec] = []
     for _ in range(count):
         forms.append(
-            _sample(
-                rng,
-                lambda r: random_form(r, length),
-                lambda f: linalg.rank(forms + [list(f)]) == len(forms) + 1,
-                "independent form",
-            )
+            _sample(rng, draw, lambda f: linalg.rank(forms + [f]) == len(forms) + 1, what)
         )
     return tuple(forms)
+
+
+def random_independent_forms(rng: random.Random, count: int, length: int = 3):
+    return _independent_forms(
+        rng, lambda r: random_form(r, length), count, "independent form"
+    )
 
 
 def forms_through(rng: random.Random, point: Vec, count: int) -> tuple[Vec, ...]:
@@ -401,50 +405,30 @@ def forms_through(rng: random.Random, point: Vec, count: int) -> tuple[Vec, ...]
     basis = linalg.nullspace([list(point)], 3)
     if len(basis) != 2:
         raise DegenerateInputError("candidate coordinate is the zero vector")
-    forms: list[Vec] = []
 
     def draw(r):
         u, v = r.randint(-10, 10), r.randint(-10, 10)
         return tuple(u * a + v * b for a, b in zip(basis[0], basis[1]))
 
-    for _ in range(count):
-        forms.append(
-            _sample(
-                rng,
-                draw,
-                lambda f: not linalg.is_zero_vector(f)
-                and linalg.rank(forms + [list(f)]) == len(forms) + 1,
-                "form through a point",
-            )
-        )
-    return tuple(forms)
+    return _independent_forms(rng, draw, count, "form through a point")
 
 
 def random_cameras(k: int, seed: int) -> CameraConfiguration:
     """A seeded generic configuration of k integer cameras."""
-    rng = random.Random(f"cameras:{int(seed)}")
+
+    def draw_camera(r):
+        return [[r.randint(-10, 10) for _ in range(4)] for _ in range(3)]
 
     def draw(r):
-        rows = [[r.randint(-10, 10) for _ in range(4)] for _ in range(3)]
-        return rows
+        return CameraConfiguration(
+            tuple(
+                _sample(r, draw_camera, lambda c: linalg.rank(c) == 3, "rank-3 camera")
+                for _ in range(k)
+            )
+        )
 
-    cams = []
-    for _ in range(k):
-        cams.append(
-            _sample(rng, draw, lambda c: linalg.rank(c) == 3, "rank-3 camera")
-        )
-    config = CameraConfiguration(tuple(tuple(tuple(Fraction(x) for x in row) for row in cam) for cam in cams))
-    for _ in range(MAX_RESAMPLES):
-        if config.is_generic():
-            return config
-        cams = [
-            _sample(rng, draw, lambda c: linalg.rank(c) == 3, "rank-3 camera")
-            for _ in range(k)
-        ]
-        config = CameraConfiguration(
-            tuple(tuple(tuple(Fraction(x) for x in row) for row in cam) for cam in cams)
-        )
-    raise DegenerateInputError("could not sample a generic camera configuration")
+    rng = random.Random(f"cameras:{int(seed)}")
+    return _sample(rng, draw, CameraConfiguration.is_generic, "generic camera configuration")
 
 
 def _is_center(config: CameraConfiguration, point: Vec) -> bool:
@@ -462,7 +446,7 @@ def has_world_point_preimage(config: CameraConfiguration, candidate) -> bool:
     center.  Points of the image closure with no honest preimage are not
     detected; this is only used to certify *non*-membership.
     """
-    candidate = [_parse_vec(vec, 3) for vec in candidate]
+    candidate = [parse_vector(vec, 3) for vec in candidate]
     if len(candidate) != config.k:
         raise PreconditionError(f"candidate needs {config.k} coordinates")
     rows = []
@@ -617,7 +601,7 @@ def sz_membership(
     through it).  True answers hold up to sampling confidence; False answers
     are exact.
     """
-    candidate = [_parse_vec(vec, 3) for vec in candidate]
+    candidate = [parse_vector(vec, 3) for vec in candidate]
     if len(candidate) != config.k or tensor.k != config.k:
         raise PreconditionError(f"candidate and tensor must have {config.k} slots")
     for vec in candidate:

@@ -6,7 +6,9 @@ functions are normalized (``delta(empty) = 0``), monotone and submodular,
 i.e. they are discrete polymatroid rank functions.  This module validates
 those axioms, converts between rank functions and multidegree supports, and
 classifies slicing-codimension profiles ``beta`` (1-deficient / circuit /
-determining).
+determining).  The criteria and enumerations live on :class:`Polymatroid`,
+which validates its rank function once, when it is built; the module-level
+functions of the same names build one per call.
 
 Subsets of ``{1, ..., k}`` are encoded as bitmasks (bit ``i-1`` for element
 ``i``), and every subset-quantified check enumerates all ``2**k`` subsets
@@ -17,21 +19,11 @@ Subsets of ``{1, ..., k}`` are encoded as bitmasks (bit ``i-1`` for element
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .errors import PreconditionError
+from .errors import PreconditionError, array, field, ints
 
 MAX_K = 24
-
-#: A multidegree exponent vector; kept as a plain tuple of ints.
-GammaVector = tuple
-
-Criterion = str  # "hypersurface" | "determining"
-
-
-def full_mask(k: int) -> int:
-    return (1 << k) - 1
 
 
 def mask_of(indices: Iterable[int], k: int) -> int:
@@ -75,9 +67,6 @@ class SpaceSignature:
 
     def codim(self) -> int:
         return sum(self.n) - self.r
-
-    def sum_over(self, mask: int) -> int:
-        return sum(self.n[i] for i in range(self.k) if mask >> i & 1)
 
 
 @dataclass(frozen=True)
@@ -124,25 +113,17 @@ class RankFunction:
         Subsets are 1-based index lists; each of the ``2**k`` subsets must
         appear exactly once.
         """
-        try:
-            k = int(obj["k"])
-            entries = obj["values"]
-        except (KeyError, TypeError) as exc:
-            raise PreconditionError(f"malformed rank function JSON: {exc}")
+        k = field(obj, "k", int)
         if not 1 <= k <= MAX_K:
             raise PreconditionError(f"k must be in 1..{MAX_K}")
         values: list = [None] * (1 << k)
-        for entry in entries:
-            try:
-                mask = mask_of(entry["subset"], k)
-                delta = int(entry["delta"])
-            except (KeyError, TypeError) as exc:
-                raise PreconditionError(f"malformed rank function entry: {exc}")
+        for entry in field(obj, "values", array):
+            mask = field(entry, "subset", lambda subset: mask_of(ints(subset), k))
             if values[mask] is not None:
                 raise PreconditionError(
-                    f"subset {sorted(entry['subset'])} appears more than once"
+                    f"subset {list(indices_of(mask))} appears more than once"
                 )
-            values[mask] = delta
+            values[mask] = field(entry, "delta", int)
         missing = [mask for mask, v in enumerate(values) if v is None]
         if missing:
             raise PreconditionError(
@@ -245,8 +226,9 @@ def validate_rank_function(sig: SpaceSignature, delta: RankFunction) -> Validati
     violations: list[Violation] = []
     if delta.values[0] != 0:
         violations.append(Violation("normalization", (), None))
+    bounds = subset_sums(sig.n)
     for mask in range(1 << k):
-        if delta.values[mask] > sig.sum_over(mask):
+        if delta.values[mask] > bounds[mask]:
             violations.append(Violation("bounded", indices_of(mask), None))
         outside = [i for i in range(k) if not mask >> i & 1]
         for idx, i in enumerate(outside):
@@ -269,52 +251,137 @@ def validate_rank_function(sig: SpaceSignature, delta: RankFunction) -> Validati
     return ValidationReport(not violations, tuple(violations))
 
 
-def _require_valid(sig: SpaceSignature, delta: RankFunction) -> None:
-    report = validate_rank_function(sig, delta)
-    if not report.ok:
-        first = report.violations[0]
-        raise PreconditionError(
-            f"invalid rank function: {first.axiom} fails at "
-            f"I={list(first.subset_i)}"
-            + (f", J={list(first.subset_j)}" if first.subset_j is not None else "")
+def profiles(bounds, total: int):
+    """Integer vectors x with 0 <= x_i <= bounds[i] and sum(x) = total, in
+    lexicographic order; coordinates are assigned left to right, and only
+    values that leave the remaining total reachable are tried."""
+    bounds = tuple(bounds)
+    room = [sum(bounds[i:]) for i in range(len(bounds) + 1)]
+    prefix: list[int] = []
+
+    def extend(i: int, left: int):
+        if i == len(bounds):
+            yield tuple(prefix)
+            return
+        for x in range(max(0, left - room[i + 1]), min(bounds[i], left) + 1):
+            prefix.append(x)
+            yield from extend(i + 1, left - x)
+            prefix.pop()
+
+    if 0 <= total <= room[0]:
+        yield from extend(0, total)
+
+
+def subset_sums(vec) -> list[int]:
+    """``sums[mask]`` = the sum of ``vec[i]`` over the bits ``i`` of ``mask``."""
+    sums = [0]
+    for x in vec:
+        sums += [s + x for s in sums]
+    return sums
+
+
+@dataclass(frozen=True)
+class Polymatroid:
+    """A rank function validated against a signature, once.
+
+    Construction checks the polymatroid axioms, the ambient bound and
+    ``delta(full) = r``; the criteria and enumerations below rely on that
+    and check only their own arguments.
+    """
+
+    sig: SpaceSignature
+    delta: RankFunction
+
+    def __post_init__(self):
+        report = validate_rank_function(self.sig, self.delta)
+        if not report.ok:
+            first = report.violations[0]
+            raise PreconditionError(
+                f"invalid rank function: {first.axiom} fails at "
+                f"I={list(first.subset_i)}"
+                + (f", J={list(first.subset_j)}" if first.subset_j is not None else "")
+            )
+        if self.delta.values[-1] != self.sig.r:
+            raise PreconditionError(
+                f"delta(full set)={self.delta.values[-1]} must equal r={self.sig.r}"
+            )
+
+    def _beta_sums(self, beta) -> list[int]:
+        beta = as_beta(beta)
+        beta.check_range(self.sig, total=self.sig.r + 1)
+        return subset_sums(beta.beta)
+
+    def is_one_deficient(self, beta) -> bool:
+        """|beta_I| <= delta(I) + 1 for every subset I.
+
+        Exactly the condition for the incidence locus cut by spaces of
+        codimension profile beta to be a hypersurface.
+        """
+        sums = self._beta_sums(beta)
+        return all(s <= d + 1 for s, d in zip(sums, self.delta.values))
+
+    def minimal_tight_set(self, beta) -> tuple[int, ...]:
+        """The unique nonempty J with |beta_I| = delta(I)+1 iff I contains J.
+
+        Computed as the intersection of all tight subsets; the full set is
+        always tight since |beta| = r + 1, and the intersection of two tight
+        sets is again tight by submodularity.
+        """
+        if not self.is_one_deficient(beta):
+            raise PreconditionError("beta is not 1-deficient")
+        mask = (1 << self.sig.k) - 1
+        for tight in tight_sets(self.sig, self.delta, beta):
+            mask &= tight
+        return indices_of(mask)
+
+    def is_circuit(self, beta) -> bool:
+        """True iff beta is positive, 1-deficient, and only the full set is
+        tight.
+
+        Since the full set is tight, this says |beta_I| <= delta(I) for every
+        proper nonempty subset (plus positivity), which is the condition for
+        the incidence hypersurface to determine the variety.
+        """
+        sums = self._beta_sums(beta)
+        values = self.delta.values
+        return all(sums[1 << i] > 0 for i in range(self.sig.k)) and all(
+            sums[mask] <= values[mask] for mask in range(1, len(sums) - 1)
         )
-    if delta.values[full_mask(sig.k)] != sig.r:
-        raise PreconditionError(
-            f"delta(full set)={delta.values[full_mask(sig.k)]} must equal r={sig.r}"
+
+    def support(self) -> tuple[tuple[int, ...], ...]:
+        """All exponent vectors gamma compatible with the projection
+        dimensions, in lexicographic order: 0 <= gamma_i <= n_i and
+        sum_{i in I}(n_i - gamma_i) <= delta(I) for every I, with equality
+        on the full set."""
+        n, values = self.sig.n, self.delta.values
+        return tuple(
+            gamma
+            for gamma in profiles(n, self.sig.codim())
+            if all(
+                drop <= d
+                for drop, d in zip(subset_sums(a - g for a, g in zip(n, gamma)), values)
+            )
         )
+
+    def betas(self, criterion: str) -> tuple[BetaVector, ...]:
+        """All in-range beta with |beta| = r+1 passing the chosen criterion,
+        in lexicographic order: ``"hypersurface"`` keeps the 1-deficient
+        ones, ``"determining"`` the circuits."""
+        keep = {"hypersurface": self.is_one_deficient, "determining": self.is_circuit}
+        if criterion not in keep:
+            raise PreconditionError(f"unknown criterion {criterion!r}")
+        candidates = map(BetaVector, profiles(self.sig.n, self.sig.r + 1))
+        return tuple(beta for beta in candidates if keep[criterion](beta))
 
 
 def support_from_projections(
     sig: SpaceSignature, delta: RankFunction
-) -> tuple[GammaVector, ...]:
-    """All exponent vectors gamma compatible with the projection dimensions.
-
-    Returns the gamma with 0 <= gamma_i <= n_i, sum(n_i - gamma_i) = r and
-    sum_{i in I}(n_i - gamma_i) <= delta(I) for every proper nonempty I,
-    in lexicographic order.
-    """
-    _require_valid(sig, delta)
-    k = sig.k
-    full = full_mask(k)
-    out = []
-    for gamma in product(*(range(n + 1) for n in sig.n)):
-        drops = tuple(n - g for n, g in zip(sig.n, gamma))
-        if sum(drops) != sig.r:
-            continue
-        ok = True
-        for mask in range(1, full):
-            total = sum(drops[i] for i in range(k) if mask >> i & 1)
-            if total > delta.values[mask]:
-                ok = False
-                break
-        if ok:
-            out.append(tuple(gamma))
-    return tuple(out)
+) -> tuple[tuple[int, ...], ...]:
+    """See :meth:`Polymatroid.support`."""
+    return Polymatroid(sig, delta).support()
 
 
-def projections_from_support(
-    sig: SpaceSignature, support: Iterable[GammaVector]
-) -> RankFunction:
+def projections_from_support(sig: SpaceSignature, support: Iterable) -> RankFunction:
     """Recover delta(I) = max over gamma of sum_{i in I}(n_i - gamma_i).
 
     Inverts :func:`support_from_projections` whenever the support is the full
@@ -326,7 +393,7 @@ def projections_from_support(
         raise PreconditionError("rank function undefined for empty support")
     k = sig.k
     codim = sig.codim()
-    drops_list = []
+    values = [0] * (1 << k)
     for gamma in support:
         if len(gamma) != k:
             raise PreconditionError(f"gamma {gamma} has wrong length")
@@ -336,105 +403,36 @@ def projections_from_support(
             raise PreconditionError(
                 f"gamma {gamma} has total degree {sum(gamma)}, expected {codim}"
             )
-        drops_list.append(tuple(n - g for n, g in zip(sig.n, gamma)))
-    values = [0] * (1 << k)
-    for mask in range(1, 1 << k):
-        values[mask] = max(
-            sum(drops[i] for i in range(k) if mask >> i & 1) for drops in drops_list
-        )
+        drops = subset_sums(n - g for n, g in zip(sig.n, gamma))
+        values = [max(v, d) for v, d in zip(values, drops)]
     return RankFunction(k, tuple(values))
 
 
-def _check_beta(sig: SpaceSignature, beta: BetaVector) -> None:
-    beta.check_range(sig, total=sig.r + 1)
-
-
 def is_one_deficient(sig: SpaceSignature, delta: RankFunction, beta) -> bool:
-    """|beta_I| <= delta(I) + 1 for every subset I.
-
-    Exactly the condition for the incidence locus cut by spaces of
-    codimension profile beta to be a hypersurface.
-    """
-    beta = as_beta(beta)
-    _check_beta(sig, beta)
-    _require_valid(sig, delta)
-    return all(
-        beta.sum_over(mask) <= delta.values[mask] + 1
-        for mask in range(1 << sig.k)
-    )
+    """See :meth:`Polymatroid.is_one_deficient`."""
+    return Polymatroid(sig, delta).is_one_deficient(beta)
 
 
 def tight_sets(sig: SpaceSignature, delta: RankFunction, beta) -> tuple[int, ...]:
-    """Bitmasks of all subsets with |beta_I| = delta(I) + 1 (for tests)."""
-    beta = as_beta(beta)
+    """Bitmasks of all subsets with |beta_I| = delta(I) + 1."""
+    sums = subset_sums(as_beta(beta).beta)
     return tuple(
-        mask
-        for mask in range(1 << sig.k)
-        if beta.sum_over(mask) == delta.values[mask] + 1
+        mask for mask, (s, d) in enumerate(zip(sums, delta.values)) if s == d + 1
     )
 
 
 def minimal_tight_set(sig: SpaceSignature, delta: RankFunction, beta) -> tuple[int, ...]:
-    """The unique nonempty J with |beta_I| = delta(I)+1 iff I contains J.
-
-    Computed as the intersection of all tight subsets; the full set is always
-    tight since |beta| = r + 1, and the intersection of two tight sets is
-    again tight by submodularity.
-    """
-    beta = as_beta(beta)
-    if not is_one_deficient(sig, delta, beta):
-        raise PreconditionError("beta is not 1-deficient")
-    mask = full_mask(sig.k)
-    for tight in tight_sets(sig, delta, beta):
-        mask &= tight
-    return indices_of(mask)
+    """See :meth:`Polymatroid.minimal_tight_set`."""
+    return Polymatroid(sig, delta).minimal_tight_set(beta)
 
 
 def is_circuit(sig: SpaceSignature, delta: RankFunction, beta) -> bool:
-    """True iff beta is positive, 1-deficient, and only the full set is tight.
-
-    Equivalently, |beta_I| <= delta(I) for every proper nonempty subset,
-    which is the condition for the incidence hypersurface to determine the
-    variety.
-    """
-    beta = as_beta(beta)
-    _check_beta(sig, beta)
-    if any(b <= 0 for b in beta.beta):
-        return False
-    if not is_one_deficient(sig, delta, beta):
-        return False
-    return minimal_tight_set(sig, delta, beta) == indices_of(full_mask(sig.k))
+    """See :meth:`Polymatroid.is_circuit`."""
+    return Polymatroid(sig, delta).is_circuit(beta)
 
 
 def enumerate_beta(
-    sig: SpaceSignature, delta: RankFunction, criterion: Criterion
+    sig: SpaceSignature, delta: RankFunction, criterion: str
 ) -> tuple[BetaVector, ...]:
-    """All in-range beta with |beta| = r+1 passing the chosen criterion.
-
-    ``"hypersurface"``: |beta_I| <= delta(I)+1 for all I (1-deficiency).
-    ``"determining"``:  |beta_I| <= delta(I) for all proper nonempty I.
-    Output is lexicographically sorted.
-    """
-    if criterion not in ("hypersurface", "determining"):
-        raise PreconditionError(f"unknown criterion {criterion!r}")
-    _require_valid(sig, delta)
-    k = sig.k
-    full = full_mask(k)
-    out = []
-    for raw in product(*(range(n + 1) for n in sig.n)):
-        if sum(raw) != sig.r + 1:
-            continue
-        beta = BetaVector(raw)
-        if criterion == "hypersurface":
-            keep = all(
-                beta.sum_over(mask) <= delta.values[mask] + 1
-                for mask in range(1, full + 1)
-            )
-        else:
-            keep = all(
-                beta.sum_over(mask) <= delta.values[mask]
-                for mask in range(1, full)
-            )
-        if keep:
-            out.append(beta)
-    return tuple(out)
+    """See :meth:`Polymatroid.betas`."""
+    return Polymatroid(sig, delta).betas(criterion)

@@ -1,10 +1,14 @@
 """CLI dispatch, canonical output, exit codes and operation coverage."""
 
+import copy
 import json
+import sys
 
 import pytest
 
 from multichow import cli
+from multichow import multidegree as mdg
+from multichow import polymatroid as pm
 from multichow.errors import DegenerateInputError
 from multichow.multiview import multiview_multidegree, random_cameras
 
@@ -154,6 +158,11 @@ class TestErrorHandling:
         code, _, err = run_main(["support", "--input", str(path)], capsys)
         assert code == 2
 
+    def test_missing_input_file(self, tmp_path, capsys):
+        code, _, err = run_main(["support", "--input", str(tmp_path / "absent.json")], capsys)
+        assert code == 2
+        assert json.loads(err)["error"]["status"] == "precondition-failed"
+
     def test_inapplicable_gives_exit_4(self, tmp_path, capsys):
         obj = {
             "n": [2, 2],
@@ -190,6 +199,154 @@ class TestErrorHandling:
         }
         code, _, err = run_main(["analyze", "--input", write(tmp_path, obj)], capsys)
         assert code == 2
+
+
+CAMERAS_2 = random_cameras(2, 36).to_json()
+CAMERAS_3 = random_cameras(3, 37).to_json()
+MULTIVIEW_3 = multiview_multidegree(3).to_json()
+SPACES = [[["1", "0", "0"], ["0", "1", "0"]], [["0", "0", "1"], ["1", "1", "1"]]]
+TENSOR = {"beta": [2, 2], "entries": [{"index": [1, 1], "value": "3"}]}
+
+
+def camera_entry(entry):
+    cameras = copy.deepcopy(CAMERAS_2["cameras"])
+    cameras[1][2][0] = entry
+    return {"cameras": cameras, "beta": [2, 2]}
+
+
+# Entries that are not rational numbers or integers, and strings where an
+# array or object belongs (which would otherwise be read character by
+# character).
+MALFORMED = {
+    "input-is-a-string": (["analyze"], "multidegrees"),
+    "integer-is-infinite": (["tensor"], dict(CAMERAS_2, beta=[2, float("inf")])),
+    "camera-entry-division-by-zero": (["tensor"], camera_entry("1/0")),
+    "camera-entry-not-a-number": (["oracle-epsilon", "--trials", "1"], camera_entry("x")),
+    "space-entry-division-by-zero": (
+        ["residual"],
+        dict(CAMERAS_2, spaces=[[["1/0", "0", "0"], ["0", "1", "0"]], SPACES[1]]),
+    ),
+    "space-form-is-a-string": (
+        ["residual"], dict(CAMERAS_2, spaces=[["100", ["0", "1", "0"]], SPACES[1]])
+    ),
+    "coordinate-entry-not-a-number": (
+        ["contract"], {"tensor": TENSOR, "coordinates": [["x", "0", "1"], [1, 1, 0]]}
+    ),
+    "coordinates-are-strings": (
+        ["contract"], {"tensor": TENSOR, "coordinates": ["001", "110"]}
+    ),
+    "tensor-value-division-by-zero": (
+        ["contract"],
+        {
+            "tensor": {"beta": [2, 2], "entries": [{"index": [1, 1], "value": "1/0"}]},
+            "coordinates": [[0, 0, 1], [1, 1, 0]],
+        },
+    ),
+    "candidate-entry-division-by-zero": (
+        ["sz-test", "--trials", "1"],
+        dict(CAMERAS_3, beta=[2, 1, 1], candidate=[[1, 2, 3], ["1/0", 1, 1], [7, 8, 9]]),
+    ),
+    "beta-is-a-string": (["chow-degree"], dict(MULTIVIEW_3, beta="211")),
+    "subset-is-a-string": (["slice"], dict(MULTIVIEW_3, beta=[2, 1, 1], subset="1")),
+    "gamma-is-a-string": (
+        ["oracle-multidegree", "--trials", "1"], dict(CAMERAS_3, gamma="111")
+    ),
+    "n-is-a-string": (
+        ["betas", "--criterion", "hypersurface"],
+        {"n": "22", "r": 3, "rank_function": pm.RankFunction(2, (0, 2, 2, 3)).to_json()},
+    ),
+    "support-is-a-string": (["projections"], {"n": [2, 2], "support": ["01", "10"]}),
+    "rank-function-subset-is-a-string": (
+        ["validate-rank"],
+        {
+            "n": [2],
+            "r": 2,
+            "rank_function": {
+                "k": 1,
+                "values": [{"subset": "", "delta": 0}, {"subset": [1], "delta": 2}],
+            },
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_field_exits_2(name, tmp_path, capsys):
+    argv, obj = MALFORMED[name]
+    code, out, err = run_main([*argv, "--input", write(tmp_path, obj)], capsys)
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"]["status"] == "precondition-failed"
+
+
+BIG = 5 * 10**4299  # 4,300 digits: the most Python converts to a string by default
+HUGE_CYCLE = {
+    "n": [2, 2],
+    "r": 2,
+    "coefficients": [{"gamma": [2, 0], "a": str(BIG)}, {"gamma": [0, 2], "a": str(BIG)}],
+    "tag": "cycle",
+}
+ROW = "1" + "0" * 2200
+
+
+def huge_tensor_input():
+    cameras = [[[ROW, 0, 0, 0], [0, ROW, 0, 0], [0, 0, 1, 0]], CAMERAS_2["cameras"][1]]
+    return {"cameras": cameras, "beta": [2, 2]}
+
+
+# Each output number needs more digits than the limit: a summed coefficient
+# (chow-degree, slice), a determinant of huge entries (tensor) and a
+# contraction (contract); the last input holds an integer literal past it.
+HUGE = {
+    "chow-degree": json.dumps({"multidegrees": [HUGE_CYCLE, HUGE_CYCLE], "beta": [1, 2]}),
+    "slice": json.dumps(
+        {"multidegrees": [HUGE_CYCLE, HUGE_CYCLE], "beta": [2, 1], "subset": [1]}
+    ),
+    "tensor": json.dumps(huge_tensor_input()),
+    "contract": json.dumps(
+        {
+            "tensor": {"beta": [2, 2], "entries": [{"index": [1, 1], "value": str(BIG)}]},
+            "coordinates": [[str(BIG), 0, 0], [1, 0, 0]],
+        }
+    ),
+    "betas": '{"n": [2, 2], "r": ' + "9" * 4400 + "}",
+}
+
+
+@pytest.mark.parametrize("sub", sorted(HUGE))
+def test_number_past_the_digit_limit_exits_2(sub, tmp_path, capsys):
+    limit = sys.get_int_max_str_digits()
+    path = tmp_path / "input.json"
+    path.write_text(HUGE[sub])
+    argv = [sub, "--criterion", "hypersurface"] if sub == "betas" else [sub]
+    code, out, err = run_main([*argv, "--input", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"]["status"] == "precondition-failed"
+    assert sys.get_int_max_str_digits() == limit
+
+
+class TestWorkDoneOnce:
+    def test_analyze_all_beta_validates_once(self, tmp_path, capsys, monkeypatch):
+        path = write(tmp_path, {"multidegree": multiview_multidegree(6).to_json()})
+        calls = {"validate": 0, "projections": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            pm, "validate_rank_function", counted("validate", pm.validate_rank_function)
+        )
+        projections = counted("projections", pm.projections_from_support)
+        monkeypatch.setattr(pm, "projections_from_support", projections)
+        monkeypatch.setattr(mdg, "projections_from_support", projections)
+        code, out, _ = run_main(["analyze", "--all-beta", "--input", path], capsys)
+        assert code == 0
+        assert len(json.loads(out)["results"]) == 90
+        assert calls["validate"] <= 2
+        assert calls["projections"] == 1
 
 
 class TestDeterminism:
@@ -237,10 +394,8 @@ EXPECTED_OPERATIONS = {
 
 class TestCoverage:
     def test_every_operation_reachable_from_exactly_one_subcommand(self):
-        assert set(cli.SUBCOMMAND_OPERATIONS) == set(cli.HANDLERS)
-        listed = [
-            op for ops in cli.SUBCOMMAND_OPERATIONS.values() for op in ops
-        ]
+        assert all(callable(sub.handler) for sub in cli.SUBCOMMANDS.values())
+        listed = [op for sub in cli.SUBCOMMANDS.values() for op in sub.operations]
         assert len(listed) == len(set(listed))
         assert set(listed) == EXPECTED_OPERATIONS
 
