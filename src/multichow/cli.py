@@ -130,11 +130,8 @@ def _cmd_projections(obj, args):
         raise PreconditionError(
             f"given r={obj['r']} contradicts support total degree (implies r={r})"
         )
-    sig = pm.SpaceSignature(n, r)
-    delta = pm.projections_from_support(sig, support)
-    out = delta.to_json()
-    out["r"] = r
-    return out
+    delta = pm.projections_from_support(pm.SpaceSignature(n, r), support)
+    return {**delta.to_json(), "r": r}
 
 
 def _cmd_betas(obj, args):
@@ -355,15 +352,21 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     result = run(argv)
     if result.status == "ok":
-        sys.stdout.write(render(result.payload, result.format))
-    else:
-        error = {
-            "error": {
-                "status": result.status,
-                "message": "; ".join(result.diagnostics),
-            }
+        try:
+            text = render(result.payload, result.format)
+        except ValueError as exc:  # a JSON number past the integer-string digit limit
+            message = f"result too large to write: {exc}"
+            result = CommandResult("precondition-failed", None, (message,), result.format)
+        else:
+            sys.stdout.write(text)
+            return result.exit_code
+    error = {
+        "error": {
+            "status": result.status,
+            "message": "; ".join(result.diagnostics),
         }
-        sys.stderr.write(render(error, result.format))
+    }
+    sys.stderr.write(render(error, result.format))
     return result.exit_code
 
 

@@ -88,16 +88,10 @@ class CameraConfiguration:
 
     @classmethod
     def from_json(cls, obj) -> "CameraConfiguration":
-        return cls(
-            field(
-                obj,
-                "cameras",
-                lambda cams: tuple(
-                    tuple(parse_vector(row, 4) for row in array(cam))
-                    for cam in array(cams)
-                ),
-            )
-        )
+        def cameras(cams):
+            return tuple(tuple(parse_vector(row, 4) for row in array(c)) for c in array(cams))
+
+        return cls(field(obj, "cameras", cameras))
 
     def to_json(self) -> dict:
         return {

@@ -293,9 +293,12 @@ def huge_tensor_input():
     return {"cameras": cameras, "beta": [2, 2]}
 
 
+NINES = "9" * 4300
+
 # Each output number needs more digits than the limit: a summed coefficient
-# (chow-degree, slice), a determinant of huge entries (tensor) and a
-# contraction (contract); the last input holds an integer literal past it.
+# (chow-degree, slice), a determinant of huge entries (tensor), a
+# contraction (contract) and a sum of dimensions written as a JSON number
+# (projections); the betas input holds an integer literal past the limit.
 HUGE = {
     "chow-degree": json.dumps({"multidegrees": [HUGE_CYCLE, HUGE_CYCLE], "beta": [1, 2]}),
     "slice": json.dumps(
@@ -308,7 +311,8 @@ HUGE = {
             "coordinates": [[str(BIG), 0, 0], [1, 0, 0]],
         }
     ),
-    "betas": '{"n": [2, 2], "r": ' + "9" * 4400 + "}",
+    "projections": f'{{"n": [{NINES}, {NINES}], "support": [[0, 0]]}}',
+    "betas": '{"n": [2, 2], "r": 9' + NINES + "}",
 }
 
 
