@@ -278,22 +278,14 @@ def test_malformed_field_exits_2(name, tmp_path, capsys):
     assert json.loads(err)["error"]["status"] == "precondition-failed"
 
 
-BIG = 5 * 10**4299  # 4,300 digits: the most Python converts to a string by default
+NINES = "9" * 4300  # the most digits Python converts to or from a string by default
 HUGE_CYCLE = {
     "n": [2, 2],
     "r": 2,
-    "coefficients": [{"gamma": [2, 0], "a": str(BIG)}, {"gamma": [0, 2], "a": str(BIG)}],
+    "coefficients": [{"gamma": [2, 0], "a": NINES}, {"gamma": [0, 2], "a": NINES}],
     "tag": "cycle",
 }
 ROW = "1" + "0" * 2200
-
-
-def huge_tensor_input():
-    cameras = [[[ROW, 0, 0, 0], [0, ROW, 0, 0], [0, 0, 1, 0]], CAMERAS_2["cameras"][1]]
-    return {"cameras": cameras, "beta": [2, 2]}
-
-
-NINES = "9" * 4300
 
 # Each output number needs more digits than the limit: a summed coefficient
 # (chow-degree, slice), a determinant of huge entries (tensor), a
@@ -304,11 +296,19 @@ HUGE = {
     "slice": json.dumps(
         {"multidegrees": [HUGE_CYCLE, HUGE_CYCLE], "beta": [2, 1], "subset": [1]}
     ),
-    "tensor": json.dumps(huge_tensor_input()),
+    "tensor": json.dumps(
+        {
+            "cameras": [
+                [[ROW, 0, 0, 0], [0, ROW, 0, 0], [0, 0, 1, 0]],
+                CAMERAS_2["cameras"][1],
+            ],
+            "beta": [2, 2],
+        }
+    ),
     "contract": json.dumps(
         {
-            "tensor": {"beta": [2, 2], "entries": [{"index": [1, 1], "value": str(BIG)}]},
-            "coordinates": [[str(BIG), 0, 0], [1, 0, 0]],
+            "tensor": {"beta": [2, 2], "entries": [{"index": [1, 1], "value": NINES}]},
+            "coordinates": [[NINES, 0, 0], [1, 0, 0]],
         }
     ),
     "projections": f'{{"n": [{NINES}, {NINES}], "support": [[0, 0]]}}',
