@@ -71,12 +71,20 @@ def _load_input(args) -> dict:
 
 def _sig_and_delta(obj) -> tuple[pm.SpaceSignature, pm.RankFunction]:
     """Accept either an explicit rank function or a multidegree to read
-    projection dimensions from."""
+    projection dimensions from; nothing is validated."""
     if "coefficients" in obj:
         md = mdg.Multidegree.from_json(obj)
         return md.sig, md.rank_function()
     sig = pm.SpaceSignature(field(obj, "n", ints), field(obj, "r", int))
     return sig, field(obj, "rank_function", pm.RankFunction.from_json)
+
+
+def _polymatroid(obj) -> pm.Polymatroid:
+    """The validated projection dimensions of the input: a multidegree's own
+    (kept from its round trip, for a variety) or an explicit rank function's."""
+    if "coefficients" in obj:
+        return mdg.Multidegree.from_json(obj).polymatroid()
+    return pm.Polymatroid(*_sig_and_delta(obj))
 
 
 def _parse_beta(obj) -> pm.BetaVector:
@@ -115,9 +123,7 @@ def _cmd_validate_rank(obj, args):
 
 
 def _cmd_support(obj, args):
-    sig, delta = _sig_and_delta(obj)
-    support = pm.support_from_projections(sig, delta)
-    return {"support": [list(g) for g in support]}
+    return {"support": [list(g) for g in _polymatroid(obj).support()]}
 
 
 def _cmd_projections(obj, args):
@@ -135,8 +141,7 @@ def _cmd_projections(obj, args):
 
 
 def _cmd_betas(obj, args):
-    sig, delta = _sig_and_delta(obj)
-    betas = pm.enumerate_beta(sig, delta, args.criterion)
+    betas = _polymatroid(obj).betas(args.criterion)
     return {"betas": [list(b.beta) for b in betas]}
 
 
@@ -160,7 +165,7 @@ def _analyze_one(md, polymatroid, beta):
 
 def _cmd_analyze(obj, args):
     md = _parse_multidegree(obj)
-    polymatroid = pm.Polymatroid(md.sig, md.rank_function())
+    polymatroid = md.polymatroid()
     if args.all_beta:
         betas = pm.profiles(md.sig.n, md.sig.r + 1)
         return {
@@ -210,6 +215,10 @@ def _cmd_oracle_multidegree(obj, args):
     config = mv.CameraConfiguration.from_json(obj)
     gamma = field(obj, "gamma", ints)
     counts = mv.intersection_count_oracle(config, gamma, args.trials, args.seed)
+    if not config.is_generic():
+        raise DegenerateInputError(
+            "camera configuration is not generic; 'expected' assumes generic cameras"
+        )
     majority = mv.majority_count(counts)
     expected = mv.multiview_multidegree(config.k).coefficient(gamma)
     return {

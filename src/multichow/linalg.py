@@ -56,16 +56,15 @@ def rank(m) -> int:
 
 def nullspace(m, ncols: int | None = None) -> list[tuple[Fraction, ...]]:
     """Basis of the right kernel, one tuple per free column."""
-    rows = frac_rows(m)
     if ncols is None:
-        if not rows:
+        if not m:
             raise ValueError("nullspace of an empty matrix needs ncols")
-        ncols = len(rows[0])
-    if not rows:
+        ncols = len(m[0])
+    if not m:
         return [
             tuple(Fraction(int(i == j)) for i in range(ncols)) for j in range(ncols)
         ]
-    reduced, pivots = rref(rows)
+    reduced, pivots = rref(m)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fc in free:

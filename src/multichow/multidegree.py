@@ -34,30 +34,29 @@ from .errors import (
     ints,
 )
 from .polymatroid import (
+    Polymatroid,
     RankFunction,
     SpaceSignature,
     as_beta,
     mask_of,
     projections_from_support,
-    support_from_projections,
 )
 
 VARIETY = "variety"
 CYCLE = "cycle"
 
 
-def _consistent_rank_function(sig: SpaceSignature, support: tuple) -> RankFunction | None:
+def _consistent_polymatroid(sig: SpaceSignature, support: tuple) -> Polymatroid | None:
     """Round trip of a sorted support -> projection dims -> support; the
-    projection dimensions when the support comes back unchanged, else
-    ``None``."""
+    validated projection dimensions when the support comes back unchanged,
+    else ``None``."""
     if not support:
         return None
     try:
-        delta = projections_from_support(sig, support)
-        back = support_from_projections(sig, delta)
+        polymatroid = Polymatroid(sig, projections_from_support(sig, support))
     except PreconditionError:
         return None
-    return delta if back == support else None
+    return polymatroid if polymatroid.support() == support else None
 
 
 @dataclass(frozen=True)
@@ -90,15 +89,15 @@ class Multidegree:
                 )
             clean[gamma] = a
         object.__setattr__(self, "coeffs", clean)
-        delta = None
+        polymatroid = None
         if self.tag == VARIETY:
-            delta = _consistent_rank_function(self.sig, self.support())
-            if delta is None:
+            polymatroid = _consistent_polymatroid(self.sig, self.support())
+            if polymatroid is None:
                 raise PreconditionError(
                     "support fails the polymatroid consistency check; "
                     "construct with tag='cycle' for reducible/cycle-level data"
                 )
-        object.__setattr__(self, "_delta", delta)
+        object.__setattr__(self, "_polymatroid", polymatroid)
 
     def support(self) -> tuple[tuple, ...]:
         return tuple(sorted(self.coeffs))
@@ -108,11 +107,18 @@ class Multidegree:
         return self.coeffs.get(tuple(gamma), 0)
 
     def rank_function(self) -> RankFunction:
-        """Projection dimensions read off the support, computed once."""
-        if self._delta is None:
-            delta = projections_from_support(self.sig, self.support())
-            object.__setattr__(self, "_delta", delta)
-        return self._delta
+        """Projection dimensions read off the support; for a variety, the
+        ones its round trip validated."""
+        if self._polymatroid is not None:
+            return self._polymatroid.delta
+        return projections_from_support(self.sig, self.support())
+
+    def polymatroid(self) -> Polymatroid:
+        """The projection dimensions, validated: kept from the round trip
+        for a variety, validated on each call for a cycle."""
+        if self._polymatroid is not None:
+            return self._polymatroid
+        return Polymatroid(self.sig, self.rank_function())
 
     @classmethod
     def from_json(cls, obj) -> "Multidegree":

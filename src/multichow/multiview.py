@@ -27,7 +27,7 @@ from itertools import combinations, permutations, product
 from . import linalg
 from .errors import DegenerateInputError, PreconditionError, array, decimal, field, ints
 from .multidegree import Multidegree
-from .polymatroid import SpaceSignature, as_beta
+from .polymatroid import BetaVector, SpaceSignature, as_beta
 
 MAX_RESAMPLES = 32
 
@@ -62,9 +62,15 @@ class CameraConfiguration:
         object.__setattr__(self, "cameras", cams)
         if not cams:
             raise PreconditionError("need at least one camera")
+        # A 3x4 camera has rank 3 exactly when its kernel, spanned by the
+        # camera center, is one-dimensional.
+        centers = []
         for idx, cam in enumerate(cams):
-            if linalg.rank(cam) != 3:
+            kernel = linalg.nullspace(cam, 4)
+            if len(kernel) != 1:
                 raise PreconditionError(f"camera {idx + 1} does not have rank 3")
+            centers.append(kernel[0])
+        object.__setattr__(self, "_centers", tuple(centers))
 
     @property
     def k(self) -> int:
@@ -72,8 +78,7 @@ class CameraConfiguration:
 
     def center(self, i: int) -> Vec:
         """The world point killed by camera i (1-based); spans the kernel."""
-        basis = linalg.nullspace(self.cameras[i - 1], 4)
-        return basis[0]
+        return self._centers[i - 1]
 
     def is_generic(self) -> bool:
         """Pairwise-distinct centers and no three centers collinear."""
@@ -206,6 +211,13 @@ def project_point(camera, world_point) -> Vec:
     return image
 
 
+def _signature(k: int) -> SpaceSignature:
+    """(P^2)^k with the three-dimensional image of P^3 under k cameras."""
+    if k < 2:
+        raise PreconditionError("need at least two cameras")
+    return SpaceSignature((2,) * k, 3)
+
+
 def multiview_multidegree(k: int) -> Multidegree:
     """Multidegree of the image closure of P^3 in (P^2)^k (generic cameras).
 
@@ -213,8 +225,7 @@ def multiview_multidegree(k: int) -> Multidegree:
     + sum over ordered pairs i1 != i2 of 1/(t_i1^2 t_i2)); every surviving
     exponent carries coefficient 1.
     """
-    if k < 2:
-        raise PreconditionError("need at least two cameras")
+    sig = _signature(k)
     coeffs: dict[tuple, int] = {}
 
     def add(gamma):
@@ -231,24 +242,34 @@ def multiview_multidegree(k: int) -> Multidegree:
         gamma[i1] -= 2
         gamma[i2] -= 1
         add(tuple(gamma))
-    return Multidegree(SpaceSignature((2,) * k, 3), coeffs)
+    return Multidegree(sig, coeffs)
 
 
 # ---------------------------------------------------------------------------
 # determinant form and tensor
 
 
-def _pullback_rows(config: CameraConfiguration, spaces: LinearSpaceTuple):
-    """Rows l^T P_i for every cutting form, factor order then form order."""
-    if len(spaces.forms) != config.k:
-        raise PreconditionError(
-            f"{config.k} cameras but {len(spaces.forms)} linear spaces"
-        )
+def _pullback_rows(config: CameraConfiguration, factors):
+    """Rows l^T P_i for every cutting form l of factor i, factor order then
+    form order; the caller has matched the factors to the cameras."""
     rows = []
-    for cam, factor in zip(config.cameras, spaces.forms):
+    for cam, factor in zip(config.cameras, factors):
         for form in factor:
             rows.append(linalg.mat_vec(tuple(zip(*cam)), form))
     return rows
+
+
+def _tensor_profile(config: CameraConfiguration, beta) -> BetaVector:
+    """A profile with a multifocal tensor: one entry per camera, each 1 or
+    2, summing to 4 (so 2-4 cameras)."""
+    beta = as_beta(beta)
+    beta.check_range(_signature(config.k), total=4)
+    if 0 in beta.beta:
+        raise PreconditionError(
+            f"unsupported profile {beta.beta}: need 2-4 cameras with "
+            "entries in {1, 2}"
+        )
+    return beta
 
 
 def chow_residual(config: CameraConfiguration, spaces: LinearSpaceTuple) -> Fraction:
@@ -258,19 +279,8 @@ def chow_residual(config: CameraConfiguration, spaces: LinearSpaceTuple) -> Frac
     the camera centers) projects into every given space; the incidence locus
     is the closure of that condition, so this is the form up to scale.
     """
-    beta = spaces.beta
-    if config.k not in (2, 3, 4):
-        raise PreconditionError("supported for 2, 3 or 4 cameras")
-    if any(b not in (1, 2) for b in beta):
-        raise PreconditionError(
-            f"unsupported codimension profile {beta}: entries must be 1 or 2"
-        )
-    rows = _pullback_rows(config, spaces)
-    if len(rows) != 4:
-        raise PreconditionError(
-            f"codimension profile {beta} gives {len(rows)} rows, need 4"
-        )
-    return linalg.det(rows)
+    _tensor_profile(config, spaces.beta)
+    return linalg.det(_pullback_rows(config, spaces.forms))
 
 
 def multifocal_tensor(config: CameraConfiguration, beta) -> MultifocalTensor:
@@ -284,18 +294,7 @@ def multifocal_tensor(config: CameraConfiguration, beta) -> MultifocalTensor:
     slots and line coordinates on beta_i = 1 slots reproduces
     :func:`chow_residual` exactly.
     """
-    beta = as_beta(beta)
-    if beta.k != config.k:
-        raise PreconditionError(
-            f"beta has {beta.k} entries but there are {config.k} cameras"
-        )
-    if config.k not in (2, 3, 4) or any(b not in (1, 2) for b in beta.beta):
-        raise PreconditionError(
-            f"unsupported profile {beta.beta}: need 2-4 cameras with "
-            "entries in {1, 2}"
-        )
-    if beta.total != 4:
-        raise PreconditionError(f"|beta|={beta.total}, expected 4")
+    beta = _tensor_profile(config, beta)
     if not config.is_generic():
         warnings.warn(
             "camera configuration is not generic; the tensor may vanish "
@@ -425,10 +424,19 @@ def random_cameras(k: int, seed: int) -> CameraConfiguration:
     return _sample(rng, draw, CameraConfiguration.is_generic, "generic camera configuration")
 
 
-def _is_center(config: CameraConfiguration, point: Vec) -> bool:
-    return any(
-        linalg.is_zero_vector(linalg.mat_vec(cam, point)) for cam in config.cameras
-    )
+def _fiber_size(config: CameraConfiguration, rows) -> int | None:
+    """The number of world points, away from the centers, solving the
+    pulled-back rows.
+
+    ``None`` when the solution space is positive-dimensional; otherwise 1
+    for a single solution that is not a camera center and 0 in every other
+    case (no solution, or the solution is a center).
+    """
+    solutions = linalg.nullspace(rows, 4)
+    if len(solutions) != 1:
+        return None if solutions else 0
+    images = (linalg.mat_vec(cam, solutions[0]) for cam in config.cameras)
+    return 0 if any(map(linalg.is_zero_vector, images)) else 1
 
 
 def has_world_point_preimage(config: CameraConfiguration, candidate) -> bool:
@@ -443,19 +451,10 @@ def has_world_point_preimage(config: CameraConfiguration, candidate) -> bool:
     candidate = [parse_vector(vec, 3) for vec in candidate]
     if len(candidate) != config.k:
         raise PreconditionError(f"candidate needs {config.k} coordinates")
-    rows = []
-    for cam, x in zip(config.cameras, candidate):
-        basis = linalg.nullspace([list(x)], 3)
-        for form in basis:
-            rows.append(linalg.mat_vec(tuple(zip(*cam)), form))
-    solutions = linalg.nullspace(rows, 4)
-    if not solutions:
-        return False
-    if len(solutions) == 1:
-        return not _is_center(config, solutions[0])
-    # Positive-dimensional solution space: a generic element avoids the
-    # finitely many centers.
-    return True
+    forms = [linalg.nullspace([list(x)], 3) for x in candidate]
+    # A positive-dimensional solution space counts: a generic element avoids
+    # the finitely many centers.
+    return _fiber_size(config, _pullback_rows(config, forms)) != 0
 
 
 # ---------------------------------------------------------------------------
@@ -474,33 +473,14 @@ def intersection_count_oracle(
     fewer than 3 independent rows yields ``None`` ("non-finite"); the
     majority count across trials estimates the multidegree coefficient.
     """
-    gamma = tuple(int(g) for g in gamma)
-    k = config.k
-    if len(gamma) != k:
-        raise PreconditionError(f"gamma needs {k} entries")
-    if any(not 0 <= g <= 2 for g in gamma):
-        raise PreconditionError(f"gamma {gamma} out of range 0..2")
-    if sum(gamma) != 2 * k - 3:
-        raise PreconditionError(
-            f"gamma must have total degree {2 * k - 3}, got {sum(gamma)}"
-        )
+    sig = _signature(config.k)
+    gamma = BetaVector(gamma)
+    gamma.check_range(sig, total=sig.codim())
     results = []
     for trial in range(trials):
         rng = trial_rng(rng_seed, trial)
-        spaces = LinearSpaceTuple(
-            tuple(random_independent_forms(rng, 2 - g) for g in gamma)
-        )
-        rows = _pullback_rows(config, spaces)
-        if linalg.rank(rows) < 3:
-            results.append(None)
-            continue
-        solutions = linalg.nullspace(rows, 4)
-        if len(solutions) != 1:
-            results.append(None)
-        elif _is_center(config, solutions[0]):
-            results.append(0)
-        else:
-            results.append(1)
+        forms = [random_independent_forms(rng, 2 - g) for g in gamma.beta]
+        results.append(_fiber_size(config, _pullback_rows(config, forms)))
     return results
 
 
@@ -515,6 +495,8 @@ def majority_count(counts) -> int | None:
 
 
 def _random_world_point(config: CameraConfiguration, rng: random.Random) -> Vec:
+    centers = [config.center(j + 1) for j in range(config.k)]
+
     def degenerate(q) -> bool:
         if linalg.is_zero_vector(q):
             return True
@@ -527,7 +509,7 @@ def _random_world_point(config: CameraConfiguration, rng: random.Random) -> Vec:
             for j in range(config.k):
                 if i == j:
                     continue
-                center_image = linalg.mat_vec(cam, config.center(j + 1))
+                center_image = linalg.mat_vec(cam, centers[j])
                 if linalg.proportional(images[i], center_image):
                     return True
         return False
@@ -552,31 +534,17 @@ def epsilon_oracle(
     characteristic zero, determining profiles give 1 in every trial.
     """
     beta = as_beta(beta)
-    if beta.k != config.k:
-        raise PreconditionError(f"beta needs {config.k} entries")
-    if any(not 0 <= b <= 2 for b in beta.beta):
-        raise PreconditionError(f"beta {beta.beta} out of range 0..2")
-    if beta.total != 4:
-        raise PreconditionError(f"|beta|={beta.total}, expected 4")
+    sig = _signature(config.k)
+    beta.check_range(sig, total=sig.r + 1)
     results = []
     for trial in range(trials):
         rng = trial_rng(rng_seed, trial)
         world = _random_world_point(config, rng)
         images = [project_point(cam, world) for cam in config.cameras]
-        spaces = LinearSpaceTuple(
-            tuple(
-                forms_through(rng, image, b) if b else ()
-                for image, b in zip(images, beta.beta)
-            )
-        )
-        rows = _pullback_rows(config, spaces)
-        solutions = linalg.nullspace(rows, 4)
-        if len(solutions) > 1:
-            results.append(None)
-        elif not solutions:
-            results.append(0)
-        else:
-            results.append(0 if _is_center(config, solutions[0]) else 1)
+        forms = [
+            forms_through(rng, image, b) if b else () for image, b in zip(images, beta.beta)
+        ]
+        results.append(_fiber_size(config, _pullback_rows(config, forms)))
     return results
 
 

@@ -352,16 +352,19 @@ class Polymatroid:
         """All exponent vectors gamma compatible with the projection
         dimensions, in lexicographic order: 0 <= gamma_i <= n_i and
         sum_{i in I}(n_i - gamma_i) <= delta(I) for every I, with equality
-        on the full set."""
-        n, values = self.sig.n, self.delta.values
-        return tuple(
-            gamma
-            for gamma in profiles(n, self.sig.codim())
-            if all(
-                drop <= d
-                for drop, d in zip(subset_sums(a - g for a, g in zip(n, gamma)), values)
+        on the full set.  Enumerated on the first call and kept."""
+        if "_support" not in self.__dict__:
+            n, values = self.sig.n, self.delta.values
+            support = tuple(
+                gamma
+                for gamma in profiles(n, self.sig.codim())
+                if all(
+                    drop <= d
+                    for drop, d in zip(subset_sums(a - g for a, g in zip(n, gamma)), values)
+                )
             )
-        )
+            object.__setattr__(self, "_support", support)
+        return self._support
 
     def betas(self, criterion: str) -> tuple[BetaVector, ...]:
         """All in-range beta with |beta| = r+1 passing the chosen criterion,

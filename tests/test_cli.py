@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from multichow import cli
+from multichow import cli, linalg
 from multichow import multidegree as mdg
 from multichow import polymatroid as pm
 from multichow.errors import DegenerateInputError
@@ -189,6 +189,20 @@ class TestErrorHandling:
         assert code == 3
         assert json.loads(err)["error"]["status"] == "degenerate-input"
 
+    def test_non_generic_cameras_give_exit_3_on_oracle_multidegree(self, tmp_path, capsys):
+        # Two identical cameras: the oracle would count 0 against an
+        # expected coefficient that assumes generic cameras.
+        cam = CAMERAS_2["cameras"][0]
+        obj = {"cameras": [cam, cam], "gamma": [0, 1]}
+        code, out, err = run_main(
+            ["oracle-multidegree", "--trials", "5", "--input", write(tmp_path, obj)], capsys
+        )
+        assert code == 3
+        assert out == ""
+        error = json.loads(err)["error"]
+        assert error["status"] == "degenerate-input"
+        assert "'expected' assumes generic cameras" in error["message"]
+
     def test_cycle_input_refused_by_analyze(self, tmp_path, capsys):
         obj = {
             "n": [2, 2],
@@ -351,6 +365,60 @@ class TestWorkDoneOnce:
         assert len(json.loads(out)["results"]) == 90
         assert calls["validate"] <= 2
         assert calls["projections"] == 1
+
+
+@pytest.mark.parametrize(
+    "argv,extra",
+    [
+        (["support"], {}),
+        (["betas", "--criterion", "determining"], {}),
+        (["analyze"], {"beta": [2, 1, 1, 0, 0, 0]}),
+    ],
+    ids=["support", "betas", "analyze"],
+)
+def test_one_polymatroid_per_request(argv, extra, tmp_path, capsys, monkeypatch):
+    """A multiview k=6 multidegree is validated once, by its round trip,
+    and its support is enumerated once."""
+    path = write(tmp_path, dict(multiview_multidegree(6).to_json(), **extra))
+    calls = {"validate": 0, "profiles": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        pm, "validate_rank_function", counted("validate", pm.validate_rank_function)
+    )
+    monkeypatch.setattr(pm, "profiles", counted("profiles", pm.profiles))
+    code, _, err = run_main([*argv, "--input", path], capsys)
+    assert code == 0, err
+    assert calls["validate"] == 1
+    if argv == ["support"]:
+        assert calls["profiles"] == 1
+
+
+def test_camera_kernels_computed_once(tmp_path, capsys, monkeypatch):
+    """oracle-epsilon needs one kernel per camera, at construction, and per
+    trial one per slicing space plus one for the pulled-back system."""
+    config = random_cameras(4, 3)
+    for i, cam in enumerate(config.cameras, 1):
+        assert config.center(i) == linalg.nullspace(cam, 4)[0]
+    path = write(tmp_path, dict(config.to_json(), beta=[1, 1, 1, 1]))
+    calls = []
+    nullspace = linalg.nullspace
+
+    def counted(*args):
+        calls.append(args)
+        return nullspace(*args)
+
+    monkeypatch.setattr(linalg, "nullspace", counted)
+    argv = ["oracle-epsilon", "--trials", "4", "--seed", "1", "--format", "compact"]
+    code, out, _ = run_main([*argv, "--input", path], capsys)
+    assert (code, out) == (0, '{"counts":[1,1,1,1]}\n')
+    assert len(calls) <= config.k + 5 * 4
 
 
 class TestDeterminism:
