@@ -1,14 +1,17 @@
 """Exact linear algebra over the rationals.
 
 Everything in this package works with tiny matrices (a handful of rows and
-columns), so plain Gaussian elimination on ``fractions.Fraction`` entries is
-exact and fast enough.  Matrices are sequences of rows; rows are sequences of
-numbers coercible to ``Fraction``.
+columns).  One fraction-free Gauss-Jordan elimination (Bareiss) on integer
+rows serves ``rref``, ``rank``, ``nullspace`` and ``det``: every division in
+it is exact, so no ``Fraction`` arithmetic runs inside the loop.  Matrices
+are sequences of rows; rows are sequences of numbers coercible to
+``Fraction``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 
 def frac_rows(m) -> list[list[Fraction]]:
@@ -22,36 +25,52 @@ def mat_vec(m, v) -> tuple[Fraction, ...]:
     )
 
 
-def rref(m) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns (rows, pivot columns)."""
-    rows = frac_rows(m)
-    if not rows:
-        return rows, []
-    ncols = len(rows[0])
+def _eliminate(m):
+    """Fraction-free Gauss-Jordan elimination of m.
+
+    Rows are scaled to integers by the lcm of their denominators, which keeps
+    rank and kernel and multiplies the determinant by ``scale``.  Pivot p
+    turns every other row into ``(p * row - row[col] * pivot_row) // last``,
+    last being the previous pivot, and every division is exact.  At the end
+    each pivot equals ``last`` and ``rows / last`` is the reduced row echelon
+    form.  Returns (rows, pivot columns, last, permutation sign, scale).
+    """
+    rows, scale = [], 1
+    for row in frac_rows(m):
+        d = lcm(*(x.denominator for x in row))
+        rows.append([x.numerator * (d // x.denominator) for x in row])
+        scale *= d
     pivots: list[int] = []
-    rank = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
+    last, sign = 1, 1
+    for col in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        if r == len(rows):
+            break
+        pivot = next((i for i in range(r, len(rows)) if rows[i][col]), None)
         if pivot is None:
             continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = 1 / rows[rank][col]
-        rows[rank] = [x * inv for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] != 0:
-                factor = rows[i][col]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[rank])]
+        if pivot != r:
+            rows[r], rows[pivot] = rows[pivot], rows[r]
+            sign = -sign
+        prow = rows[r]
+        p = prow[col]
+        for i, row in enumerate(rows):
+            if i != r:
+                f = row[col]
+                rows[i] = [(p * a - f * b) // last for a, b in zip(row, prow)]
         pivots.append(col)
-        rank += 1
-        if rank == len(rows):
-            break
-    return rows, pivots
+        last = p
+    return rows, pivots, last, sign, scale
+
+
+def rref(m) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form; returns (rows, pivot columns)."""
+    rows, pivots, last, _, _ = _eliminate(m)
+    return [[Fraction(x, last) for x in row] for row in rows], pivots
 
 
 def rank(m) -> int:
-    if not m:
-        return 0
-    return len(rref(m)[1])
+    return len(_eliminate(m)[1])
 
 
 def nullspace(m, ncols: int | None = None) -> list[tuple[Fraction, ...]]:
@@ -60,44 +79,24 @@ def nullspace(m, ncols: int | None = None) -> list[tuple[Fraction, ...]]:
         if not m:
             raise ValueError("nullspace of an empty matrix needs ncols")
         ncols = len(m[0])
-    if not m:
-        return [
-            tuple(Fraction(int(i == j)) for i in range(ncols)) for j in range(ncols)
-        ]
-    reduced, pivots = rref(m)
-    free = [c for c in range(ncols) if c not in pivots]
+    rows, pivots, last, _, _ = _eliminate(m)
     basis = []
-    for fc in free:
+    for fc in (c for c in range(ncols) if c not in pivots):
         vec = [Fraction(0)] * ncols
         vec[fc] = Fraction(1)
-        for row_idx, pc in enumerate(pivots):
-            vec[pc] = -reduced[row_idx][fc]
+        for row, pc in zip(rows, pivots):
+            vec[pc] = Fraction(-row[fc], last)
         basis.append(tuple(vec))
     return basis
 
 
 def det(m) -> Fraction:
-    """Determinant of a square matrix by fraction-exact elimination."""
-    rows = frac_rows(m)
-    n = len(rows)
-    if any(len(row) != n for row in rows):
+    """Determinant of a square matrix: sign * last pivot / row scale."""
+    n = len(m)
+    if any(len(row) != n for row in m):
         raise ValueError("determinant of a non-square matrix")
-    sign = 1
-    result = Fraction(1)
-    for col in range(n):
-        pivot = next((i for i in range(col, n) if rows[i][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            sign = -sign
-        result *= rows[col][col]
-        inv = 1 / rows[col][col]
-        for i in range(col + 1, n):
-            if rows[i][col] != 0:
-                factor = rows[i][col] * inv
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[col])]
-    return sign * result
+    _, pivots, last, sign, scale = _eliminate(m)
+    return Fraction(sign * last, scale) if len(pivots) == n else Fraction(0)
 
 
 def cross(u, v) -> tuple[Fraction, Fraction, Fraction]:

@@ -82,14 +82,9 @@ class CameraConfiguration:
 
     def is_generic(self) -> bool:
         """Pairwise-distinct centers and no three centers collinear."""
-        centers = [self.center(i) for i in range(1, self.k + 1)]
-        for a, b in combinations(centers, 2):
-            if linalg.rank([a, b]) < 2:
-                return False
-        for triple in combinations(centers, 3):
-            if linalg.rank(list(triple)) < 3:
-                return False
-        return True
+        # From three cameras on, a repeated center also drops a triple's rank.
+        size = min(self.k, 3)
+        return all(linalg.rank(list(s)) == size for s in combinations(self._centers, size))
 
     @classmethod
     def from_json(cls, obj) -> "CameraConfiguration":
@@ -494,9 +489,7 @@ def majority_count(counts) -> int | None:
     return max(tally, key=lambda c: (tally[c], c is not None))
 
 
-def _random_world_point(config: CameraConfiguration, rng: random.Random) -> Vec:
-    centers = [config.center(j + 1) for j in range(config.k)]
-
+def _random_world_point(config: CameraConfiguration, center_images, rng: random.Random) -> Vec:
     def degenerate(q) -> bool:
         if linalg.is_zero_vector(q):
             return True
@@ -505,14 +498,11 @@ def _random_world_point(config: CameraConfiguration, rng: random.Random) -> Vec:
             return True
         # Avoid points whose image coincides with the image of another
         # camera's center: those sit on special lines through two centers.
-        for i, cam in enumerate(config.cameras):
-            for j in range(config.k):
-                if i == j:
-                    continue
-                center_image = linalg.mat_vec(cam, centers[j])
-                if linalg.proportional(images[i], center_image):
-                    return True
-        return False
+        return any(
+            linalg.proportional(img, c)
+            for img, others in zip(images, center_images)
+            for c in others
+        )
 
     return _sample(
         rng,
@@ -536,10 +526,15 @@ def epsilon_oracle(
     beta = as_beta(beta)
     sig = _signature(config.k)
     beta.check_range(sig, total=sig.r + 1)
+    # Per camera, the images of the other cameras' centers.
+    center_images = [
+        [linalg.mat_vec(cam, c) for j, c in enumerate(config._centers) if j != i]
+        for i, cam in enumerate(config.cameras)
+    ]
     results = []
     for trial in range(trials):
         rng = trial_rng(rng_seed, trial)
-        world = _random_world_point(config, rng)
+        world = _random_world_point(config, center_images, rng)
         images = [project_point(cam, world) for cam in config.cameras]
         forms = [
             forms_through(rng, image, b) if b else () for image, b in zip(images, beta.beta)

@@ -2,7 +2,8 @@
 
 import random
 from fractions import Fraction
-from itertools import permutations, product
+from math import prod
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -56,6 +57,30 @@ def random_world_point(config, rng):
             return q
 
 
+def axis_camera(t):
+    """A camera centered at (t, 0, 0, 1), on the x-axis line."""
+    return ((1, 0, 0, -t), (0, 1, 0, 0), (0, 0, 1, 0))
+
+
+def maximal_minors(rows):
+    """Every maximal minor of a matrix with 4 columns, by Leibniz's formula."""
+    n = len(rows)
+    for cols in combinations(range(4), n):
+        total = Fraction(0)
+        for perm in permutations(range(n)):
+            inversions = sum(perm[a] > perm[b] for a, b in combinations(range(n), 2))
+            total += (-1) ** inversions * prod(Fraction(rows[i][cols[perm[i]]]) for i in range(n))
+        yield total
+
+
+def generic_by_minors(config):
+    """Reference: every pair of centers and every triple is independent."""
+    centers = [config.center(i) for i in range(1, config.k + 1)]
+    return all(
+        any(maximal_minors(s)) for size in (2, 3) for s in combinations(centers, size)
+    )
+
+
 class TestCameras:
     def test_rank_deficient_camera_rejected(self):
         rows = ((1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0))
@@ -75,6 +100,41 @@ class TestCameras:
         b = random_cameras(4, 5)
         assert a == b
         assert a.is_generic()
+
+    @pytest.mark.parametrize(
+        "cameras, generic",
+        [
+            ([IDENTITY_CAMERA], True),
+            ([IDENTITY_CAMERA, translated_camera((1, 0, 0))], True),
+            ([IDENTITY_CAMERA, IDENTITY_CAMERA, translated_camera((1, 0, 0))], False),
+            ([axis_camera(0), axis_camera(1), axis_camera(2)], False),
+            ([axis_camera(0), axis_camera(1), translated_camera((0, 1, 0)), axis_camera(2)], False),
+            ([axis_camera(0), axis_camera(1), translated_camera((0, 1, 0))], True),
+        ],
+        ids=["k1", "k2", "repeated-k3", "collinear-k3", "collinear-k4", "triangle-k3"],
+    )
+    def test_is_generic_on_fixed_configurations(self, cameras, generic):
+        config = CameraConfiguration(tuple(cameras))
+        assert config.is_generic() == generic == generic_by_minors(config)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_is_generic_matches_pairs_and_triples(self, k):
+        rng = random.Random(f"generic:{k}")
+        configs = [random_cameras(k, seed) for seed in range(3)]
+        # Centers on a small grid repeat and line up often.
+        configs += [
+            CameraConfiguration(
+                tuple(
+                    translated_camera((rng.randint(0, 2), rng.randint(0, 1), 0))
+                    for _ in range(k)
+                )
+            )
+            for _ in range(30)
+        ]
+        verdicts = [config.is_generic() for config in configs]
+        assert verdicts == [generic_by_minors(config) for config in configs]
+        if k >= 3:
+            assert True in verdicts and False in verdicts
 
     def test_json_round_trip(self):
         config = random_cameras(3, 1)
