@@ -9,7 +9,6 @@ from .errors import (
     PreconditionError,
 )
 from .multidegree import (
-    ChowDegree,
     Multidegree,
     chow_form_multidegree,
     criterion_form,
@@ -32,7 +31,6 @@ from .multiview import (
     tensor_contract,
 )
 from .polymatroid import (
-    BetaVector,
     Polymatroid,
     RankFunction,
     SpaceSignature,

@@ -27,6 +27,7 @@ from .errors import (
     array,
     decimal,
     field,
+    integer,
     ints,
 )
 
@@ -75,7 +76,7 @@ def _sig_and_delta(obj) -> tuple[pm.SpaceSignature, pm.RankFunction]:
     if "coefficients" in obj:
         md = mdg.Multidegree.from_json(obj)
         return md.sig, md.rank_function()
-    sig = pm.SpaceSignature(field(obj, "n", ints), field(obj, "r", int))
+    sig = pm.SpaceSignature(field(obj, "n", ints), field(obj, "r", integer))
     return sig, field(obj, "rank_function", pm.RankFunction.from_json)
 
 
@@ -85,10 +86,6 @@ def _polymatroid(obj) -> pm.Polymatroid:
     if "coefficients" in obj:
         return mdg.Multidegree.from_json(obj).polymatroid()
     return pm.Polymatroid(*_sig_and_delta(obj))
-
-
-def _parse_beta(obj) -> pm.BetaVector:
-    return field(obj, "beta", lambda beta: pm.BetaVector(ints(beta)))
 
 
 def _parse_vectors(obj, key) -> list:
@@ -132,7 +129,7 @@ def _cmd_projections(obj, args):
     if not support:
         raise PreconditionError("rank function undefined for empty support")
     r = sum(n) - sum(support[0])
-    if "r" in obj and field(obj, "r", int) != r:
+    if "r" in obj and field(obj, "r", integer) != r:
         raise PreconditionError(
             f"given r={obj['r']} contradicts support total degree (implies r={r})"
         )
@@ -142,7 +139,7 @@ def _cmd_projections(obj, args):
 
 def _cmd_betas(obj, args):
     betas = _polymatroid(obj).betas(args.criterion)
-    return {"betas": [list(b.beta) for b in betas]}
+    return {"betas": [list(b) for b in betas]}
 
 
 def _analyze_one(md, polymatroid, beta):
@@ -150,14 +147,14 @@ def _analyze_one(md, polymatroid, beta):
     determines = mdg.determines_variety(md, beta)
     one_deficient = polymatroid.is_one_deficient(beta)
     return {
-        "beta": list(beta.beta),
+        "beta": list(beta),
         "hypersurface": hypersurface,
         "determines": determines,
         "one_deficient": one_deficient,
         "circuit": polymatroid.is_circuit(beta),
         "tight_set": list(polymatroid.minimal_tight_set(beta)) if one_deficient else None,
         "criterion_form": [decimal(c) for c in mdg.criterion_form(md, beta)],
-        "chow_degree": [decimal(d) for d in mdg.chow_form_multidegree(md, beta).degrees]
+        "chow_degree": [decimal(d) for d in mdg.chow_form_multidegree(md, beta)]
         if hypersurface
         else None,
     }
@@ -169,28 +166,28 @@ def _cmd_analyze(obj, args):
     if args.all_beta:
         betas = pm.profiles(md.sig.n, md.sig.r + 1)
         return {
-            "results": [_analyze_one(md, polymatroid, pm.BetaVector(b)) for b in betas]
+            "results": [_analyze_one(md, polymatroid, b) for b in betas]
         }
-    return _analyze_one(md, polymatroid, _parse_beta(obj))
+    return _analyze_one(md, polymatroid, field(obj, "beta", ints))
 
 
 def _cmd_chow_degree(obj, args):
     md = _parse_multidegree(obj)
-    beta = _parse_beta(obj)
+    beta = field(obj, "beta", ints)
     degree = mdg.chow_form_multidegree(md, beta)
-    return {"chow_degree": [decimal(d) for d in degree.degrees]}
+    return {"chow_degree": [decimal(d) for d in degree]}
 
 
 def _cmd_slice(obj, args):
     md = _parse_multidegree(obj)
-    beta = _parse_beta(obj)
+    beta = field(obj, "beta", ints)
     subset = field(obj, "subset", ints)
     return mdg.slice_multidegree(md, subset, beta).to_json()
 
 
 def _cmd_tensor(obj, args):
     config = mv.CameraConfiguration.from_json(obj)
-    beta = _parse_beta(obj)
+    beta = field(obj, "beta", ints)
     tensor = mv.multifocal_tensor(config, beta)
     return tensor.to_json()
 
@@ -230,14 +227,14 @@ def _cmd_oracle_multidegree(obj, args):
 
 def _cmd_oracle_epsilon(obj, args):
     config = mv.CameraConfiguration.from_json(obj)
-    beta = _parse_beta(obj)
+    beta = field(obj, "beta", ints)
     counts = mv.epsilon_oracle(config, beta, args.trials, args.seed)
     return {"counts": _counts_json(counts)}
 
 
 def _cmd_sz_test(obj, args):
     config = mv.CameraConfiguration.from_json(obj)
-    beta = _parse_beta(obj)
+    beta = field(obj, "beta", ints)
     candidate = _parse_vectors(obj, "candidate")
     tensor = mv.multifocal_tensor(config, beta)
     member = mv.sz_membership(config, tensor, candidate, args.trials, args.seed)

@@ -1,6 +1,8 @@
 """Exception hierarchy shared across the package, plus the one reader of
-input fields and the one writer of decimal strings, which report malformed
-data as :class:`PreconditionError`."""
+input fields, the two readers of JSON numbers and the one writer of decimal
+strings, which report malformed data as :class:`PreconditionError`."""
+
+from fractions import Fraction
 
 
 class MultichowError(Exception):
@@ -50,9 +52,28 @@ def array(value) -> list:
     return list(value)
 
 
+def integer(value) -> int:
+    """A JSON integer or a decimal string; a float or a boolean is refused
+    rather than truncated."""
+    if type(value) is int:
+        return value
+    if isinstance(value, str):
+        return int(value)
+    raise TypeError(f"expected an integer, got {type(value).__name__}")
+
+
 def ints(value) -> tuple[int, ...]:
-    """A JSON array of integers (entries as lenient as ``int``)."""
-    return tuple(int(x) for x in array(value))
+    """A JSON array of integers, each read by :func:`integer`."""
+    return tuple(map(integer, array(value)))
+
+
+def rational(value) -> Fraction:
+    """An exact rational from a JSON number or a string such as ``"-2/3"``;
+    a float is read from its decimal text (``0.1`` is 1/10) and a boolean is
+    refused."""
+    if isinstance(value, bool):
+        raise TypeError("expected a number, got bool")
+    return Fraction(str(value) if isinstance(value, float) else value)
 
 
 def decimal(number) -> str:

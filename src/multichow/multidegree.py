@@ -17,6 +17,10 @@ Note: the multiplicity splitting the full incidence form into (reduced form,
 multiplicity) is not derivable from a multidegree alone; this module only
 exposes the degree of the full form.  The multiplicity is estimated
 separately by the fiber-counting oracle in :mod:`multichow.multiview`.
+
+Exponents ``gamma`` and profiles ``beta`` are plain integer tuples, checked
+against the signature by :meth:`SpaceSignature.check_profile`; the degree
+of the incidence form is returned as its coefficient tuple.
 """
 
 from __future__ import annotations
@@ -31,13 +35,13 @@ from .errors import (
     array,
     decimal,
     field,
+    integer,
     ints,
 )
 from .polymatroid import (
     Polymatroid,
     RankFunction,
     SpaceSignature,
-    as_beta,
     mask_of,
     projections_from_support,
 )
@@ -73,16 +77,8 @@ class Multidegree:
         codim = self.sig.codim()
         clean = {}
         for gamma, a in self.coeffs.items():
-            gamma = tuple(int(g) for g in gamma)
+            gamma = self.sig.check_profile(gamma, codim)
             a = int(a)
-            if len(gamma) != self.sig.k:
-                raise PreconditionError(f"gamma {gamma} has wrong length")
-            if any(not 0 <= g <= n for g, n in zip(gamma, self.sig.n)):
-                raise PreconditionError(f"gamma {gamma} out of range")
-            if sum(gamma) != codim:
-                raise PreconditionError(
-                    f"gamma {gamma} has total degree {sum(gamma)}, expected {codim}"
-                )
             if a <= 0:
                 raise PreconditionError(
                     f"coefficient at {gamma} must be positive, got {a}"
@@ -122,13 +118,13 @@ class Multidegree:
 
     @classmethod
     def from_json(cls, obj) -> "Multidegree":
-        sig = SpaceSignature(field(obj, "n", ints), field(obj, "r", int))
+        sig = SpaceSignature(field(obj, "n", ints), field(obj, "r", integer))
         coeffs = {}
         for entry in field(obj, "coefficients", array):
             gamma = field(entry, "gamma", ints)
             if gamma in coeffs:
                 raise PreconditionError(f"gamma {gamma} appears more than once")
-            coeffs[gamma] = field(entry, "a", lambda a: int(str(a)))
+            coeffs[gamma] = field(entry, "a", integer)
         return cls(sig, coeffs, obj.get("tag", VARIETY))
 
     def to_json(self) -> dict:
@@ -143,18 +139,6 @@ class Multidegree:
         }
 
 
-@dataclass(frozen=True)
-class ChowDegree:
-    """Degree of the incidence form in each group of Pluecker variables."""
-
-    degrees: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "degrees", tuple(int(d) for d in self.degrees))
-        if any(d < 0 for d in self.degrees):
-            raise PreconditionError("degrees must be non-negative")
-
-
 def criterion_form(md: Multidegree, beta) -> tuple[int, ...]:
     """Coefficient vector (a_{alpha+e_1}, ..., a_{alpha+e_k}).
 
@@ -162,17 +146,12 @@ def criterion_form(md: Multidegree, beta) -> tuple[int, ...]:
     locus is a hypersurface, and has full support iff it determines the
     variety.  Entries where alpha + e_j falls outside the exponent box are 0.
     """
-    beta = as_beta(beta)
-    beta.check_range(md.sig, total=md.sig.r + 1)
-    alpha = beta.alpha(md.sig)
-    out = []
-    for j in range(md.sig.k):
-        gamma = tuple(a + (1 if i == j else 0) for i, a in enumerate(alpha))
-        if gamma[j] > md.sig.n[j]:
-            out.append(0)
-        else:
-            out.append(md.coefficient(gamma))
-    return tuple(out)
+    beta = md.sig.check_profile(beta, md.sig.r + 1)
+    alpha = [n - b for n, b in zip(md.sig.n, beta)]
+    return tuple(
+        md.coefficient(tuple(a + (i == j) for i, a in enumerate(alpha)))
+        for j in range(md.sig.k)
+    )
 
 
 def _require_variety(md: Multidegree, op: str) -> None:
@@ -195,8 +174,8 @@ def determines_variety(md: Multidegree, beta) -> bool:
     return all(c != 0 for c in criterion_form(md, beta))
 
 
-def chow_form_multidegree(md: Multidegree, beta) -> ChowDegree:
-    """Degrees of the incidence form in each variable group.
+def chow_form_multidegree(md: Multidegree, beta) -> tuple[int, ...]:
+    """Degrees of the incidence form in each group of Pluecker variables.
 
     Defined for cycle-tagged inputs as well (the construction is linear in
     the cycle); raises when the form would be identically zero.
@@ -206,7 +185,7 @@ def chow_form_multidegree(md: Multidegree, beta) -> ChowDegree:
         raise InapplicableError(
             "incidence locus is not a hypersurface for this beta"
         )
-    return ChowDegree(form)
+    return form
 
 
 def slice_multidegree(md: Multidegree, subset: Iterable[int], beta) -> Multidegree:
@@ -219,8 +198,7 @@ def slice_multidegree(md: Multidegree, subset: Iterable[int], beta) -> Multidegr
     is cycle-tagged (slices need not be irreducible); an empty result is the
     zero cycle.
     """
-    beta = as_beta(beta)
-    beta.check_range(md.sig, total=md.sig.r + 1)
+    beta = md.sig.check_profile(beta, md.sig.r + 1)
     k = md.sig.k
     mask = mask_of(subset, k)
     if mask == 0:
@@ -229,16 +207,13 @@ def slice_multidegree(md: Multidegree, subset: Iterable[int], beta) -> Multidegr
         raise PreconditionError("subset must be a proper subset of the factors")
     sliced = [i for i in range(k) if mask >> i & 1]
     kept = [i for i in range(k) if not mask >> i & 1]
-    new_r = md.sig.r - beta.sum_over(mask)
-    if new_r < 0:
-        raise PreconditionError(
-            f"over-slicing: |beta_I|={beta.sum_over(mask)} exceeds r={md.sig.r}"
-        )
-    alpha = beta.alpha(md.sig)
-    new_sig = SpaceSignature(tuple(md.sig.n[i] for i in kept), new_r)
+    cut = sum(beta[i] for i in sliced)
+    if cut > md.sig.r:
+        raise PreconditionError(f"over-slicing: |beta_I|={cut} exceeds r={md.sig.r}")
+    new_sig = SpaceSignature(tuple(md.sig.n[i] for i in kept), md.sig.r - cut)
     coeffs = {}
     for gamma, a in md.coeffs.items():
-        if all(gamma[i] == alpha[i] for i in sliced):
+        if all(gamma[i] == md.sig.n[i] - beta[i] for i in sliced):
             coeffs[tuple(gamma[i] for i in kept)] = a
     return Multidegree(new_sig, coeffs, CYCLE)
 

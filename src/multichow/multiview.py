@@ -25,9 +25,11 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 
 from . import linalg
-from .errors import DegenerateInputError, PreconditionError, array, decimal, field, ints
+from .errors import (
+    DegenerateInputError, PreconditionError, array, decimal, field, ints, rational
+)
 from .multidegree import Multidegree
-from .polymatroid import BetaVector, SpaceSignature, as_beta
+from .polymatroid import SpaceSignature
 
 MAX_RESAMPLES = 32
 
@@ -45,7 +47,7 @@ def _as_camera(rows) -> Camera:
 def parse_vector(entries, length: int) -> Vec:
     """An array of ``length`` exact rationals (numbers or strings such as
     ``"-2/3"``)."""
-    vec = tuple(Fraction(x) for x in array(entries))
+    vec = tuple(map(rational, array(entries)))
     if len(vec) != length:
         raise PreconditionError(f"expected a vector of length {length}")
     return vec
@@ -177,7 +179,7 @@ class MultifocalTensor:
     def from_json(cls, obj) -> "MultifocalTensor":
         beta = field(obj, "beta", ints)
         entries = {
-            field(entry, "index", ints): field(entry, "value", lambda v: Fraction(str(v)))
+            field(entry, "index", ints): field(entry, "value", rational)
             for entry in field(obj, "entries", array)
         }
         return cls(beta, entries)
@@ -254,15 +256,13 @@ def _pullback_rows(config: CameraConfiguration, factors):
     return rows
 
 
-def _tensor_profile(config: CameraConfiguration, beta) -> BetaVector:
+def _tensor_profile(config: CameraConfiguration, beta) -> tuple[int, ...]:
     """A profile with a multifocal tensor: one entry per camera, each 1 or
     2, summing to 4 (so 2-4 cameras)."""
-    beta = as_beta(beta)
-    beta.check_range(_signature(config.k), total=4)
-    if 0 in beta.beta:
+    beta = _signature(config.k).check_profile(beta, 4)
+    if 0 in beta:
         raise PreconditionError(
-            f"unsupported profile {beta.beta}: need 2-4 cameras with "
-            "entries in {1, 2}"
+            f"unsupported profile {beta}: need 2-4 cameras with entries in {{1, 2}}"
         )
     return beta
 
@@ -300,14 +300,14 @@ def multifocal_tensor(config: CameraConfiguration, beta) -> MultifocalTensor:
     for index in product((1, 2, 3), repeat=config.k):
         rows = []
         sign = 1
-        for cam, b, a in zip(config.cameras, beta.beta, index):
+        for cam, b, a in zip(config.cameras, beta, index):
             if b == 2:
                 rows.extend(cam[j] for j in range(3) if j != a - 1)
                 sign *= (-1) ** (a + 1)
             else:
                 rows.append(cam[a - 1])
         entries[index] = sign * linalg.det(rows)
-    return MultifocalTensor(beta.beta, entries)
+    return MultifocalTensor(beta, entries)
 
 
 def tensor_contract(tensor: MultifocalTensor, coordinates) -> Fraction:
@@ -469,12 +469,11 @@ def intersection_count_oracle(
     majority count across trials estimates the multidegree coefficient.
     """
     sig = _signature(config.k)
-    gamma = BetaVector(gamma)
-    gamma.check_range(sig, total=sig.codim())
+    gamma = sig.check_profile(gamma, sig.codim())
     results = []
     for trial in range(trials):
         rng = trial_rng(rng_seed, trial)
-        forms = [random_independent_forms(rng, 2 - g) for g in gamma.beta]
+        forms = [random_independent_forms(rng, 2 - g) for g in gamma]
         results.append(_fiber_size(config, _pullback_rows(config, forms)))
     return results
 
@@ -523,9 +522,8 @@ def epsilon_oracle(
     exactly.  ``None`` flags a positive-dimensional fiber.  In
     characteristic zero, determining profiles give 1 in every trial.
     """
-    beta = as_beta(beta)
     sig = _signature(config.k)
-    beta.check_range(sig, total=sig.r + 1)
+    beta = sig.check_profile(beta, sig.r + 1)
     # Per camera, the images of the other cameras' centers.
     center_images = [
         [linalg.mat_vec(cam, c) for j, c in enumerate(config._centers) if j != i]
@@ -537,7 +535,7 @@ def epsilon_oracle(
         world = _random_world_point(config, center_images, rng)
         images = [project_point(cam, world) for cam in config.cameras]
         forms = [
-            forms_through(rng, image, b) if b else () for image, b in zip(images, beta.beta)
+            forms_through(rng, image, b) if b else () for image, b in zip(images, beta)
         ]
         results.append(_fiber_size(config, _pullback_rows(config, forms)))
     return results

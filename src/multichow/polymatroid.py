@@ -10,6 +10,11 @@ determining).  The criteria and enumerations live on :class:`Polymatroid`,
 which validates its rank function once, when it is built; the module-level
 functions of the same names build one per call.
 
+A profile (a codimension profile ``beta`` or an exponent ``gamma``) is a
+plain integer tuple with one entry per factor;
+:meth:`SpaceSignature.check_profile` is the one check of its length, range
+and total.
+
 Subsets of ``{1, ..., k}`` are encoded as bitmasks (bit ``i-1`` for element
 ``i``), and every subset-quantified check enumerates all ``2**k`` subsets
 (or ``O(2**k * k**2)`` local conditions), so the intended regime is small
@@ -21,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import PreconditionError, array, field, ints
+from .errors import PreconditionError, array, field, integer, ints
 
 MAX_K = 24
 
@@ -68,6 +73,19 @@ class SpaceSignature:
     def codim(self) -> int:
         return sum(self.n) - self.r
 
+    def check_profile(self, vec, total: int) -> tuple[int, ...]:
+        """``vec`` as an integer tuple, checked to have one entry per factor,
+        ``0 <= vec_i <= n_i`` and ``sum(vec) == total``."""
+        vec = tuple(int(v) for v in vec)
+        if len(vec) != self.k:
+            raise PreconditionError(f"profile {vec} needs {self.k} entries, one per factor")
+        for i, (v, n) in enumerate(zip(vec, self.n)):
+            if not 0 <= v <= n:
+                raise PreconditionError(f"entry {i + 1} of {vec} out of range 0..{n}")
+        if sum(vec) != total:
+            raise PreconditionError(f"profile {vec} sums to {sum(vec)}, expected {total}")
+        return vec
+
 
 @dataclass(frozen=True)
 class RankFunction:
@@ -90,22 +108,6 @@ class RankFunction:
                 f"got {len(self.values)}"
             )
 
-    def value(self, mask: int) -> int:
-        return self.values[mask]
-
-    def of(self, indices: Iterable[int]) -> int:
-        return self.values[mask_of(indices, self.k)]
-
-    @classmethod
-    def from_subset_values(cls, k: int, table: dict[frozenset, int]) -> "RankFunction":
-        values = []
-        for mask in range(1 << k):
-            key = frozenset(indices_of(mask))
-            if key not in table:
-                raise PreconditionError(f"missing subset {sorted(key)}")
-            values.append(table[key])
-        return cls(k, tuple(values))
-
     @classmethod
     def from_json(cls, obj) -> "RankFunction":
         """Parse ``{"k": int, "values": [{"subset": [...], "delta": int}]}``.
@@ -113,7 +115,7 @@ class RankFunction:
         Subsets are 1-based index lists; each of the ``2**k`` subsets must
         appear exactly once.
         """
-        k = field(obj, "k", int)
+        k = field(obj, "k", integer)
         if not 1 <= k <= MAX_K:
             raise PreconditionError(f"k must be in 1..{MAX_K}")
         values: list = [None] * (1 << k)
@@ -123,7 +125,7 @@ class RankFunction:
                 raise PreconditionError(
                     f"subset {list(indices_of(mask))} appears more than once"
                 )
-            values[mask] = field(entry, "delta", int)
+            values[mask] = field(entry, "delta", integer)
         missing = [mask for mask, v in enumerate(values) if v is None]
         if missing:
             raise PreconditionError(
@@ -139,50 +141,6 @@ class RankFunction:
                 for mask in range(1 << self.k)
             ],
         }
-
-
-@dataclass(frozen=True)
-class BetaVector:
-    """Codimension profile of a tuple of slicing linear spaces."""
-
-    beta: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "beta", tuple(int(b) for b in self.beta))
-
-    @property
-    def k(self) -> int:
-        return len(self.beta)
-
-    @property
-    def total(self) -> int:
-        return sum(self.beta)
-
-    def alpha(self, sig: SpaceSignature) -> tuple[int, ...]:
-        """Dimensions n_i - beta_i of the slicing spaces themselves."""
-        return tuple(n - b for n, b in zip(sig.n, self.beta))
-
-    def sum_over(self, mask: int) -> int:
-        return sum(self.beta[i] for i in range(self.k) if mask >> i & 1)
-
-    def check_range(self, sig: SpaceSignature, total: int | None = None) -> None:
-        if self.k != sig.k:
-            raise PreconditionError(
-                f"beta has {self.k} entries but signature has {sig.k} factors"
-            )
-        for i, b in enumerate(self.beta):
-            if not 0 <= b <= sig.n[i]:
-                raise PreconditionError(
-                    f"beta_{i + 1}={b} out of range 0..{sig.n[i]}"
-                )
-        if total is not None and self.total != total:
-            raise PreconditionError(
-                f"|beta|={self.total}, expected {total}"
-            )
-
-
-def as_beta(beta) -> BetaVector:
-    return beta if isinstance(beta, BetaVector) else BetaVector(tuple(beta))
 
 
 @dataclass(frozen=True)
@@ -307,9 +265,7 @@ class Polymatroid:
             )
 
     def _beta_sums(self, beta) -> list[int]:
-        beta = as_beta(beta)
-        beta.check_range(self.sig, total=self.sig.r + 1)
-        return subset_sums(beta.beta)
+        return subset_sums(self.sig.check_profile(beta, self.sig.r + 1))
 
     def is_one_deficient(self, beta) -> bool:
         """|beta_I| <= delta(I) + 1 for every subset I.
@@ -366,14 +322,14 @@ class Polymatroid:
             object.__setattr__(self, "_support", support)
         return self._support
 
-    def betas(self, criterion: str) -> tuple[BetaVector, ...]:
+    def betas(self, criterion: str) -> tuple[tuple[int, ...], ...]:
         """All in-range beta with |beta| = r+1 passing the chosen criterion,
         in lexicographic order: ``"hypersurface"`` keeps the 1-deficient
         ones, ``"determining"`` the circuits."""
         keep = {"hypersurface": self.is_one_deficient, "determining": self.is_circuit}
         if criterion not in keep:
             raise PreconditionError(f"unknown criterion {criterion!r}")
-        candidates = map(BetaVector, profiles(self.sig.n, self.sig.r + 1))
+        candidates = profiles(self.sig.n, self.sig.r + 1)
         return tuple(beta for beta in candidates if keep[criterion](beta))
 
 
@@ -391,24 +347,14 @@ def projections_from_support(sig: SpaceSignature, support: Iterable) -> RankFunc
     set of lattice points it would produce (in particular for supports of
     actual irreducible varieties).
     """
-    support = [tuple(int(g) for g in gamma) for gamma in support]
+    support = [sig.check_profile(gamma, sig.codim()) for gamma in support]
     if not support:
         raise PreconditionError("rank function undefined for empty support")
-    k = sig.k
-    codim = sig.codim()
-    values = [0] * (1 << k)
+    values = [0] * (1 << sig.k)
     for gamma in support:
-        if len(gamma) != k:
-            raise PreconditionError(f"gamma {gamma} has wrong length")
-        if any(not 0 <= g <= n for g, n in zip(gamma, sig.n)):
-            raise PreconditionError(f"gamma {gamma} out of range for n={sig.n}")
-        if sum(gamma) != codim:
-            raise PreconditionError(
-                f"gamma {gamma} has total degree {sum(gamma)}, expected {codim}"
-            )
         drops = subset_sums(n - g for n, g in zip(sig.n, gamma))
         values = [max(v, d) for v, d in zip(values, drops)]
-    return RankFunction(k, tuple(values))
+    return RankFunction(sig.k, tuple(values))
 
 
 def is_one_deficient(sig: SpaceSignature, delta: RankFunction, beta) -> bool:
@@ -418,7 +364,7 @@ def is_one_deficient(sig: SpaceSignature, delta: RankFunction, beta) -> bool:
 
 def tight_sets(sig: SpaceSignature, delta: RankFunction, beta) -> tuple[int, ...]:
     """Bitmasks of all subsets with |beta_I| = delta(I) + 1."""
-    sums = subset_sums(as_beta(beta).beta)
+    sums = subset_sums(sig.check_profile(beta, sig.r + 1))
     return tuple(
         mask for mask, (s, d) in enumerate(zip(sums, delta.values)) if s == d + 1
     )
@@ -436,6 +382,6 @@ def is_circuit(sig: SpaceSignature, delta: RankFunction, beta) -> bool:
 
 def enumerate_beta(
     sig: SpaceSignature, delta: RankFunction, criterion: str
-) -> tuple[BetaVector, ...]:
+) -> tuple[tuple[int, ...], ...]:
     """See :meth:`Polymatroid.betas`."""
     return Polymatroid(sig, delta).betas(criterion)

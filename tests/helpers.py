@@ -8,7 +8,7 @@ tests exercise genuinely varied polymatroids rather than hand-picked ones.
 import random
 
 from multichow import Multidegree
-from multichow.polymatroid import RankFunction, SpaceSignature
+from multichow.polymatroid import RankFunction, SpaceSignature, mask_of
 
 FIELD_PRIME = 10007
 
@@ -87,6 +87,16 @@ def enumerate_rank_functions(n):
             yield from fill(pos + 1)
 
     yield from fill(0)
+
+
+def rank_of(delta: RankFunction, indices) -> int:
+    """delta on the subset of 1-based ``indices``."""
+    return delta.values[mask_of(indices, delta.k)]
+
+
+def sum_over(beta, mask: int) -> int:
+    """|beta_I| for the subset I encoded by ``mask``."""
+    return sum(b for i, b in enumerate(beta) if mask >> i & 1)
 
 
 def multiview_delta(k: int) -> RankFunction:

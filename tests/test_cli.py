@@ -4,12 +4,14 @@ import copy
 import json
 import sys
 
+from fractions import Fraction
+
 import pytest
 
 from multichow import cli, linalg
 from multichow import multidegree as mdg
 from multichow import polymatroid as pm
-from multichow.errors import DegenerateInputError
+from multichow.errors import DegenerateInputError, integer, rational
 from multichow.multiview import multiview_multidegree, random_cameras
 
 from helpers import frobenius_multidegree
@@ -290,6 +292,88 @@ def test_malformed_field_exits_2(name, tmp_path, capsys):
     code, out, err = run_main([*argv, "--input", write(tmp_path, obj)], capsys)
     assert (code, out) == (2, "")
     assert json.loads(err)["error"]["status"] == "precondition-failed"
+
+
+RANK_FUNCTION_1 = {"k": 1, "values": [{"subset": [], "delta": 0}, {"subset": [1], "delta": 2}]}
+
+# A float or a boolean where an integer belongs is refused, not truncated
+# (2.9 used to read as 2 and true as 1); a boolean where a rational belongs
+# is refused too.
+NOT_INTEGERS = {
+    "delta-is-a-float": (
+        ["support"],
+        {
+            "n": [2],
+            "r": 2,
+            "rank_function": {
+                "k": 1,
+                "values": [{"subset": [], "delta": 0}, {"subset": [1], "delta": 2.9}],
+            },
+        },
+    ),
+    "k-is-a-float": (
+        ["validate-rank"], {"n": [2], "r": 2, "rank_function": dict(RANK_FUNCTION_1, k=1.5)}
+    ),
+    "r-is-a-float": (
+        ["betas", "--criterion", "hypersurface"],
+        {"n": [2, 2], "r": 3.0, "rank_function": pm.RankFunction(2, (0, 2, 2, 3)).to_json()},
+    ),
+    "n-entry-is-a-boolean": (
+        ["validate-rank"], {"n": [True], "r": 1, "rank_function": RANK_FUNCTION_1}
+    ),
+    "beta-entry-is-a-boolean": (["analyze"], dict(MULTIVIEW_3, beta=[True, 2, 1])),
+    "subset-entry-is-a-boolean": (["slice"], dict(MULTIVIEW_3, beta=[2, 1, 1], subset=[True])),
+    "gamma-entry-is-a-float": (
+        ["oracle-multidegree", "--trials", "1"], dict(CAMERAS_3, gamma=[1.0, 1, 1])
+    ),
+    "tensor-index-is-a-float": (
+        ["contract"],
+        {
+            "tensor": {"beta": [2, 2], "entries": [{"index": [1.0, 1], "value": 3}]},
+            "coordinates": [[0, 0, 1], [1, 1, 0]],
+        },
+    ),
+    "camera-entry-is-a-boolean": (["tensor"], camera_entry(True)),
+    "tensor-value-is-a-boolean": (
+        ["contract"],
+        {
+            "tensor": {"beta": [2, 2], "entries": [{"index": [1, 1], "value": True}]},
+            "coordinates": [[0, 0, 1], [1, 1, 0]],
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NOT_INTEGERS))
+def test_float_or_boolean_where_an_integer_belongs_exits_2(name, tmp_path, capsys):
+    argv, obj = NOT_INTEGERS[name]
+    code, out, err = run_main([*argv, "--input", write(tmp_path, obj)], capsys)
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"]["status"] == "precondition-failed"
+
+
+def test_float_camera_entry_reads_as_its_decimal_text(tmp_path, capsys):
+    outputs = []
+    for entry in (0.1, "1/10"):
+        path = write(tmp_path, camera_entry(entry))
+        outputs.append(run_main(["tensor", "--input", path], capsys))
+    assert outputs[0][0] == 0
+    assert outputs[0] == outputs[1]
+
+
+def test_number_readers():
+    assert integer(7) == 7 and integer("-12") == -12
+    for value in (2.9, 2.0, True, None, [1]):
+        with pytest.raises(TypeError):
+            integer(value)
+    with pytest.raises(ValueError):
+        integer("2.5")
+    assert rational(0.1) == Fraction(1, 10)
+    assert rational("-2/3") == Fraction(-2, 3) and rational(5) == 5
+    with pytest.raises(TypeError):
+        rational(False)
+    with pytest.raises(ValueError):
+        rational(float("inf"))
 
 
 NINES = "9" * 4300  # the most digits Python converts to or from a string by default

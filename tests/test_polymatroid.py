@@ -6,7 +6,6 @@ from itertools import combinations, product
 import pytest
 
 from multichow import (
-    BetaVector,
     RankFunction,
     SpaceSignature,
     enumerate_beta,
@@ -18,15 +17,20 @@ from multichow import (
     validate_rank_function,
 )
 from multichow.errors import PreconditionError
-from multichow.polymatroid import mask_of, tight_sets
+from multichow.polymatroid import indices_of, mask_of, tight_sets
 
-from helpers import multiview_delta, multiview_sig, random_polymatroid
+from helpers import (
+    multiview_delta,
+    multiview_sig,
+    random_polymatroid,
+    rank_of,
+    sum_over,
+)
 
 
 def rf(k, table):
-    return RankFunction.from_subset_values(
-        k, {frozenset(s): v for s, v in table.items()}
-    )
+    """A rank function from a table keyed by every subset's sorted indices."""
+    return RankFunction(k, tuple(table[indices_of(mask)] for mask in range(1 << k)))
 
 
 TWO_CAMERA = rf(2, {(): 0, (1,): 2, (2,): 2, (1, 2): 3})
@@ -94,23 +98,23 @@ class TestSupportFromProjections:
                 assert all(0 <= g <= n for g, n in zip(gamma, sig.n))
                 for mask in range(1, 1 << sig.k):
                     total = sum(drops[i] for i in range(sig.k) if mask >> i & 1)
-                    assert total <= delta.value(mask)
+                    assert total <= delta.values[mask]
 
 
 class TestProjectionsFromSupport:
     def test_two_camera_support(self):
         sig = SpaceSignature((2, 2), 3)
         delta = projections_from_support(sig, [(1, 0), (0, 1)])
-        assert (delta.of([1]), delta.of([2]), delta.of([1, 2])) == (2, 2, 3)
+        assert (rank_of(delta, [1]), rank_of(delta, [2]), rank_of(delta, [1, 2])) == (2, 2, 3)
 
     def test_product_of_curves_support(self):
         sig = SpaceSignature((2, 2), 2)
         delta = projections_from_support(sig, [(1, 1)])
-        assert (delta.of([1]), delta.of([2]), delta.of([1, 2])) == (1, 1, 2)
+        assert (rank_of(delta, [1]), rank_of(delta, [2]), rank_of(delta, [1, 2])) == (1, 1, 2)
 
     def test_surface_in_p3(self):
         delta = projections_from_support(SpaceSignature((3,), 2), [(1,)])
-        assert delta.of([1]) == 2
+        assert rank_of(delta, [1]) == 2
 
     def test_empty_support_rejected(self):
         with pytest.raises(PreconditionError):
@@ -174,9 +178,9 @@ class TestMinimalTightSet:
             beta = rng.choice(betas)
             j_mask = mask_of(minimal_tight_set(sig, delta, beta), sig.k)
             assert j_mask != 0
-            assert beta.sum_over(j_mask) == delta.value(j_mask) + 1
+            assert sum_over(beta, j_mask) == delta.values[j_mask] + 1
             for mask in range(1 << sig.k):
-                if beta.sum_over(mask) == delta.value(mask) + 1:
+                if sum_over(beta, mask) == delta.values[mask] + 1:
                     assert mask & j_mask == j_mask
             checked += 1
 
@@ -214,12 +218,11 @@ class TestCircuit:
         rng = random.Random(31)
         for _ in range(30):
             sig, delta = random_polymatroid(rng, rng.randint(1, 4))
-            for raw in product(*(range(n + 1) for n in sig.n)):
-                if sum(raw) != sig.r + 1:
+            for beta in product(*(range(n + 1) for n in sig.n)):
+                if sum(beta) != sig.r + 1:
                     continue
-                beta = BetaVector(raw)
-                direct = all(b > 0 for b in raw) and all(
-                    beta.sum_over(mask) <= delta.value(mask)
+                direct = all(b > 0 for b in beta) and all(
+                    sum_over(beta, mask) <= delta.values[mask]
                     for mask in range(1, (1 << sig.k) - 1)
                 )
                 assert is_circuit(sig, delta, beta) == direct
@@ -228,11 +231,11 @@ class TestCircuit:
 class TestEnumerateBeta:
     def test_multiview_k3_determining(self):
         betas = enumerate_beta(multiview_sig(3), multiview_delta(3), "determining")
-        assert [b.beta for b in betas] == [(1, 1, 2), (1, 2, 1), (2, 1, 1)]
+        assert list(betas) == [(1, 1, 2), (1, 2, 1), (2, 1, 1)]
 
     def test_multiview_k4_determining(self):
         betas = enumerate_beta(multiview_sig(4), multiview_delta(4), "determining")
-        assert [b.beta for b in betas] == [(1, 1, 1, 1)]
+        assert list(betas) == [(1, 1, 1, 1)]
 
     def test_multiview_k5_determining_empty(self):
         assert enumerate_beta(multiview_sig(5), multiview_delta(5), "determining") == ()
@@ -245,8 +248,8 @@ class TestEnumerateBeta:
         rng = random.Random(37)
         for _ in range(30):
             sig, delta = random_polymatroid(rng, rng.randint(1, 4))
-            det = {b.beta for b in enumerate_beta(sig, delta, "determining")}
-            hyp = {b.beta for b in enumerate_beta(sig, delta, "hypersurface")}
+            det = set(enumerate_beta(sig, delta, "determining"))
+            hyp = set(enumerate_beta(sig, delta, "hypersurface"))
             assert det <= hyp
 
     def test_determining_empty_when_more_factors_than_r_plus_one(self):
