@@ -3,8 +3,9 @@
 Input is read from ``--input PATH`` or standard input; output is canonical
 JSON (sorted keys, arbitrary-precision numerics as decimal strings) on
 standard output, so identical inputs and seeds give byte-identical output.
-Exit codes: 0 ok, 2 precondition failure or malformed input, 3 degenerate
-input / genericity exhaustion, 4 inapplicable criterion.
+A failure writes one JSON error with the raised exception's ``status`` to
+standard error; :data:`EXIT_CODES` gives the exit code: 0 ok, 2 precondition
+failure or malformed input, 3 degenerate input, 4 inapplicable criterion.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from . import multiview as mv
 from . import polymatroid as pm
 from .errors import (
     DegenerateInputError,
-    InapplicableError,
     MultichowError,
     PreconditionError,
     array,
@@ -37,18 +37,6 @@ EXIT_CODES = {
     "degenerate-input": 3,
     "inapplicable": 4,
 }
-
-
-@dataclass
-class CommandResult:
-    status: str
-    payload: object
-    diagnostics: tuple = ()
-    format: str = "compact"
-
-    @property
-    def exit_code(self) -> int:
-        return EXIT_CODES[self.status]
 
 
 # ---------------------------------------------------------------------------
@@ -300,13 +288,9 @@ SUBCOMMANDS = {
 }
 
 
-class _ArgumentError(PreconditionError):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise _ArgumentError(message)
+        raise PreconditionError(message)
 
 
 @functools.cache
@@ -330,22 +314,16 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-def run(argv) -> CommandResult:
-    """Parse argv, dispatch, and map failures to statuses."""
+def run(argv) -> tuple[str, object, str]:
+    """Parse argv, load the input and dispatch: ``(status, payload, format)``;
+    a failure gives its exception's status and message."""
+    fmt = "compact"
     try:
         args = _parser().parse_args(argv)
-    except _ArgumentError as exc:
-        return CommandResult("precondition-failed", None, (str(exc),))
-    try:
-        obj = _load_input(args)
-        payload = SUBCOMMANDS[args.command].handler(obj, args)
-        return CommandResult("ok", payload, format=args.format)
-    except InapplicableError as exc:
-        return CommandResult("inapplicable", None, (str(exc),), args.format)
-    except DegenerateInputError as exc:
-        return CommandResult("degenerate-input", None, (str(exc),), args.format)
+        fmt = args.format
+        return "ok", SUBCOMMANDS[args.command].handler(_load_input(args), args), fmt
     except MultichowError as exc:
-        return CommandResult("precondition-failed", None, (str(exc),), args.format)
+        return exc.status, str(exc), fmt
 
 
 def render(payload, fmt: str) -> str:
@@ -356,24 +334,17 @@ def render(payload, fmt: str) -> str:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    result = run(argv)
-    if result.status == "ok":
+    status, payload, fmt = run(argv)
+    if status == "ok":
         try:
-            text = render(result.payload, result.format)
+            text = render(payload, fmt)
         except ValueError as exc:  # a JSON number past the integer-string digit limit
-            message = f"result too large to write: {exc}"
-            result = CommandResult("precondition-failed", None, (message,), result.format)
+            status, payload = PreconditionError.status, f"result too large to write: {exc}"
         else:
             sys.stdout.write(text)
-            return result.exit_code
-    error = {
-        "error": {
-            "status": result.status,
-            "message": "; ".join(result.diagnostics),
-        }
-    }
-    sys.stderr.write(render(error, result.format))
-    return result.exit_code
+            return EXIT_CODES[status]
+    sys.stderr.write(render({"error": {"status": status, "message": payload}}, fmt))
+    return EXIT_CODES[status]
 
 
 if __name__ == "__main__":

@@ -1,12 +1,15 @@
 """Exception hierarchy shared across the package, plus the one reader of
 input fields, the two readers of JSON numbers and the one writer of decimal
-strings, which report malformed data as :class:`PreconditionError`."""
+strings, which report malformed data as :class:`PreconditionError`.  Each
+class's ``status`` names the CLI status (see ``cli.EXIT_CODES``) it ends in."""
 
 from fractions import Fraction
 
 
 class MultichowError(Exception):
     """Base class for all errors raised by this package."""
+
+    status = "precondition-failed"
 
 
 class PreconditionError(MultichowError):
@@ -24,10 +27,14 @@ class DegenerateInputError(MultichowError):
     non-degenerate configuration, or a geometric degeneracy makes the
     requested value undefined (e.g. projecting a camera center)."""
 
+    status = "degenerate-input"
+
 
 class InapplicableError(MultichowError):
     """The requested construction does not apply to the given input (e.g.
     asking for the degree of an incidence form that is identically zero)."""
+
+    status = "inapplicable"
 
 
 def field(obj, key, parse):

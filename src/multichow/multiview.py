@@ -146,23 +146,23 @@ class MultifocalTensor:
     """Coefficient tensor of the multilinear incidence form.
 
     Slot i contracts with point coordinates when beta_i = 2 (the slicing
-    space is a point) and with line coordinates when beta_i = 1.
+    space is a point) and with line coordinates when beta_i = 1.  Only the
+    nonzero entries are stored.
     """
 
     beta: tuple[int, ...]
     entries: dict
 
     def __post_init__(self):
-        object.__setattr__(self, "beta", tuple(int(b) for b in self.beta))
-        k = len(self.beta)
+        beta = _tensor_profile(len(self.beta), self.beta)
+        object.__setattr__(self, "beta", beta)
         clean = {}
         for index, value in self.entries.items():
             index = tuple(int(a) for a in index)
-            if len(index) != k or any(not 1 <= a <= 3 for a in index):
+            if len(index) != len(beta) or any(not 1 <= a <= 3 for a in index):
                 raise PreconditionError(f"bad tensor index {index}")
-            clean[index] = Fraction(value)
-        for index in product((1, 2, 3), repeat=k):
-            clean.setdefault(index, Fraction(0))
+            if value := Fraction(value):
+                clean[index] = value
         object.__setattr__(self, "entries", clean)
 
     @property
@@ -170,18 +170,20 @@ class MultifocalTensor:
         return len(self.beta)
 
     def __getitem__(self, index) -> Fraction:
-        return self.entries[tuple(index)]
+        return self.entries.get(tuple(index), Fraction(0))
 
     def is_zero(self) -> bool:
-        return all(v == 0 for v in self.entries.values())
+        return not self.entries
 
     @classmethod
     def from_json(cls, obj) -> "MultifocalTensor":
         beta = field(obj, "beta", ints)
-        entries = {
-            field(entry, "index", ints): field(entry, "value", rational)
-            for entry in field(obj, "entries", array)
-        }
+        entries = {}
+        for entry in field(obj, "entries", array):
+            index = field(entry, "index", ints)
+            if index in entries:
+                raise PreconditionError(f"tensor index {index} appears more than once")
+            entries[index] = field(entry, "value", rational)
         return cls(beta, entries)
 
     def to_json(self) -> dict:
@@ -190,7 +192,6 @@ class MultifocalTensor:
             "entries": [
                 {"index": list(index), "value": decimal(value)}
                 for index, value in sorted(self.entries.items())
-                if value != 0
             ],
         }
 
@@ -256,10 +257,10 @@ def _pullback_rows(config: CameraConfiguration, factors):
     return rows
 
 
-def _tensor_profile(config: CameraConfiguration, beta) -> tuple[int, ...]:
-    """A profile with a multifocal tensor: one entry per camera, each 1 or
-    2, summing to 4 (so 2-4 cameras)."""
-    beta = _signature(config.k).check_profile(beta, 4)
+def _tensor_profile(k: int, beta) -> tuple[int, ...]:
+    """A profile with a multifocal tensor: one entry per camera (k of
+    them), each 1 or 2, summing to 4 (so 2-4 cameras)."""
+    beta = _signature(k).check_profile(beta, 4)
     if 0 in beta:
         raise PreconditionError(
             f"unsupported profile {beta}: need 2-4 cameras with entries in {{1, 2}}"
@@ -274,7 +275,7 @@ def chow_residual(config: CameraConfiguration, spaces: LinearSpaceTuple) -> Frac
     the camera centers) projects into every given space; the incidence locus
     is the closure of that condition, so this is the form up to scale.
     """
-    _tensor_profile(config, spaces.beta)
+    _tensor_profile(config.k, spaces.beta)
     return linalg.det(_pullback_rows(config, spaces.forms))
 
 
@@ -289,7 +290,7 @@ def multifocal_tensor(config: CameraConfiguration, beta) -> MultifocalTensor:
     slots and line coordinates on beta_i = 1 slots reproduces
     :func:`chow_residual` exactly.
     """
-    beta = _tensor_profile(config, beta)
+    beta = _tensor_profile(config.k, beta)
     if not config.is_generic():
         warnings.warn(
             "camera configuration is not generic; the tensor may vanish "
@@ -319,8 +320,6 @@ def tensor_contract(tensor: MultifocalTensor, coordinates) -> Fraction:
         )
     total = Fraction(0)
     for index, value in tensor.entries.items():
-        if value == 0:
-            continue
         term = value
         for vec, a in zip(coords, index):
             term *= vec[a - 1]
@@ -349,6 +348,14 @@ def contraction_coordinates(spaces: LinearSpaceTuple) -> list[Vec]:
 def trial_rng(seed: int, trial: int) -> random.Random:
     """Deterministic per-trial substream; independent of scheduling."""
     return random.Random(f"{int(seed)}:{int(trial)}")
+
+
+def _trial_rngs(seed: int, trials: int):
+    """The substreams of trials 0, ..., trials - 1; at least one is needed."""
+    if trials < 1:
+        raise PreconditionError(f"need at least one trial, got {trials}")
+    for trial in range(trials):
+        yield trial_rng(seed, trial)
 
 
 def random_rational(rng: random.Random) -> Fraction:
@@ -471,8 +478,7 @@ def intersection_count_oracle(
     sig = _signature(config.k)
     gamma = sig.check_profile(gamma, sig.codim())
     results = []
-    for trial in range(trials):
-        rng = trial_rng(rng_seed, trial)
+    for rng in _trial_rngs(rng_seed, trials):
         forms = [random_independent_forms(rng, 2 - g) for g in gamma]
         results.append(_fiber_size(config, _pullback_rows(config, forms)))
     return results
@@ -530,8 +536,7 @@ def epsilon_oracle(
         for i, cam in enumerate(config.cameras)
     ]
     results = []
-    for trial in range(trials):
-        rng = trial_rng(rng_seed, trial)
+    for rng in _trial_rngs(rng_seed, trials):
         world = _random_world_point(config, center_images, rng)
         images = [project_point(cam, world) for cam in config.cameras]
         forms = [
@@ -562,8 +567,7 @@ def sz_membership(
     for vec in candidate:
         if linalg.is_zero_vector(vec):
             raise PreconditionError("candidate coordinates must be nonzero")
-    for trial in range(trials):
-        rng = trial_rng(rng_seed, trial)
+    for rng in _trial_rngs(rng_seed, trials):
         coords = []
         for x, b in zip(candidate, tensor.beta):
             if b == 2:

@@ -1,6 +1,7 @@
 """CLI dispatch, canonical output, exit codes and operation coverage."""
 
 import copy
+import dataclasses
 import json
 import sys
 
@@ -8,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from multichow import cli, linalg
+from multichow import cli, errors, linalg
 from multichow import multidegree as mdg
 from multichow import polymatroid as pm
 from multichow.errors import DegenerateInputError, integer, rational
@@ -215,6 +216,87 @@ class TestErrorHandling:
         }
         code, _, err = run_main(["analyze", "--input", write(tmp_path, obj)], capsys)
         assert code == 2
+
+
+#: The exit code each error class of the package ends in.
+ERROR_EXIT_CODES = {
+    "MultichowError": 2,
+    "PreconditionError": 2,
+    "CycleInputError": 2,
+    "DegenerateInputError": 3,
+    "InapplicableError": 4,
+}
+ERROR_CLASSES = [
+    cls
+    for cls in vars(errors).values()
+    if isinstance(cls, type) and issubclass(cls, errors.MultichowError)
+]
+
+
+def test_every_error_class_has_a_pinned_exit_code():
+    assert sorted(cls.__name__ for cls in ERROR_CLASSES) == sorted(ERROR_EXIT_CODES)
+
+
+@pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda cls: cls.__name__)
+def test_error_class_names_its_exit_status(cls, tmp_path, capsys, monkeypatch):
+    def handler(obj, args):
+        raise cls("raised by the handler")
+
+    support = dataclasses.replace(cli.SUBCOMMANDS["support"], handler=handler)
+    monkeypatch.setitem(cli.SUBCOMMANDS, "support", support)
+    code, out, err = run_main(["support", "--input", write(tmp_path, {})], capsys)
+    assert code == cli.EXIT_CODES[cls.status] == ERROR_EXIT_CODES[cls.__name__]
+    assert out == ""
+    assert json.loads(err) == {
+        "error": {"status": cls.status, "message": "raised by the handler"}
+    }
+
+
+def tensor_request(beta, *entries):
+    return {
+        "tensor": {
+            "beta": beta,
+            "entries": [{"index": index, "value": value} for index, value in entries],
+        },
+        "coordinates": [[1, 0, 0], [1, 0, 0]],
+    }
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        tensor_request([7, -3], ([1, 1], "3")),
+        tensor_request([2, 2], ([1, 1], "3"), ([1, 1], "5")),
+    ],
+    ids=["profile-without-a-tensor", "repeated-index"],
+)
+def test_contract_refuses_a_malformed_tensor(obj, tmp_path, capsys):
+    code, out, err = run_main(["contract", "--input", write(tmp_path, obj)], capsys)
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"]["status"] == "precondition-failed"
+
+
+# Two cameras, with a candidate that 20 trials of sz-test find is no member.
+ORACLE_INPUT = {
+    "cameras": [
+        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]],
+        [[1, 0, 0, 1], [0, 1, 0, 2], [0, 0, 1, 3]],
+    ],
+    "beta": [2, 2],
+    "gamma": [1, 0],
+    "candidate": [[1, 0, 0], [0, 1, 0]],
+}
+
+
+@pytest.mark.parametrize("trials", ["0", "-1"])
+@pytest.mark.parametrize("sub", ["oracle-multidegree", "oracle-epsilon", "sz-test"])
+def test_oracle_with_fewer_than_one_trial_exits_2(sub, trials, tmp_path, capsys):
+    argv = [sub, "--trials", trials, "--input", write(tmp_path, ORACLE_INPUT)]
+    code, out, err = run_main(argv, capsys)
+    assert (code, out) == (2, "")
+    error = json.loads(err)["error"]
+    assert error["status"] == "precondition-failed"
+    assert "at least one trial" in error["message"]
 
 
 CAMERAS_2 = random_cameras(2, 36).to_json()

@@ -2,7 +2,9 @@
 
 Whatever the value, a request ends in a documented exit code: 0 with JSON
 on stdout, or 2, 3 or 4 with ``{"error": {"status", "message"}}`` on
-stderr, where the status names the exit code.  Never a traceback.
+stderr, where the status names the exit code.  Never a traceback.  The
+randomized oracles also get a drawn ``--trials``, and only a positive one
+may end in exit 0.
 """
 
 import contextlib
@@ -62,18 +64,34 @@ def replaced(value, path, new):
     return copy
 
 
+ORACLES = ("oracle-multidegree", "oracle-epsilon", "sz-test")
+
+
+def with_trials(argv, trials):
+    """argv with its ``--trials`` value, if any, replaced by ``trials``."""
+    argv = list(argv)
+    if "--trials" in argv:
+        at = argv.index("--trials")
+        del argv[at : at + 2]
+    return [*argv, "--trials", str(trials)]
+
+
 @st.composite
 def mutated_requests(draw):
     argv, obj = draw(st.sampled_from(INPUTS))
     path = draw(st.sampled_from(list(paths(obj))))
-    return argv, replaced(obj, path, draw(WEIRD))
+    trials = None
+    if argv[0] in ORACLES:
+        trials = draw(st.sampled_from([-1, 0, 1, 3]))
+        argv = with_trials(argv, trials)
+    return argv, replaced(obj, path, draw(WEIRD)), trials
 
 
 @pytest.mark.filterwarnings("ignore:camera configuration is not generic")
 @settings(derandomize=True, deadline=None, database=None, max_examples=300)
 @given(mutated_requests())
 def test_mutated_input_ends_in_a_documented_exit(request):
-    argv, obj = request
+    argv, obj, trials = request
     out, err = io.StringIO(), io.StringIO()
     with mock.patch.object(sys, "stdin", io.StringIO(json.dumps(obj))):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -81,6 +99,7 @@ def test_mutated_input_ends_in_a_documented_exit(request):
     assert code in (0, 2, 3, 4)
     if code == 0:
         json.loads(out.getvalue())
+        assert trials is None or trials >= 1
     else:
         assert out.getvalue() == ""
         error = json.loads(err.getvalue())["error"]

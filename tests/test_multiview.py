@@ -253,6 +253,42 @@ class TestMultifocalTensor:
         assert len(obj["entries"]) == 2
         assert MultifocalTensor.from_json(obj).entries == tensor.entries
 
+    def test_only_nonzero_entries_stored(self):
+        tensor = MultifocalTensor((2, 2), {(1, 1): 0, (2, 3): "3/4"})
+        assert tensor.entries == {(2, 3): Fraction(3, 4)}
+        assert tensor[(1, 1)] == 0 and tensor[(2, 3)] == Fraction(3, 4)
+        assert MultifocalTensor((1, 1, 2), {(3, 3, 3): 0}).is_zero()
+
+    @pytest.mark.parametrize(
+        "beta", [(7, -3), (2, 1), (2, 2, 0), (4,), (1, 1, 1, 1, 0), (3, 1), ()]
+    )
+    def test_profile_without_a_multifocal_tensor_rejected(self, beta):
+        with pytest.raises(PreconditionError):
+            MultifocalTensor(beta, {(1,) * len(beta): 3})
+
+    def test_repeated_index_rejected(self):
+        obj = {
+            "beta": [2, 2],
+            "entries": [
+                {"index": [1, 1], "value": "3"},
+                {"index": [1, 1], "value": "5"},
+            ],
+        }
+        with pytest.raises(PreconditionError, match="more than once"):
+            MultifocalTensor.from_json(obj)
+
+
+@pytest.mark.parametrize("trials", [0, -1])
+def test_oracles_need_a_trial(trials):
+    config = random_cameras(2, 21)
+    tensor = multifocal_tensor(config, (2, 2))
+    with pytest.raises(PreconditionError, match="at least one trial"):
+        intersection_count_oracle(config, (1, 0), trials, 0)
+    with pytest.raises(PreconditionError, match="at least one trial"):
+        epsilon_oracle(config, (2, 2), trials, 0)
+    with pytest.raises(PreconditionError, match="at least one trial"):
+        sz_membership(config, tensor, [(1, 0, 0), (0, 1, 0)], trials, 0)
+
 
 class TestTensorContract:
     def test_zero_slot_kills_contraction(self):
