@@ -196,14 +196,19 @@ def _counts_json(counts):
     return ["non-finite" if c is None else c for c in counts]
 
 
+def _require_generic(config, answer):
+    """Exit 3 unless the cameras are generic, as ``answer`` assumes."""
+    if not config.is_generic():
+        raise DegenerateInputError(
+            f"camera configuration is not generic; {answer} assumes generic cameras"
+        )
+
+
 def _cmd_oracle_multidegree(obj, args):
     config = mv.CameraConfiguration.from_json(obj)
     gamma = field(obj, "gamma", ints)
     counts = mv.intersection_count_oracle(config, gamma, args.trials, args.seed)
-    if not config.is_generic():
-        raise DegenerateInputError(
-            "camera configuration is not generic; 'expected' assumes generic cameras"
-        )
+    _require_generic(config, "'expected'")
     majority = mv.majority_count(counts)
     expected = mv.multiview_multidegree(config.k).coefficient(gamma)
     return {
@@ -226,6 +231,9 @@ def _cmd_sz_test(obj, args):
     candidate = _parse_vectors(obj, "candidate")
     tensor = mv.multifocal_tensor(config, beta)
     member = mv.sz_membership(config, tensor, candidate, args.trials, args.seed)
+    # A non-generic configuration can have a zero tensor, which every
+    # candidate would pass.
+    _require_generic(config, "'member'")
     return {"member": member}
 
 

@@ -6,12 +6,24 @@ rows serves ``rref``, ``rank``, ``nullspace`` and ``det``: every division in
 it is exact, so no ``Fraction`` arithmetic runs inside the loop.  Matrices
 are sequences of rows; rows are sequences of numbers coercible to
 ``Fraction``.
+
+:func:`integer_rows` is the one integer-scaling helper: it turns a matrix
+into integer rows times one common scale, the lcm of all its denominators.
+The elimination starts from it, and an ``int`` or ``Fraction`` entry passes
+through it without a new ``Fraction`` being built, so integer rows (the
+camera code in :mod:`multiview` keeps its cameras as integer rows) cost no
+conversion at all.  ``proportional`` compares the 2x2 minors of the two
+integer-scaled vectors.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from math import lcm
+
+
+_EXACT = (int, Fraction)
 
 
 def frac_rows(m) -> list[list[Fraction]]:
@@ -25,21 +37,27 @@ def mat_vec(m, v) -> tuple[Fraction, ...]:
     )
 
 
+def integer_rows(m) -> tuple[list[list[int]], int]:
+    """``(rows, scale)``: the rows of m times ``scale``, the lcm of every
+    denominator in m, as integers.  Entries that are already ``int`` or
+    ``Fraction`` are used as they are; only others are coerced."""
+    rows = [[x if type(x) in _EXACT else Fraction(x) for x in row] for row in m]
+    scale = lcm(*{x.denominator for row in rows for x in row})
+    return [[x.numerator * (scale // x.denominator) for x in row] for row in rows], scale
+
+
 def _eliminate(m):
     """Fraction-free Gauss-Jordan elimination of m.
 
-    Rows are scaled to integers by the lcm of their denominators, which keeps
-    rank and kernel and multiplies the determinant by ``scale``.  Pivot p
-    turns every other row into ``(p * row - row[col] * pivot_row) // last``,
-    last being the previous pivot, and every division is exact.  At the end
-    each pivot equals ``last`` and ``rows / last`` is the reduced row echelon
-    form.  Returns (rows, pivot columns, last, permutation sign, scale).
+    The rows are scaled to integers by :func:`integer_rows`, which keeps
+    rank and kernel and multiplies the determinant by ``scale ** len(m)``.
+    Pivot p turns every other row into ``(p * row - row[col] * pivot_row) //
+    last``, last being the previous pivot, and every division is exact.  At
+    the end each pivot equals ``last`` and ``rows / last`` is the reduced row
+    echelon form.  Returns (rows, pivot columns, last, permutation sign,
+    scale).
     """
-    rows, scale = [], 1
-    for row in frac_rows(m):
-        d = lcm(*(x.denominator for x in row))
-        rows.append([x.numerator * (d // x.denominator) for x in row])
-        scale *= d
+    rows, scale = integer_rows(m)
     pivots: list[int] = []
     last, sign = 1, 1
     for col in range(len(rows[0]) if rows else 0):
@@ -91,12 +109,12 @@ def nullspace(m, ncols: int | None = None) -> list[tuple[Fraction, ...]]:
 
 
 def det(m) -> Fraction:
-    """Determinant of a square matrix: sign * last pivot / row scale."""
+    """Determinant of a square matrix: sign * last pivot / scale^n."""
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValueError("determinant of a non-square matrix")
     _, pivots, last, sign, scale = _eliminate(m)
-    return Fraction(sign * last, scale) if len(pivots) == n else Fraction(0)
+    return Fraction(sign * last, scale**n) if len(pivots) == n else Fraction(0)
 
 
 def cross(u, v) -> tuple[Fraction, Fraction, Fraction]:
@@ -115,6 +133,7 @@ def is_zero_vector(v) -> bool:
 
 def proportional(u, v) -> bool:
     """True iff u and v are nonzero and represent the same projective point."""
-    if is_zero_vector(u) or is_zero_vector(v):
-        return False
-    return rank([list(u), list(v)]) == 1
+    (u, v), _ = integer_rows([u, v])
+    return any(u) and any(v) and all(
+        u[i] * v[j] == u[j] * v[i] for i, j in combinations(range(len(u)), 2)
+    )

@@ -14,15 +14,27 @@ and denominators drawn from a seeded generator in [-10, 10], with rank-based
 genericity checks and bounded resampling (32 retries) on degeneracy.  Oracle
 trial i uses a deterministic substream derived from (seed, i), so per-trial
 results are reproducible regardless of execution order.
+
+The work itself runs on integers.  A :class:`CameraConfiguration` keeps,
+beside its public ``Fraction`` cameras, each camera times one scale, the lcm
+of all 12 of its denominators, as integer rows, and each center scaled to
+integers.  A camera must be scaled as a whole: scaling its rows by different
+factors would change the camera, not just its scale.  Kernels, ranks, zero
+tests and proportionality do not see a scale, so a drawn form or world point
+is scaled to integers once it is drawn (the draws themselves are unchanged),
+and images and pulled-back systems are integer products.  A value that does
+depend on the scale, the residual or a tensor entry, is an integer
+determinant divided by the product of the scales of the rows it used.
 """
 
 from __future__ import annotations
 
 import random
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
+from math import lcm, prod
+from operator import mul
 
 from . import linalg
 from .errors import (
@@ -38,7 +50,9 @@ Camera = tuple[Vec, Vec, Vec]
 
 
 def _as_camera(rows) -> Camera:
-    rows = tuple(tuple(Fraction(x) for x in row) for row in rows)
+    rows = tuple(
+        tuple(x if type(x) is Fraction else Fraction(x) for x in row) for row in rows
+    )
     if len(rows) != 3 or any(len(row) != 4 for row in rows):
         raise PreconditionError("a camera must be a 3x4 matrix")
     return rows
@@ -53,9 +67,19 @@ def parse_vector(entries, length: int) -> Vec:
     return vec
 
 
+def _image(rows, point) -> tuple[int, ...]:
+    """Integer rows applied to an integer point."""
+    return tuple(sum(map(mul, row, point)) for row in rows)
+
+
 @dataclass(frozen=True)
 class CameraConfiguration:
-    """A tuple of rank-3 projection matrices with exact rational entries."""
+    """A tuple of rank-3 projection matrices with exact rational entries.
+
+    Private integer copies serve the computations: ``_rows[i]`` is camera i
+    times ``_scales[i]`` (one scale for the whole camera) and
+    ``_int_centers[i]`` is a nonzero integer multiple of its center.
+    """
 
     cameras: tuple[Camera, ...]
 
@@ -66,13 +90,21 @@ class CameraConfiguration:
             raise PreconditionError("need at least one camera")
         # A 3x4 camera has rank 3 exactly when its kernel, spanned by the
         # camera center, is one-dimensional.
-        centers = []
+        rows, scales, centers = [], [], []
         for idx, cam in enumerate(cams):
-            kernel = linalg.nullspace(cam, 4)
+            int_rows, scale = linalg.integer_rows(cam)
+            kernel = linalg.nullspace(int_rows, 4)
             if len(kernel) != 1:
                 raise PreconditionError(f"camera {idx + 1} does not have rank 3")
+            rows.append(tuple(map(tuple, int_rows)))
+            scales.append(scale)
             centers.append(kernel[0])
+        object.__setattr__(self, "_rows", tuple(rows))
+        object.__setattr__(self, "_scales", tuple(scales))
         object.__setattr__(self, "_centers", tuple(centers))
+        object.__setattr__(
+            self, "_int_centers", tuple(tuple(linalg.integer_rows([c])[0][0]) for c in centers)
+        )
 
     @property
     def k(self) -> int:
@@ -86,7 +118,7 @@ class CameraConfiguration:
         """Pairwise-distinct centers and no three centers collinear."""
         # From three cameras on, a repeated center also drops a triple's rank.
         size = min(self.k, 3)
-        return all(linalg.rank(list(s)) == size for s in combinations(self._centers, size))
+        return all(linalg.rank(s) == size for s in combinations(self._int_centers, size))
 
     @classmethod
     def from_json(cls, obj) -> "CameraConfiguration":
@@ -158,10 +190,10 @@ class MultifocalTensor:
         object.__setattr__(self, "beta", beta)
         clean = {}
         for index, value in self.entries.items():
-            index = tuple(int(a) for a in index)
-            if len(index) != len(beta) or any(not 1 <= a <= 3 for a in index):
+            index = tuple(map(int, index))
+            if len(index) != len(beta) or min(index) < 1 or max(index) > 3:
                 raise PreconditionError(f"bad tensor index {index}")
-            if value := Fraction(value):
+            if value := value if type(value) is Fraction else Fraction(value):
                 clean[index] = value
         object.__setattr__(self, "entries", clean)
 
@@ -248,13 +280,16 @@ def multiview_multidegree(k: int) -> Multidegree:
 
 
 def _pullback_rows(config: CameraConfiguration, factors):
-    """Rows l^T P_i for every cutting form l of factor i, factor order then
-    form order; the caller has matched the factors to the cameras."""
-    rows = []
-    for cam, factor in zip(config.cameras, factors):
-        for form in factor:
-            rows.append(linalg.mat_vec(tuple(zip(*cam)), form))
-    return rows
+    """Integer multiples of the rows l^T P_i for every cutting form l of
+    factor i, factor order then form order, and the product of their
+    multipliers; the caller has matched the factors to the cameras."""
+    rows, scale = [], 1
+    for cam, cam_scale, factor in zip(config._rows, config._scales, factors):
+        forms, form_scale = linalg.integer_rows(factor)
+        columns = tuple(zip(*cam))
+        rows.extend(_image(columns, form) for form in forms)
+        scale *= (cam_scale * form_scale) ** len(forms)
+    return rows, scale
 
 
 def _tensor_profile(k: int, beta) -> tuple[int, ...]:
@@ -276,7 +311,30 @@ def chow_residual(config: CameraConfiguration, spaces: LinearSpaceTuple) -> Frac
     is the closure of that condition, so this is the form up to scale.
     """
     _tensor_profile(config.k, spaces.beta)
-    return linalg.det(_pullback_rows(config, spaces.forms))
+    rows, scale = _pullback_rows(config, spaces.forms)
+    return linalg.det(rows) / scale
+
+
+#: Column pairs of a 2x4 block, in the order of its 2x2 minors.
+_COLUMN_PAIRS = tuple(combinations(range(4), 2))
+
+
+def _minors(u, v) -> tuple[int, ...]:
+    """The six 2x2 minors of the block with rows u and v."""
+    return tuple(u[i] * v[j] - u[j] * v[i] for i, j in _COLUMN_PAIRS)
+
+
+def _laplace(top, bottom) -> int:
+    """det of a 4x4 matrix from the minors of its top and bottom 2x4 blocks.
+
+    Each column pair of the top block meets the complementary pair of the
+    bottom block, with sign (-1)^(1 + 2 + c1 + c2) for 1-based columns c1, c2
+    (Hartley and Zisserman, *Multiple View Geometry*, ch. 17).
+    """
+    return (
+        top[0] * bottom[5] - top[1] * bottom[4] + top[2] * bottom[3]
+        + top[3] * bottom[2] - top[4] * bottom[1] + top[5] * bottom[0]
+    )
 
 
 def multifocal_tensor(config: CameraConfiguration, beta) -> MultifocalTensor:
@@ -288,43 +346,56 @@ def multifocal_tensor(config: CameraConfiguration, beta) -> MultifocalTensor:
     beta_i = 1.  With that convention, contracting T against point
     coordinates (cross products of the two cutting lines) on beta_i = 2
     slots and line coordinates on beta_i = 1 slots reproduces
-    :func:`chow_residual` exactly.
+    :func:`chow_residual` exactly.  Each determinant is a Laplace expansion
+    of the integer camera rows over their 2x2 minors, divided by the scales
+    of the rows it stacks.
     """
     beta = _tensor_profile(config.k, beta)
-    if not config.is_generic():
-        warnings.warn(
-            "camera configuration is not generic; the tensor may vanish "
-            "identically",
-            stacklevel=2,
-        )
+    # Per camera and index a: the (camera, row) pairs it stacks, and a sign.
+    choices = [
+        [(tuple((i, j) for j in range(3) if j != a), (-1) ** a) for a in range(3)]
+        if b == 2
+        else [(((i, a),), 1) for a in range(3)]
+        for i, b in enumerate(beta)
+    ]
+    minors = {}
+
+    def block(pairs):
+        if pairs not in minors:
+            (i, r), (j, t) = pairs
+            minors[pairs] = _minors(config._rows[i][r], config._rows[j][t])
+        return minors[pairs]
+
+    # Every entry stacks beta_i rows of camera i, each times that camera's scale.
+    scale = prod(s**b for s, b in zip(config._scales, beta))
     entries = {}
     for index in product((1, 2, 3), repeat=config.k):
-        rows = []
-        sign = 1
-        for cam, b, a in zip(config.cameras, beta, index):
-            if b == 2:
-                rows.extend(cam[j] for j in range(3) if j != a - 1)
-                sign *= (-1) ** (a + 1)
-            else:
-                rows.append(cam[a - 1])
-        entries[index] = sign * linalg.det(rows)
+        rows, sign = (), 1
+        for choice, a in zip(choices, index):
+            pairs, pair_sign = choice[a - 1]
+            rows += pairs
+            sign *= pair_sign
+        if value := _laplace(block(rows[:2]), block(rows[2:])):
+            entries[index] = Fraction(sign * value, scale)
     return MultifocalTensor(beta, entries)
 
 
 def tensor_contract(tensor: MultifocalTensor, coordinates) -> Fraction:
     """Full multilinear contraction sum T[a] * prod_i x_i[a_i]."""
-    coords = [tuple(Fraction(x) for x in vec) for vec in coordinates]
+    coords, scale = linalg.integer_rows(coordinates)
     if len(coords) != tensor.k or any(len(vec) != 3 for vec in coords):
         raise PreconditionError(
             f"need {tensor.k} coordinate vectors of length 3"
         )
-    total = Fraction(0)
+    # Integer numerators over one common denominator.
+    denominator = lcm(*(value.denominator for value in tensor.entries.values()))
+    total = 0
     for index, value in tensor.entries.items():
-        term = value
+        term = value.numerator * (denominator // value.denominator)
         for vec, a in zip(coords, index):
             term *= vec[a - 1]
         total += term
-    return total
+    return Fraction(total, denominator * scale**tensor.k)
 
 
 def contraction_coordinates(spaces: LinearSpaceTuple) -> list[Vec]:
@@ -437,8 +508,8 @@ def _fiber_size(config: CameraConfiguration, rows) -> int | None:
     solutions = linalg.nullspace(rows, 4)
     if len(solutions) != 1:
         return None if solutions else 0
-    images = (linalg.mat_vec(cam, solutions[0]) for cam in config.cameras)
-    return 0 if any(map(linalg.is_zero_vector, images)) else 1
+    (point,), _ = linalg.integer_rows(solutions)
+    return 0 if any(not any(_image(cam, point)) for cam in config._rows) else 1
 
 
 def has_world_point_preimage(config: CameraConfiguration, candidate) -> bool:
@@ -456,7 +527,7 @@ def has_world_point_preimage(config: CameraConfiguration, candidate) -> bool:
     forms = [linalg.nullspace([list(x)], 3) for x in candidate]
     # A positive-dimensional solution space counts: a generic element avoids
     # the finitely many centers.
-    return _fiber_size(config, _pullback_rows(config, forms)) != 0
+    return _fiber_size(config, _pullback_rows(config, forms)[0]) != 0
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +551,7 @@ def intersection_count_oracle(
     results = []
     for rng in _trial_rngs(rng_seed, trials):
         forms = [random_independent_forms(rng, 2 - g) for g in gamma]
-        results.append(_fiber_size(config, _pullback_rows(config, forms)))
+        results.append(_fiber_size(config, _pullback_rows(config, forms)[0]))
     return results
 
 
@@ -494,27 +565,23 @@ def majority_count(counts) -> int | None:
     return max(tally, key=lambda c: (tally[c], c is not None))
 
 
-def _random_world_point(config: CameraConfiguration, center_images, rng: random.Random) -> Vec:
-    def degenerate(q) -> bool:
-        if linalg.is_zero_vector(q):
-            return True
-        images = [linalg.mat_vec(cam, q) for cam in config.cameras]
-        if any(linalg.is_zero_vector(img) for img in images):
-            return True
+def _random_world_images(config: CameraConfiguration, center_images, rng: random.Random):
+    """The integer images, one per camera, of a random world point that no
+    camera sends to zero."""
+
+    def draw(r):
+        (point,), _ = linalg.integer_rows([[random_rational(r) for _ in range(4)]])
+        return [_image(cam, point) for cam in config._rows]
+
+    def good(images) -> bool:
         # Avoid points whose image coincides with the image of another
         # camera's center: those sit on special lines through two centers.
-        return any(
-            linalg.proportional(img, c)
+        return all(
+            any(img) and not any(linalg.proportional(img, c) for c in others)
             for img, others in zip(images, center_images)
-            for c in others
         )
 
-    return _sample(
-        rng,
-        lambda r: tuple(random_rational(r) for _ in range(4)),
-        lambda q: not degenerate(q),
-        "world point",
-    )
+    return _sample(rng, draw, good, "world point")
 
 
 def epsilon_oracle(
@@ -532,17 +599,17 @@ def epsilon_oracle(
     beta = sig.check_profile(beta, sig.r + 1)
     # Per camera, the images of the other cameras' centers.
     center_images = [
-        [linalg.mat_vec(cam, c) for j, c in enumerate(config._centers) if j != i]
-        for i, cam in enumerate(config.cameras)
+        [_image(cam, c) for j, c in enumerate(config._int_centers) if j != i]
+        for i, cam in enumerate(config._rows)
     ]
     results = []
     for rng in _trial_rngs(rng_seed, trials):
-        world = _random_world_point(config, center_images, rng)
-        images = [project_point(cam, world) for cam in config.cameras]
+        # Forms through an image do not depend on its scale.
+        images = _random_world_images(config, center_images, rng)
         forms = [
             forms_through(rng, image, b) if b else () for image, b in zip(images, beta)
         ]
-        results.append(_fiber_size(config, _pullback_rows(config, forms)))
+        results.append(_fiber_size(config, _pullback_rows(config, forms)[0]))
     return results
 
 

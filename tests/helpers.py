@@ -6,8 +6,10 @@ tests exercise genuinely varied polymatroids rather than hand-picked ones.
 """
 
 import random
+from itertools import product
 
-from multichow import Multidegree
+from multichow import CameraConfiguration, Multidegree, MultifocalTensor, linalg
+from multichow.multiview import random_cameras
 from multichow.polymatroid import RankFunction, SpaceSignature, mask_of
 
 FIELD_PRIME = 10007
@@ -134,3 +136,54 @@ def translated_camera(t):
         (0, 1, 0, t[1]),
         (0, 0, 1, t[2]),
     )
+
+
+# Denominators by row pattern and column: a camera's three rows get
+# different lcms (2, 21 and 5 in some order), so scaling rows separately and
+# scaling the camera as a whole give different integer rows.
+ROW_DENOMINATORS = ((1, 2, 1, 2), (3, 1, 7, 3), (5, 5, 1, 1))
+
+
+def rational_cameras(k: int, seed: int) -> CameraConfiguration:
+    """The seeded integer cameras with each entry divided by a denominator
+    that depends on its camera, row and column."""
+    cams = random_cameras(k, seed).cameras
+    return CameraConfiguration(
+        tuple(
+            tuple(
+                tuple(x / ROW_DENOMINATORS[(i + r) % 3][c] for c, x in enumerate(row))
+                for r, row in enumerate(cam)
+            )
+            for i, cam in enumerate(cams)
+        )
+    )
+
+
+def fraction_pullback_rows(config: CameraConfiguration, factors):
+    """Rows l^T P_i in ``Fraction`` arithmetic, factor order then form order."""
+    return [
+        linalg.mat_vec(tuple(zip(*cam)), form)
+        for cam, factor in zip(config.cameras, factors)
+        for form in factor
+    ]
+
+
+def reference_tensor(config: CameraConfiguration, beta) -> MultifocalTensor:
+    """The multifocal tensor by one ``Fraction`` determinant per entry.
+
+    Entry T[a_1,...,a_k] is the determinant of the rows of P_i without row
+    a_i (sign (-1)^(a_i+1)) where beta_i = 2, and row a_i where beta_i = 1.
+    """
+    entries = {}
+    for index in product((1, 2, 3), repeat=config.k):
+        rows = []
+        sign = 1
+        for cam, b, a in zip(config.cameras, beta, index):
+            if b == 2:
+                rows.extend(cam[j] for j in range(3) if j != a - 1)
+                sign *= (-1) ** (a + 1)
+            else:
+                rows.append(cam[a - 1])
+        entries[index] = sign * linalg.det(rows)
+    return MultifocalTensor(tuple(beta), entries)
+

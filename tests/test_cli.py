@@ -206,6 +206,27 @@ class TestErrorHandling:
         assert error["status"] == "degenerate-input"
         assert "'expected' assumes generic cameras" in error["message"]
 
+    def test_non_generic_cameras_give_exit_3_on_sz_test(self, tmp_path, capsys):
+        # Two identical cameras have the zero tensor, which every candidate
+        # would pass.
+        cam = CAMERAS_2["cameras"][0]
+        obj = {"cameras": [cam, cam], "beta": [2, 2], "candidate": [[1, 2, 3], [4, 5, 6]]}
+        code, out, err = run_main(
+            ["sz-test", "--trials", "3", "--input", write(tmp_path, obj)], capsys
+        )
+        assert code == 3
+        assert out == ""
+        error = json.loads(err)["error"]
+        assert error["status"] == "degenerate-input"
+        assert "'member' assumes generic cameras" in error["message"]
+
+    def test_tensor_of_non_generic_cameras_is_exact_and_quiet(self, tmp_path, capsys):
+        cam = CAMERAS_2["cameras"][0]
+        obj = {"cameras": [cam, cam], "beta": [2, 2]}
+        code, out, err = run_main(["tensor", "--input", write(tmp_path, obj)], capsys)
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {"beta": [2, 2], "entries": []}
+
     def test_cycle_input_refused_by_analyze(self, tmp_path, capsys):
         obj = {
             "n": [2, 2],

@@ -3,7 +3,8 @@
 ``det``, ``rank``, ``rref`` and ``nullspace`` share one fraction-free
 elimination; each is compared with sympy's ``Matrix`` method of the same name
 on seeded random matrices with integer, rational and string entries, forced
-dependent rows, zero rows and zero columns.
+dependent rows, zero rows and zero columns, and again on the integer rows
+that ``integer_rows`` makes of the same matrices.
 """
 
 import random
@@ -81,6 +82,16 @@ def test_kernels_match_sympy(m):
     if len(m) == ncols:
         assert linalg.det(m) == from_sympy(ref.det())
         assert (linalg.det(m) != 0) == (rank == ncols)
+
+    # The integer-scaling helper: one scale for the whole matrix, and the
+    # kernels take its integer rows as they are.
+    rows, scale = linalg.integer_rows(m)
+    assert all(type(x) is int for row in rows for x in row)
+    assert [[Fraction(x, scale) for x in row] for row in rows] == linalg.frac_rows(m)
+    assert linalg.rank(rows) == ref.rank()
+    assert linalg.nullspace(rows) == kernel
+    if len(m) == ncols:
+        assert linalg.det(rows) == from_sympy(ref.det()) * scale**ncols
 
 
 def test_cases_cover_every_entry_kind_and_degeneracy():

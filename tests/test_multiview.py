@@ -1,8 +1,9 @@
 """Cameras, multifocal tensors, residuals and the randomized oracles."""
 
 import random
+import warnings
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 from itertools import combinations, permutations, product
 
 import pytest
@@ -32,7 +33,13 @@ from multichow.multiview import (
     trial_rng,
 )
 
-from helpers import IDENTITY_CAMERA, translated_camera
+from helpers import (
+    IDENTITY_CAMERA,
+    fraction_pullback_rows,
+    rational_cameras,
+    reference_tensor,
+    translated_camera,
+)
 
 
 def pair_config():
@@ -242,10 +249,13 @@ class TestMultifocalTensor:
         with pytest.raises(PreconditionError):
             multifocal_tensor(random_cameras(3, 8), (2, 2, 0))
 
-    def test_non_generic_config_warns(self):
+    def test_identical_cameras_give_the_zero_tensor_without_warning(self):
         config = CameraConfiguration((IDENTITY_CAMERA, IDENTITY_CAMERA))
-        with pytest.warns(UserWarning):
-            multifocal_tensor(config, (2, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tensor = multifocal_tensor(config, (2, 2))
+        assert tensor.is_zero()
+        assert tensor == reference_tensor(config, (2, 2))
 
     def test_json_round_trip_omits_zeros(self):
         tensor = multifocal_tensor(pair_config(), (2, 2))
@@ -288,6 +298,51 @@ def test_oracles_need_a_trial(trials):
         epsilon_oracle(config, (2, 2), trials, 0)
     with pytest.raises(PreconditionError, match="at least one trial"):
         sz_membership(config, tensor, [(1, 0, 0), (0, 1, 0)], trials, 0)
+
+
+def multifocal_profiles(k):
+    return [beta for beta in product((1, 2), repeat=k) if sum(beta) == 4]
+
+
+def reference_configs(k):
+    """Seeded integer cameras, and rational ones whose rows have different
+    denominators."""
+    return [random_cameras(k, seed) for seed in range(3)] + [
+        rational_cameras(k, seed) for seed in range(3)
+    ]
+
+
+class TestAgainstFractionReference:
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_laplace_tensor_equals_det_per_entry(self, k):
+        assert len(multifocal_profiles(k)) == {2: 1, 3: 3, 4: 1}[k]
+        for config in reference_configs(k):
+            for beta in multifocal_profiles(k):
+                assert multifocal_tensor(config, beta) == reference_tensor(config, beta)
+
+    def test_rational_cameras_have_rows_with_different_denominators(self):
+        for cam in rational_cameras(4, 0).cameras:
+            lcms = {lcm(*(x.denominator for x in row)) for row in cam}
+            assert len(lcms) == 3
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_residual_equals_det_of_fraction_pullback(self, k):
+        rng = random.Random(f"residual-reference:{k}")
+        for config in reference_configs(k):
+            for beta in multifocal_profiles(k):
+                spaces = random_space_tuple(rng, beta)
+                expected = linalg.det(fraction_pullback_rows(config, spaces.forms))
+                assert chow_residual(config, spaces) == expected
+
+    def test_residual_matches_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        config = rational_cameras(3, 1)
+        spaces = random_space_tuple(random.Random("sympy-residual"), (1, 2, 1))
+        rows = fraction_pullback_rows(config, spaces.forms)
+        det = sympy.Matrix(
+            [[sympy.Rational(x.numerator, x.denominator) for x in row] for row in rows]
+        ).det()
+        assert chow_residual(config, spaces) == Fraction(int(det.p), int(det.q)) != 0
 
 
 class TestTensorContract:
