@@ -59,21 +59,21 @@ def _load_input(args) -> dict:
 
 
 def _sig_and_delta(obj) -> tuple[pm.SpaceSignature, pm.RankFunction]:
-    """Accept either an explicit rank function or a multidegree to read
-    projection dimensions from; nothing is validated."""
-    if "coefficients" in obj:
-        md = mdg.Multidegree.from_json(obj)
-        return md.sig, md.rank_function()
-    sig = pm.SpaceSignature(field(obj, "n", ints), field(obj, "r", integer))
-    return sig, field(obj, "rank_function", pm.RankFunction.from_json)
+    """An explicit ``"rank_function"``, or else the projection dimensions of
+    a multidegree in any shape :func:`_parse_multidegree` reads; unvalidated."""
+    if "rank_function" in obj:
+        sig = pm.SpaceSignature(field(obj, "n", ints), field(obj, "r", integer))
+        return sig, field(obj, "rank_function", pm.RankFunction.from_json)
+    md = _parse_multidegree(obj)
+    return md.sig, md.rank_function()
 
 
 def _polymatroid(obj) -> pm.Polymatroid:
-    """The validated projection dimensions of the input: a multidegree's own
-    (kept from its round trip, for a variety) or an explicit rank function's."""
-    if "coefficients" in obj:
-        return mdg.Multidegree.from_json(obj).polymatroid()
-    return pm.Polymatroid(*_sig_and_delta(obj))
+    """The validated projection dimensions: an explicit rank function's, or
+    else a multidegree's own (kept from its round trip, for a variety)."""
+    if "rank_function" in obj:
+        return pm.Polymatroid(*_sig_and_delta(obj))
+    return _parse_multidegree(obj).polymatroid()
 
 
 def _parse_vectors(obj, key) -> list:
@@ -87,10 +87,7 @@ def _parse_multidegree(obj) -> mdg.Multidegree:
         )
         if not parts:
             raise PreconditionError("'multidegrees' must be nonempty")
-        total = parts[0]
-        for part in parts[1:]:
-            total = mdg.multidegree_add(total, part)
-        return total
+        return functools.reduce(mdg.multidegree_add, parts)
     if "multidegree" in obj:
         return field(obj, "multidegree", mdg.Multidegree.from_json)
     if "coefficients" in obj:
@@ -131,26 +128,26 @@ def _cmd_betas(obj, args):
 
 
 def _analyze_one(md, polymatroid, beta):
-    hypersurface = mdg.is_hypersurface(md, beta)
-    determines = mdg.determines_variety(md, beta)
+    form = mdg.criterion_form(md, beta)
+    criterion = [decimal(c) for c in form]
     one_deficient = polymatroid.is_one_deficient(beta)
     return {
         "beta": list(beta),
-        "hypersurface": hypersurface,
-        "determines": determines,
+        "hypersurface": any(form),
+        "determines": all(form),
         "one_deficient": one_deficient,
         "circuit": polymatroid.is_circuit(beta),
         "tight_set": list(polymatroid.minimal_tight_set(beta)) if one_deficient else None,
-        "criterion_form": [decimal(c) for c in mdg.criterion_form(md, beta)],
-        "chow_degree": [decimal(d) for d in mdg.chow_form_multidegree(md, beta)]
-        if hypersurface
-        else None,
+        "criterion_form": criterion,
+        # A nonzero criterion form is the multidegree of the incidence form.
+        "chow_degree": criterion if any(form) else None,
     }
 
 
 def _cmd_analyze(obj, args):
     md = _parse_multidegree(obj)
     polymatroid = md.polymatroid()
+    mdg.require_variety(md, "analyze")
     if args.all_beta:
         betas = pm.profiles(md.sig.n, md.sig.r + 1)
         return {

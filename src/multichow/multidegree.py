@@ -154,7 +154,8 @@ def criterion_form(md: Multidegree, beta) -> tuple[int, ...]:
     )
 
 
-def _require_variety(md: Multidegree, op: str) -> None:
+def require_variety(md: Multidegree, op: str) -> None:
+    """Refuse a cycle-tagged ``md``: ``op`` assumes an irreducible variety."""
     if md.tag != VARIETY:
         raise CycleInputError(
             f"{op} is only meaningful for irreducible-variety multidegrees; "
@@ -164,13 +165,13 @@ def _require_variety(md: Multidegree, op: str) -> None:
 
 def is_hypersurface(md: Multidegree, beta) -> bool:
     """True iff some coefficient a_{alpha+e_j} is nonzero."""
-    _require_variety(md, "is_hypersurface")
+    require_variety(md, "is_hypersurface")
     return any(c != 0 for c in criterion_form(md, beta))
 
 
 def determines_variety(md: Multidegree, beta) -> bool:
     """True iff every coefficient a_{alpha+e_j} is nonzero."""
-    _require_variety(md, "determines_variety")
+    require_variety(md, "determines_variety")
     return all(c != 0 for c in criterion_form(md, beta))
 
 

@@ -78,7 +78,9 @@ class CameraConfiguration:
 
     Private integer copies serve the computations: ``_rows[i]`` is camera i
     times ``_scales[i]`` (one scale for the whole camera) and
-    ``_int_centers[i]`` is a nonzero integer multiple of its center.
+    ``_int_centers[i]`` is a nonzero integer multiple of its center, the
+    signed 3x3 minors of those rows (Hartley and Zisserman, *Multiple View
+    Geometry*, 2nd ed., section 6.2.4), so building one needs no elimination.
     """
 
     cameras: tuple[Camera, ...]
@@ -88,23 +90,23 @@ class CameraConfiguration:
         object.__setattr__(self, "cameras", cams)
         if not cams:
             raise PreconditionError("need at least one camera")
-        # A 3x4 camera has rank 3 exactly when its kernel, spanned by the
-        # camera center, is one-dimensional.
         rows, scales, centers = [], [], []
         for idx, cam in enumerate(cams):
-            int_rows, scale = linalg.integer_rows(cam)
-            kernel = linalg.nullspace(int_rows, 4)
-            if len(kernel) != 1:
+            (r0, r1, r2), scale = linalg.integer_rows(cam)
+            # Entry j is det(r0; r1; r2; e_j); a camera has rank 3 exactly
+            # when one of these 3x3 minors is nonzero.
+            top = _minors(r0, r1)
+            center = tuple(
+                _laplace(top, _minors(r2, [int(i == j) for i in range(4)])) for j in range(4)
+            )
+            if not any(center):
                 raise PreconditionError(f"camera {idx + 1} does not have rank 3")
-            rows.append(tuple(map(tuple, int_rows)))
+            rows.append((tuple(r0), tuple(r1), tuple(r2)))
             scales.append(scale)
-            centers.append(kernel[0])
+            centers.append(center)
         object.__setattr__(self, "_rows", tuple(rows))
         object.__setattr__(self, "_scales", tuple(scales))
-        object.__setattr__(self, "_centers", tuple(centers))
-        object.__setattr__(
-            self, "_int_centers", tuple(tuple(linalg.integer_rows([c])[0][0]) for c in centers)
-        )
+        object.__setattr__(self, "_int_centers", tuple(centers))
 
     @property
     def k(self) -> int:
@@ -112,7 +114,7 @@ class CameraConfiguration:
 
     def center(self, i: int) -> Vec:
         """The world point killed by camera i (1-based); spans the kernel."""
-        return self._centers[i - 1]
+        return linalg.nullspace(self._rows[i - 1], 4)[0]
 
     def is_generic(self) -> bool:
         """Pairwise-distinct centers and no three centers collinear."""
@@ -441,10 +443,10 @@ def _sample(rng, draw, good, what: str):
     raise DegenerateInputError(f"could not sample a non-degenerate {what}")
 
 
-def random_form(rng: random.Random, length: int = 3) -> Vec:
+def random_form(rng: random.Random) -> Vec:
     return _sample(
         rng,
-        lambda r: tuple(random_rational(r) for _ in range(length)),
+        lambda r: tuple(random_rational(r) for _ in range(3)),
         lambda v: not linalg.is_zero_vector(v),
         "linear form",
     )
@@ -460,10 +462,8 @@ def _independent_forms(rng, draw, count: int, what: str) -> tuple[Vec, ...]:
     return tuple(forms)
 
 
-def random_independent_forms(rng: random.Random, count: int, length: int = 3):
-    return _independent_forms(
-        rng, lambda r: random_form(r, length), count, "independent form"
-    )
+def random_independent_forms(rng: random.Random, count: int):
+    return _independent_forms(rng, random_form, count, "independent form")
 
 
 def forms_through(rng: random.Random, point: Vec, count: int) -> tuple[Vec, ...]:

@@ -283,11 +283,12 @@ class Polymatroid:
         always tight since |beta| = r + 1, and the intersection of two tight
         sets is again tight by submodularity.
         """
-        if not self.is_one_deficient(beta):
-            raise PreconditionError("beta is not 1-deficient")
         mask = (1 << self.sig.k) - 1
-        for tight in tight_sets(self.sig, self.delta, beta):
-            mask &= tight
+        for subset, (s, d) in enumerate(zip(self._beta_sums(beta), self.delta.values)):
+            if s > d + 1:
+                raise PreconditionError("beta is not 1-deficient")
+            if s == d + 1:
+                mask &= subset
         return indices_of(mask)
 
     def is_circuit(self, beta) -> bool:

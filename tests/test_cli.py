@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import json
+import random
 import sys
 
 from fractions import Fraction
@@ -12,10 +13,10 @@ import pytest
 from multichow import cli, errors, linalg
 from multichow import multidegree as mdg
 from multichow import polymatroid as pm
-from multichow.errors import DegenerateInputError, integer, rational
+from multichow.errors import DegenerateInputError, InapplicableError, integer, rational
 from multichow.multiview import multiview_multidegree, random_cameras
 
-from helpers import frobenius_multidegree
+from helpers import frobenius_multidegree, product_of_curves_multidegree, random_polymatroid
 
 
 def write(tmp_path, obj, name="input.json"):
@@ -28,6 +29,35 @@ def run_main(argv, capsys):
     code = cli.main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def random_multidegree(seed):
+    """A variety-tagged multidegree on the support of a seeded random
+    polymatroid, with random positive coefficients."""
+    rng = random.Random(f"analyze:{seed}")
+    sig, delta = random_polymatroid(rng, rng.randint(1, 4))
+    support = pm.Polymatroid(sig, delta).support()
+    return mdg.Multidegree(sig, {gamma: rng.randint(1, 9) for gamma in support})
+
+
+def library_record(md, beta):
+    """The ``analyze`` record of one profile, from the library predicates."""
+    sig, delta = md.sig, md.rank_function()
+    one_deficient = pm.is_one_deficient(sig, delta, beta)
+    try:
+        chow_degree = [str(d) for d in mdg.chow_form_multidegree(md, beta)]
+    except InapplicableError:
+        chow_degree = None
+    return {
+        "beta": list(beta),
+        "hypersurface": mdg.is_hypersurface(md, beta),
+        "determines": mdg.determines_variety(md, beta),
+        "one_deficient": one_deficient,
+        "circuit": pm.is_circuit(sig, delta, beta),
+        "tight_set": list(pm.minimal_tight_set(sig, delta, beta)) if one_deficient else None,
+        "criterion_form": [str(c) for c in mdg.criterion_form(md, beta)],
+        "chow_degree": chow_degree,
+    }
 
 
 class TestSubcommands:
@@ -55,6 +85,25 @@ class TestSubcommands:
         results = json.loads(out)["results"]
         determining = [r["beta"] for r in results if r["determines"]]
         assert determining == [[1, 1, 2], [1, 2, 1], [2, 1, 1]]
+
+    @pytest.mark.parametrize(
+        "md",
+        [multiview_multidegree(k) for k in range(2, 6)]
+        + [frobenius_multidegree(2), product_of_curves_multidegree(2, 3)]
+        + [random_multidegree(seed) for seed in range(30)],
+        ids=[f"multiview-k{k}" for k in range(2, 6)]
+        + ["frobenius", "product-of-curves"]
+        + [f"random-{seed}" for seed in range(30)],
+    )
+    def test_analyze_all_beta_agrees_with_the_library(self, md, tmp_path, capsys):
+        path = write(tmp_path, {"multidegree": md.to_json()})
+        code, out, err = run_main(["analyze", "--all-beta", "--input", path], capsys)
+        assert code == 0, err
+        results = json.loads(out)["results"]
+        assert [r["beta"] for r in results] == [
+            list(beta) for beta in pm.profiles(md.sig.n, md.sig.r + 1)
+        ]
+        assert results == [library_record(md, r["beta"]) for r in results]
 
     def test_support_of_empty_coefficients_fails(self, tmp_path, capsys):
         path = write(tmp_path, {"n": [2, 2], "r": 2, "coefficients": []})
@@ -553,6 +602,24 @@ class TestWorkDoneOnce:
         assert calls["validate"] <= 2
         assert calls["projections"] == 1
 
+    def test_analyze_all_beta_checks_each_profile_four_times(self, tmp_path, capsys, monkeypatch):
+        """Building the multiview k=6 multidegree checks its 50 exponents
+        twice; then each of the 90 profiles is checked once by the criterion
+        form and once by each of the three polymatroid criteria."""
+        path = write(tmp_path, {"multidegree": multiview_multidegree(6).to_json()})
+        calls = []
+        check_profile = pm.SpaceSignature.check_profile
+
+        def counted(self, vec, total):
+            calls.append(vec)
+            return check_profile(self, vec, total)
+
+        monkeypatch.setattr(pm.SpaceSignature, "check_profile", counted)
+        code, out, _ = run_main(["analyze", "--all-beta", "--input", path], capsys)
+        assert code == 0
+        assert len(json.loads(out)["results"]) == 90
+        assert len(calls) <= 100 + 4 * 90
+
 
 @pytest.mark.parametrize(
     "argv,extra",
@@ -588,8 +655,9 @@ def test_one_polymatroid_per_request(argv, extra, tmp_path, capsys, monkeypatch)
 
 
 def test_camera_kernels_computed_once(tmp_path, capsys, monkeypatch):
-    """oracle-epsilon needs one kernel per camera, at construction, and per
-    trial one per slicing space plus one for the pulled-back system."""
+    """oracle-epsilon needs no kernel to build its cameras (their centers
+    are minors) and per trial one per slicing space plus one for the
+    pulled-back system."""
     config = random_cameras(4, 3)
     for i, cam in enumerate(config.cameras, 1):
         assert config.center(i) == linalg.nullspace(cam, 4)[0]
@@ -605,7 +673,7 @@ def test_camera_kernels_computed_once(tmp_path, capsys, monkeypatch):
     argv = ["oracle-epsilon", "--trials", "4", "--seed", "1", "--format", "compact"]
     code, out, _ = run_main([*argv, "--input", path], capsys)
     assert (code, out) == (0, '{"counts":[1,1,1,1]}\n')
-    assert len(calls) <= config.k + 5 * 4
+    assert len(calls) <= 5 * 4
 
 
 class TestDeterminism:

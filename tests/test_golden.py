@@ -34,6 +34,35 @@ def test_cli_output_is_frozen(case, monkeypatch, capsys):
         assert json.loads(err)["error"]["status"] == case["status"]
 
 
+def multidegree_shapes(case):
+    """The case's input with its multidegree at top level, nested under
+    ``"multidegree"`` and as a one-element ``"multidegrees"`` list, the
+    other keys left at top level; ``None`` when it holds no multidegree."""
+    try:
+        obj = json.loads(case["stdin"])
+    except ValueError:
+        return None
+    if isinstance(obj.get("multidegree"), dict):
+        md = obj.pop("multidegree")
+    elif "coefficients" in obj:
+        md = {key: obj.pop(key) for key in ("n", "r", "coefficients", "tag") if key in obj}
+    else:
+        return None
+    return [{**obj, **md}, {**obj, "multidegree": md}, {**obj, "multidegrees": [md]}]
+
+
+MULTIDEGREE_CASES = [case for case in GOLDEN["cases"] if multidegree_shapes(case)]
+
+
+@pytest.mark.parametrize("case", MULTIDEGREE_CASES, ids=lambda case: case["name"])
+def test_every_multidegree_shape_gives_the_same_answer(case, monkeypatch, capsys):
+    for obj in multidegree_shapes(case):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(obj)))
+        code = cli.main(case["argv"])
+        out, _ = capsys.readouterr()
+        assert (code, out) == (case["exit"], case.get("stdout", ""))
+
+
 @pytest.mark.parametrize(
     "entry", GOLDEN["random_cameras"], ids=lambda e: f"k{e['k']}-seed{e['seed']}"
 )

@@ -94,6 +94,26 @@ class TestCameras:
         with pytest.raises(PreconditionError):
             CameraConfiguration((rows,))
 
+    def test_centers_from_minors_span_the_kernel(self):
+        """A seeded 3x4 integer matrix, rank-deficient ones included, is a
+        camera exactly when its kernel is a line, and then its integer
+        center spans that line."""
+        rng = random.Random("centers")
+        rejected = 0
+        for _ in range(300):
+            rows = [[rng.randint(-3, 3) for _ in range(4)] for _ in range(3)]
+            if rng.random() < 0.2:
+                rows[2] = [a - b for a, b in zip(rows[0], rows[1])]
+            kernel = linalg.nullspace(rows, 4)
+            if len(kernel) != 1:
+                rejected += 1
+                with pytest.raises(PreconditionError, match="rank 3"):
+                    CameraConfiguration((rows,))
+                continue
+            center = CameraConfiguration((rows,))._int_centers[0]
+            assert linalg.proportional(center, kernel[0])
+        assert rejected > 0
+
     def test_center_of_identity_camera(self):
         config = CameraConfiguration((IDENTITY_CAMERA,))
         assert linalg.proportional(config.center(1), (0, 0, 0, 1))

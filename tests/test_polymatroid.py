@@ -16,8 +16,9 @@ from multichow import (
     support_from_projections,
     validate_rank_function,
 )
+from multichow import polymatroid as pm
 from multichow.errors import PreconditionError
-from multichow.polymatroid import indices_of, mask_of, tight_sets
+from multichow.polymatroid import Polymatroid, indices_of, mask_of, tight_sets
 
 from helpers import (
     multiview_delta,
@@ -162,6 +163,37 @@ class TestMinimalTightSet:
         sig = SpaceSignature((2, 2), 2)
         with pytest.raises(PreconditionError):
             minimal_tight_set(sig, CURVES_DELTA, (0, 3))
+
+    @pytest.mark.parametrize(
+        "sig, delta, beta, tight",
+        [
+            (multiview_sig(4), multiview_delta(4), (2, 1, 1, 0), (1, 2, 3)),
+            (multiview_sig(4), multiview_delta(4), (2, 2, 0, 0), (1, 2)),
+            # A point times a line in P^2 x P^2: |beta_1| = 2 > delta({1}) + 1.
+            (SpaceSignature((2, 2), 1), rf(2, {(): 0, (1,): 0, (2,): 1, (1, 2): 1}), (2, 0), None),
+        ],
+        ids=["multiview-2110", "multiview-2200", "not-one-deficient"],
+    )
+    def test_one_scan_of_the_subset_sums(self, sig, delta, beta, tight, monkeypatch):
+        polymatroid = Polymatroid(sig, delta)
+        calls = []
+        sums = pm.subset_sums
+
+        def counted(vec):
+            calls.append(vec)
+            return sums(vec)
+
+        def refused(*args):
+            raise AssertionError("minimal_tight_set called tight_sets")
+
+        monkeypatch.setattr(pm, "subset_sums", counted)
+        monkeypatch.setattr(pm, "tight_sets", refused)
+        if tight is None:
+            with pytest.raises(PreconditionError, match="not 1-deficient"):
+                polymatroid.minimal_tight_set(beta)
+        else:
+            assert polymatroid.minimal_tight_set(beta) == tight
+        assert len(calls) == 1
 
     def test_minimal_element_of_tight_family(self):
         # Brute-force oracle: the result is itself tight, nonempty, and
