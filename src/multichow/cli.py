@@ -146,8 +146,8 @@ def _analyze_one(md, polymatroid, beta):
 
 def _cmd_analyze(obj, args):
     md = _parse_multidegree(obj)
-    polymatroid = md.polymatroid()
     mdg.require_variety(md, "analyze")
+    polymatroid = md.polymatroid()
     if args.all_beta:
         betas = pm.profiles(md.sig.n, md.sig.r + 1)
         return {

@@ -110,8 +110,9 @@ class Multidegree:
         return projections_from_support(self.sig, self.support())
 
     def polymatroid(self) -> Polymatroid:
-        """The projection dimensions, validated: kept from the round trip
-        for a variety, validated on each call for a cycle."""
+        """The projection dimensions, validated, with the support they
+        define enumerated: kept from the round trip for a variety, built on
+        each call for a cycle."""
         if self._polymatroid is not None:
             return self._polymatroid
         return Polymatroid(self.sig, self.rank_function())
@@ -146,12 +147,7 @@ def criterion_form(md: Multidegree, beta) -> tuple[int, ...]:
     locus is a hypersurface, and has full support iff it determines the
     variety.  Entries where alpha + e_j falls outside the exponent box are 0.
     """
-    beta = md.sig.check_profile(beta, md.sig.r + 1)
-    alpha = [n - b for n, b in zip(md.sig.n, beta)]
-    return tuple(
-        md.coefficient(tuple(a + (i == j) for i, a in enumerate(alpha)))
-        for j in range(md.sig.k)
-    )
+    return tuple(md.coefficient(g) for g in md.sig.criterion_exponents(beta))
 
 
 def require_variety(md: Multidegree, op: str) -> None:

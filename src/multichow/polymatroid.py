@@ -7,8 +7,17 @@ i.e. they are discrete polymatroid rank functions.  This module validates
 those axioms, converts between rank functions and multidegree supports, and
 classifies slicing-codimension profiles ``beta`` (1-deficient / circuit /
 determining).  The criteria and enumerations live on :class:`Polymatroid`,
-which validates its rank function once, when it is built; the module-level
-functions of the same names build one per call.
+which validates its rank function and enumerates its support once, when it
+is built; the module-level functions of the same names build one per call.
+
+The criteria read the support at the k exponents ``alpha + e_j``, where
+``alpha = n - beta``: j lies in the minimal tight set of beta exactly when
+``alpha + e_j`` is in the support.  If it is, ``beta - e_j`` meets every
+support inequality, so beta is 1-deficient and no set missing j is tight.
+Conversely the tight sets of a 1-deficient beta are closed under
+intersection (submodularity); take j in their intersection J.  Then
+``beta_j > 0``, else ``J - j`` would be tight (monotonicity), and no set
+missing j is tight, so ``beta - e_j`` is at most delta on every subset.
 
 A profile (a codimension profile ``beta`` or an exponent ``gamma``) is a
 plain integer tuple with one entry per factor;
@@ -16,14 +25,15 @@ plain integer tuple with one entry per factor;
 and total.
 
 Subsets of ``{1, ..., k}`` are encoded as bitmasks (bit ``i-1`` for element
-``i``), and every subset-quantified check enumerates all ``2**k`` subsets
-(or ``O(2**k * k**2)`` local conditions), so the intended regime is small
-``k``; the hard cap is ``k <= 24``.
+``i``).  Validation, the support and the projections scan all ``2**k``
+subsets, so the intended regime is small ``k``; the hard cap is ``k <= 24``.
+Each criterion is k lookups in the support.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import le
 from typing import Iterable
 
 from .errors import PreconditionError, array, field, integer, ints
@@ -85,6 +95,13 @@ class SpaceSignature:
         if sum(vec) != total:
             raise PreconditionError(f"profile {vec} sums to {sum(vec)}, expected {total}")
         return vec
+
+    def criterion_exponents(self, beta) -> tuple[tuple[int, ...], ...]:
+        """The k exponents ``alpha + e_j``, ``alpha = n - beta``, of a checked
+        ``beta`` with ``|beta| = r + 1``; the j-th leaves the exponent box
+        exactly when ``beta_j = 0``."""
+        alpha = tuple(n - b for n, b in zip(self.n, self.check_profile(beta, self.r + 1)))
+        return tuple(alpha[:j] + (alpha[j] + 1,) + alpha[j + 1:] for j in range(self.k))
 
 
 @dataclass(frozen=True)
@@ -243,8 +260,8 @@ class Polymatroid:
     """A rank function validated against a signature, once.
 
     Construction checks the polymatroid axioms, the ambient bound and
-    ``delta(full) = r``; the criteria and enumerations below rely on that
-    and check only their own arguments.
+    ``delta(full) = r``, then enumerates the support; the criteria and
+    enumerations below rely on that and check only their own arguments.
     """
 
     sig: SpaceSignature
@@ -263,9 +280,18 @@ class Polymatroid:
             raise PreconditionError(
                 f"delta(full set)={self.delta.values[-1]} must equal r={self.sig.r}"
             )
+        n, values = self.sig.n, self.delta.values
+        support = tuple(
+            gamma
+            for gamma in profiles(n, self.sig.codim())
+            if all(map(le, subset_sums(a - g for a, g in zip(n, gamma)), values))
+        )
+        object.__setattr__(self, "_support", support)
+        object.__setattr__(self, "_support_set", frozenset(support))
 
-    def _beta_sums(self, beta) -> list[int]:
-        return subset_sums(self.sig.check_profile(beta, self.sig.r + 1))
+    def _tight(self, beta) -> list[bool]:
+        """Whether each j is in the minimal tight set: ``alpha + e_j`` in the support."""
+        return [gamma in self._support_set for gamma in self.sig.criterion_exponents(beta)]
 
     def is_one_deficient(self, beta) -> bool:
         """|beta_I| <= delta(I) + 1 for every subset I.
@@ -273,23 +299,15 @@ class Polymatroid:
         Exactly the condition for the incidence locus cut by spaces of
         codimension profile beta to be a hypersurface.
         """
-        sums = self._beta_sums(beta)
-        return all(s <= d + 1 for s, d in zip(sums, self.delta.values))
+        return any(self._tight(beta))
 
     def minimal_tight_set(self, beta) -> tuple[int, ...]:
-        """The unique nonempty J with |beta_I| = delta(I)+1 iff I contains J.
-
-        Computed as the intersection of all tight subsets; the full set is
-        always tight since |beta| = r + 1, and the intersection of two tight
-        sets is again tight by submodularity.
-        """
-        mask = (1 << self.sig.k) - 1
-        for subset, (s, d) in enumerate(zip(self._beta_sums(beta), self.delta.values)):
-            if s > d + 1:
-                raise PreconditionError("beta is not 1-deficient")
-            if s == d + 1:
-                mask &= subset
-        return indices_of(mask)
+        """The unique nonempty J with |beta_I| = delta(I)+1 iff I contains J:
+        the intersection of all tight subsets (see the module docstring)."""
+        tight = self._tight(beta)
+        if not any(tight):
+            raise PreconditionError("beta is not 1-deficient")
+        return tuple(j + 1 for j, t in enumerate(tight) if t)
 
     def is_circuit(self, beta) -> bool:
         """True iff beta is positive, 1-deficient, and only the full set is
@@ -299,28 +317,13 @@ class Polymatroid:
         proper nonempty subset (plus positivity), which is the condition for
         the incidence hypersurface to determine the variety.
         """
-        sums = self._beta_sums(beta)
-        values = self.delta.values
-        return all(sums[1 << i] > 0 for i in range(self.sig.k)) and all(
-            sums[mask] <= values[mask] for mask in range(1, len(sums) - 1)
-        )
+        return all(self._tight(beta))
 
     def support(self) -> tuple[tuple[int, ...], ...]:
         """All exponent vectors gamma compatible with the projection
         dimensions, in lexicographic order: 0 <= gamma_i <= n_i and
         sum_{i in I}(n_i - gamma_i) <= delta(I) for every I, with equality
-        on the full set.  Enumerated on the first call and kept."""
-        if "_support" not in self.__dict__:
-            n, values = self.sig.n, self.delta.values
-            support = tuple(
-                gamma
-                for gamma in profiles(n, self.sig.codim())
-                if all(
-                    drop <= d
-                    for drop, d in zip(subset_sums(a - g for a, g in zip(n, gamma)), values)
-                )
-            )
-            object.__setattr__(self, "_support", support)
+        on the full set.  Enumerated at construction."""
         return self._support
 
     def betas(self, criterion: str) -> tuple[tuple[int, ...], ...]:

@@ -179,6 +179,8 @@ def test_criterion_equivalence(report):
             if sum(beta) != sig.r + 1:
                 continue
             ok = ok and is_hypersurface(md, beta) == is_one_deficient(sig, delta, beta)
+            loose = all(sum_over(beta, m) <= delta.values[m] + 1 for m in range(1 << sig.k))
+            ok = ok and is_hypersurface(md, beta) == loose
             strict = all(sum_over(beta, m) <= delta.values[m] for m in proper)
             ok = ok and determines_variety(md, beta) == strict
             pairs += 1

@@ -287,6 +287,24 @@ class TestErrorHandling:
         code, _, err = run_main(["analyze", "--input", write(tmp_path, obj)], capsys)
         assert code == 2
 
+    def test_cycle_with_an_invalid_rank_function_gets_the_cycle_refusal(self, tmp_path, capsys):
+        """The projection dimensions of this cycle are not submodular; the
+        refusal names the cycle tag, not the rank function."""
+        gammas = [[0, 1, 1, 1], [0, 1, 2, 0], [0, 2, 0, 1], [0, 2, 1, 0], [1, 0, 1, 1], [1, 1, 0, 1]]
+        obj = {
+            "n": [1, 2, 2, 1],
+            "r": 3,
+            "coefficients": [{"gamma": g, "a": 1} for g in gammas],
+            "tag": "cycle",
+            "beta": [0, 1, 2, 1],
+        }
+        code, out, err = run_main(["analyze", "--input", write(tmp_path, obj)], capsys)
+        assert (code, out) == (2, "")
+        error = json.loads(err)["error"]
+        assert error["status"] == "precondition-failed"
+        assert "got a cycle-tagged input" in error["message"]
+        assert "rank function" not in error["message"]
+
 
 #: The exit code each error class of the package ends in.
 ERROR_EXIT_CODES = {
@@ -619,6 +637,24 @@ class TestWorkDoneOnce:
         assert code == 0
         assert len(json.loads(out)["results"]) == 90
         assert len(calls) <= 100 + 4 * 90
+
+    def test_analyze_all_beta_subset_sums(self, tmp_path, capsys, monkeypatch):
+        """On the multiview k=6 multidegree only its round trip sums subsets
+        (50 support points, one bound table, 50 support candidates); the 90
+        profiles need none."""
+        path = write(tmp_path, {"multidegree": multiview_multidegree(6).to_json()})
+        calls = []
+        subset_sums = pm.subset_sums
+
+        def counted(vec):
+            calls.append(vec)
+            return subset_sums(vec)
+
+        monkeypatch.setattr(pm, "subset_sums", counted)
+        code, out, _ = run_main(["analyze", "--all-beta", "--input", path], capsys)
+        assert code == 0
+        assert len(json.loads(out)["results"]) == 90
+        assert len(calls) <= 101
 
 
 @pytest.mark.parametrize(

@@ -21,6 +21,7 @@ from multichow.errors import PreconditionError
 from multichow.polymatroid import Polymatroid, indices_of, mask_of, tight_sets
 
 from helpers import (
+    enumerate_rank_functions,
     multiview_delta,
     multiview_sig,
     random_polymatroid,
@@ -174,8 +175,11 @@ class TestMinimalTightSet:
         ],
         ids=["multiview-2110", "multiview-2200", "not-one-deficient"],
     )
-    def test_one_scan_of_the_subset_sums(self, sig, delta, beta, tight, monkeypatch):
+    def test_no_subset_scan_after_construction(self, sig, delta, beta, tight, monkeypatch):
+        """The criteria read the support kept at construction: no subset
+        sums and no rank-function values."""
         polymatroid = Polymatroid(sig, delta)
+        object.__setattr__(polymatroid, "delta", None)
         calls = []
         sums = pm.subset_sums
 
@@ -193,7 +197,9 @@ class TestMinimalTightSet:
                 polymatroid.minimal_tight_set(beta)
         else:
             assert polymatroid.minimal_tight_set(beta) == tight
-        assert len(calls) == 1
+        assert polymatroid.is_one_deficient(beta) == (tight is not None)
+        assert polymatroid.is_circuit(beta) == (tight == tuple(range(1, sig.k + 1)))
+        assert len(calls) == 0
 
     def test_minimal_element_of_tight_family(self):
         # Brute-force oracle: the result is itself tight, nonempty, and
@@ -293,6 +299,54 @@ class TestEnumerateBeta:
                 continue
             assert enumerate_beta(sig, delta, "determining") == ()
             found += 1
+
+
+@pytest.mark.parametrize(
+    "n, functions, checked",
+    [
+        ((2, 2, 2), 115, 588),
+        ((2, 1, 1, 1), 134, 685),
+        ((1, 1, 1, 1, 1), 406, 2911),
+        ((3, 3, 2), 304, 2330),
+    ],
+    ids=["222", "2111", "11111", "332"],
+)
+def test_criteria_match_direct_scans_on_every_rank_function(n, functions, checked):
+    """Every bounded rank function on n, representable or not, and every
+    profile: the criteria, read off the support, agree with scans of the
+    subset sums against delta."""
+    full = (1 << len(n)) - 1
+    profiles_seen = 0
+    rank_functions = list(enumerate_rank_functions(n))
+    for delta in rank_functions:
+        sig = SpaceSignature(n, delta.values[-1])
+        polymatroid = Polymatroid(sig, delta)
+        table = {"hypersurface": [], "determining": []}
+        for beta in pm.profiles(n, sig.r + 1):
+            sums = [sum_over(beta, mask) for mask in range(full + 1)]
+            one_deficient = all(s <= d + 1 for s, d in zip(sums, delta.values))
+            circuit = all(b > 0 for b in beta) and all(
+                sums[mask] <= delta.values[mask] for mask in range(1, full)
+            )
+            assert polymatroid.is_one_deficient(beta) == one_deficient
+            if one_deficient:
+                tight = full
+                for mask, (s, d) in enumerate(zip(sums, delta.values)):
+                    if s == d + 1:
+                        tight &= mask
+                assert polymatroid.minimal_tight_set(beta) == indices_of(tight)
+            else:
+                with pytest.raises(PreconditionError, match="not 1-deficient"):
+                    polymatroid.minimal_tight_set(beta)
+            assert polymatroid.is_circuit(beta) == circuit
+            if one_deficient:
+                table["hypersurface"].append(beta)
+            if circuit:
+                table["determining"].append(beta)
+            profiles_seen += 1
+        for criterion, betas in table.items():
+            assert polymatroid.betas(criterion) == tuple(betas)
+    assert (len(rank_functions), profiles_seen) == (functions, checked)
 
 
 class TestJson:
