@@ -69,8 +69,9 @@ def _sig_and_delta(obj) -> tuple[pm.SpaceSignature, pm.RankFunction]:
 
 
 def _polymatroid(obj) -> pm.Polymatroid:
-    """The validated projection dimensions: an explicit rank function's, or
-    else a multidegree's own (kept from its round trip, for a variety)."""
+    """The projection dimensions: an explicit rank function's, validated, or
+    else a multidegree's own (kept from its consistency check, for a
+    variety)."""
     if "rank_function" in obj:
         return pm.Polymatroid(*_sig_and_delta(obj))
     return _parse_multidegree(obj).polymatroid()
@@ -128,16 +129,19 @@ def _cmd_betas(obj, args):
 
 
 def _analyze_one(md, polymatroid, beta):
-    form = mdg.criterion_form(md, beta)
+    """The multidegree criteria read the coefficients and the polymatroid
+    criteria the support at the same k exponents ``alpha + e_j``."""
+    exponents = md.sig.criterion_exponents(beta)
+    form = [md.coefficient(g) for g in exponents]
+    tight = polymatroid.tight_mask(exponents)
     criterion = [decimal(c) for c in form]
-    one_deficient = polymatroid.is_one_deficient(beta)
     return {
         "beta": list(beta),
         "hypersurface": any(form),
         "determines": all(form),
-        "one_deficient": one_deficient,
-        "circuit": polymatroid.is_circuit(beta),
-        "tight_set": list(polymatroid.minimal_tight_set(beta)) if one_deficient else None,
+        "one_deficient": any(tight),
+        "circuit": all(tight),
+        "tight_set": [j + 1 for j, t in enumerate(tight) if t] if any(tight) else None,
         "criterion_form": criterion,
         # A nonzero criterion form is the multidegree of the incidence form.
         "chow_degree": criterion if any(form) else None,

@@ -8,8 +8,9 @@ codimension profile beta is a hypersurface and the degrees of the polynomial
 cutting it out.
 
 Coefficients are arbitrary-precision integers.  A multidegree is tagged
-``"variety"`` when its support passes the polymatroid consistency round-trip
-(a necessary condition for coming from an irreducible variety) and
+``"variety"`` when its support passes the polymatroid consistency check, that
+is, is the support of a polymatroid rank function (a necessary condition for
+coming from an irreducible variety; see :mod:`multichow.polymatroid`), and
 ``"cycle"`` otherwise; the criteria operations whose meaning assumes
 irreducibility refuse cycle-tagged inputs.
 
@@ -50,19 +51,6 @@ VARIETY = "variety"
 CYCLE = "cycle"
 
 
-def _consistent_polymatroid(sig: SpaceSignature, support: tuple) -> Polymatroid | None:
-    """Round trip of a sorted support -> projection dims -> support; the
-    validated projection dimensions when the support comes back unchanged,
-    else ``None``."""
-    if not support:
-        return None
-    try:
-        polymatroid = Polymatroid(sig, projections_from_support(sig, support))
-    except PreconditionError:
-        return None
-    return polymatroid if polymatroid.support() == support else None
-
-
 @dataclass(frozen=True)
 class Multidegree:
     """Sparse map gamma -> a_gamma with strictly positive coefficients."""
@@ -87,12 +75,13 @@ class Multidegree:
         object.__setattr__(self, "coeffs", clean)
         polymatroid = None
         if self.tag == VARIETY:
-            polymatroid = _consistent_polymatroid(self.sig, self.support())
-            if polymatroid is None:
+            try:
+                polymatroid = Polymatroid.from_support(self.sig, clean)
+            except PreconditionError:
                 raise PreconditionError(
                     "support fails the polymatroid consistency check; "
                     "construct with tag='cycle' for reducible/cycle-level data"
-                )
+                ) from None
         object.__setattr__(self, "_polymatroid", polymatroid)
 
     def support(self) -> tuple[tuple, ...]:
@@ -103,16 +92,15 @@ class Multidegree:
         return self.coeffs.get(tuple(gamma), 0)
 
     def rank_function(self) -> RankFunction:
-        """Projection dimensions read off the support; for a variety, the
-        ones its round trip validated."""
+        """Projection dimensions read off the support (``2**k`` values)."""
         if self._polymatroid is not None:
             return self._polymatroid.delta
         return projections_from_support(self.sig, self.support())
 
     def polymatroid(self) -> Polymatroid:
-        """The projection dimensions, validated, with the support they
-        define enumerated: kept from the round trip for a variety, built on
-        each call for a cycle."""
+        """The projection dimensions with the support they define: for a
+        variety, the one its consistency check built, whose support is this
+        one; for a cycle, built and validated on each call."""
         if self._polymatroid is not None:
             return self._polymatroid
         return Polymatroid(self.sig, self.rank_function())

@@ -7,8 +7,21 @@ i.e. they are discrete polymatroid rank functions.  This module validates
 those axioms, converts between rank functions and multidegree supports, and
 classifies slicing-codimension profiles ``beta`` (1-deficient / circuit /
 determining).  The criteria and enumerations live on :class:`Polymatroid`,
-which validates its rank function and enumerates its support once, when it
-is built; the module-level functions of the same names build one per call.
+which holds the support; the module-level functions of the same names build
+one from a rank function per call.
+
+A nonempty set S of exponents in the box ``0 <= gamma <= n`` with equal sum
+is the support of a rank function exactly when it is M-convex: a finite set
+of lattice points of equal sum is the point set of an integral polymatroid
+base polytope exactly when it satisfies the exchange axiom, for
+x, y in S and i with ``x_i > y_i`` there is a j with ``x_j < y_j`` such that
+``x - e_i + e_j`` and ``y + e_i - e_j`` are both in S (Murota, *Discrete
+Convex Analysis*, SIAM 2003, ch. 4).  The rank function is then
+``delta(I) = max over gamma in S of sum_{i in I}(n_i - gamma_i)``, and its
+support is S again; ``gamma -> n - gamma`` preserves the axiom.  So
+:meth:`Polymatroid.from_support` checks a support with no rank-function
+table, running x over one point per orbit of the factor permutations that
+fix S.
 
 The criteria read the support at the k exponents ``alpha + e_j``, where
 ``alpha = n - beta``: j lies in the minimal tight set of beta exactly when
@@ -25,15 +38,18 @@ plain integer tuple with one entry per factor;
 and total.
 
 Subsets of ``{1, ..., k}`` are encoded as bitmasks (bit ``i-1`` for element
-``i``).  Validation, the support and the projections scan all ``2**k``
-subsets, so the intended regime is small ``k``; the hard cap is ``k <= 24``.
-Each criterion is k lookups in the support.
+``i``).  Validating an explicit rank function, enumerating its support and
+recovering the projections from a support scan all ``2**k`` subsets; the
+exchange test does not, and the hard cap is ``k <= 24``.  Each criterion is
+k lookups in the support.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import le
+from functools import cached_property
+from math import factorial, prod
+from operator import le, mul
 from typing import Iterable
 
 from .errors import PreconditionError, array, field, integer, ints
@@ -255,20 +271,105 @@ def subset_sums(vec) -> list[int]:
     return sums
 
 
-@dataclass(frozen=True)
-class Polymatroid:
-    """A rank function validated against a signature, once.
+def _swapped(x: tuple, a: int, b: int) -> tuple:
+    """``x`` with entries ``a < b`` exchanged."""
+    return x[:a] + (x[b],) + x[a + 1:b] + (x[a],) + x[b + 1:]
 
-    Construction checks the polymatroid axioms, the ambient bound and
-    ``delta(full) = r``, then enumerates the support; the criteria and
-    enumerations below rely on that and check only their own arguments.
+
+def _factor_groups(sig: SpaceSignature) -> list[list[int]]:
+    """The groups of two or more factors with equal ``n_i``: only a
+    permutation within them can fix a set of exponents."""
+    groups: dict[int, list[int]] = {}
+    for i, n in enumerate(sig.n):
+        groups.setdefault(n, []).append(i)
+    return [members for members in groups.values() if len(members) > 1]
+
+
+def _factor_classes(points: frozenset, groups) -> list[list[int]]:
+    """Classes of factors that permute freely without changing ``points``.
+
+    Within each group, the transposition of consecutive members is tested
+    on every point; a run of members joined by symmetries is a class, since
+    connected transpositions generate the full symmetric group on it.
+    Symmetries this misses cost time in the exchange test, never its answer.
+    """
+    classes = []
+    for members in groups:
+        run = [members[0]]
+        for a, b in zip(members, members[1:]):
+            if all(x[a] == x[b] or _swapped(x, a, b) in points for x in points):
+                run.append(b)
+            else:
+                classes.append(run)
+                run = [b]
+        classes.append(run)
+    return [run for run in classes if len(run) > 1]
+
+
+def _orbit_representatives(points: frozenset, classes, limit: int) -> set | None:
+    """One point per orbit of ``points`` under the permutations of each
+    class, its entries on a class sorted in decreasing order; ``None`` as
+    soon as there are more than ``limit`` orbits."""
+    representatives = set()
+    for x in points:
+        rep = list(x)
+        for members in classes:
+            for i, v in zip(members, sorted([x[i] for i in members], reverse=True)):
+                rep[i] = v
+        representatives.add(tuple(rep))
+        if len(representatives) > limit:
+            return None
+    return representatives
+
+
+def _exchange_holds(points: frozenset, representatives) -> bool:
+    """The exchange axiom on ``points`` for x among ``representatives``:
+    for every y in ``points`` and i with ``x_i > y_i`` there is a j with
+    ``x_j < y_j`` such that ``x - e_i + e_j`` and ``y + e_i - e_j`` are both
+    in ``points``.  With the representatives of every orbit of a symmetry
+    group of ``points`` this is the whole axiom, since a symmetry carries
+    the witnesses of x to those of its image.
+
+    A point is looked up by its digits in base ``top + 1``, ``top`` the
+    largest entry; every exchange stays within ``0..top``, so a step is one
+    addition.  The steps ``x - e_i + e_j`` into ``points`` are listed once
+    per x.
+    """
+    top = max(map(max, points))
+    k = len(next(iter(points)))
+    weight = [(top + 1) ** i for i in range(k)]
+    code = {y: sum(map(mul, y, weight)) for y in points}
+    codes = set(code.values())
+    for x in representatives:
+        cx = code[x]
+        moves = [
+            [j for j in range(k) if x[j] < top and cx - weight[i] + weight[j] in codes]
+            if x[i] else []
+            for i in range(k)
+        ]
+        for y, cy in code.items():
+            up = [a < b for a, b in zip(x, y)]
+            for i, (a, b) in enumerate(zip(x, y)):
+                if a > b and not any(
+                    up[j] and cy + weight[i] - weight[j] in codes for j in moves[i]
+                ):
+                    return False
+    return True
+
+
+class Polymatroid:
+    """Projection dimensions, held as their support.
+
+    ``Polymatroid(sig, delta)`` checks an explicit rank function against the
+    polymatroid axioms, the ambient bound and ``delta(full) = r``, then
+    enumerates its support.  :meth:`from_support` checks a support instead
+    (see the module docstring); the rank function is then computed from it
+    when ``delta`` is first read.  The criteria and enumerations below read
+    only the support and check only their own arguments.
     """
 
-    sig: SpaceSignature
-    delta: RankFunction
-
-    def __post_init__(self):
-        report = validate_rank_function(self.sig, self.delta)
+    def __init__(self, sig: SpaceSignature, delta: RankFunction):
+        report = validate_rank_function(sig, delta)
         if not report.ok:
             first = report.violations[0]
             raise PreconditionError(
@@ -276,22 +377,76 @@ class Polymatroid:
                 f"I={list(first.subset_i)}"
                 + (f", J={list(first.subset_j)}" if first.subset_j is not None else "")
             )
-        if self.delta.values[-1] != self.sig.r:
+        if delta.values[-1] != sig.r:
             raise PreconditionError(
-                f"delta(full set)={self.delta.values[-1]} must equal r={self.sig.r}"
+                f"delta(full set)={delta.values[-1]} must equal r={sig.r}"
             )
-        n, values = self.sig.n, self.delta.values
-        support = tuple(
+        n, values = sig.n, delta.values
+        self._keep(sig, tuple(
             gamma
-            for gamma in profiles(n, self.sig.codim())
+            for gamma in profiles(n, sig.codim())
             if all(map(le, subset_sums(a - g for a, g in zip(n, gamma)), values))
-        )
-        object.__setattr__(self, "_support", support)
-        object.__setattr__(self, "_support_set", frozenset(support))
+        ))
+        self.delta = delta
+
+    @classmethod
+    def from_support(cls, sig: SpaceSignature, support) -> "Polymatroid":
+        """The polymatroid whose support is ``support``, a nonempty set of
+        exponents already checked against ``sig``; raises
+        :class:`PreconditionError` when no rank function has it as support.
+
+        Two checks give the same answer: the exchange axiom over the orbits
+        of the detected factor symmetries, about ``2 * |orbits| * k`` support
+        scans, or the dense round trip through :func:`projections_from_support`,
+        about ``2**k`` steps per support point.  The cheaper one runs.
+        """
+        support = tuple(sorted(support))
+        if not support:
+            raise PreconditionError("empty support")
+        points = frozenset(support)
+        # The exchange test runs when 2 * |orbits| * k <= 2**k.  Let G be all
+        # permutations within the groups: a G-orbit holds at most |G| points,
+        # and there are no more G-orbits than orbits under the symmetries
+        # found.  So |support| / |G|, then the G-orbits, bound the count from
+        # below, each before the next, costlier step.
+        limit = (1 << sig.k) // (2 * sig.k)
+        groups = _factor_groups(sig)
+        representatives = None
+        if len(support) <= limit * prod(factorial(len(g)) for g in groups):
+            representatives = _orbit_representatives(points, groups, limit)
+        if representatives is not None:
+            classes = _factor_classes(points, groups)
+            if classes != groups:
+                representatives = _orbit_representatives(points, classes, limit)
+        if representatives is None:
+            polymatroid = cls(sig, projections_from_support(sig, support))
+            if polymatroid.support() != support:
+                raise PreconditionError("support differs from the support of its projections")
+            return polymatroid
+        if not _exchange_holds(points, representatives):
+            raise PreconditionError("support fails the exchange axiom")
+        polymatroid = object.__new__(cls)
+        polymatroid._keep(sig, support)
+        return polymatroid
+
+    def _keep(self, sig: SpaceSignature, support: tuple) -> None:
+        self.sig = sig
+        self._support = support
+        self._support_set = frozenset(support)
+
+    @cached_property
+    def delta(self) -> RankFunction:
+        """The rank function: given, or recovered from the support."""
+        return projections_from_support(self.sig, self._support)
+
+    def tight_mask(self, exponents) -> list[bool]:
+        """Whether each of a profile's criterion exponents ``alpha + e_j``
+        (:meth:`SpaceSignature.criterion_exponents`) is in the support, that
+        is, whether j is in the minimal tight set."""
+        return [gamma in self._support_set for gamma in exponents]
 
     def _tight(self, beta) -> list[bool]:
-        """Whether each j is in the minimal tight set: ``alpha + e_j`` in the support."""
-        return [gamma in self._support_set for gamma in self.sig.criterion_exponents(beta)]
+        return self.tight_mask(self.sig.criterion_exponents(beta))
 
     def is_one_deficient(self, beta) -> bool:
         """|beta_I| <= delta(I) + 1 for every subset I.

@@ -9,8 +9,15 @@ import random
 from itertools import product
 
 from multichow import CameraConfiguration, Multidegree, MultifocalTensor, linalg
+from multichow.errors import PreconditionError
 from multichow.multiview import random_cameras
-from multichow.polymatroid import RankFunction, SpaceSignature, mask_of
+from multichow.polymatroid import (
+    Polymatroid,
+    RankFunction,
+    SpaceSignature,
+    mask_of,
+    projections_from_support,
+)
 
 FIELD_PRIME = 10007
 
@@ -58,6 +65,44 @@ def random_polymatroid(rng: random.Random, k: int, max_n: int = 3):
     delta = RankFunction(k, tuple(values))
     sig = SpaceSignature(n, values[-1])
     return sig, delta
+
+
+def planted_symmetric_polymatroid(rng: random.Random, k: int):
+    """A random partition of the k factors into classes with a different
+    ``n_c`` each, and a (signature, rank function, classes) triple whose rank
+    function every permutation within a class fixes:
+    ``delta(I) = min(r, sum over classes c of h_c(|I & c|))`` with each h_c
+    concave, nondecreasing and at most ``n_c`` per step.  A truncated sum of
+    such functions is a polymatroid rank function."""
+    dims = rng.sample(range(4), rng.randint(1, min(4, k)))
+    labels = [rng.randrange(len(dims)) for _ in range(k)]
+    classes = [[i for i in range(k) if labels[i] == c] for c in range(len(dims))]
+    steps = []
+    for c, members in enumerate(classes):
+        steps.append(sorted((rng.randint(0, dims[c]) for _ in members), reverse=True))
+    total = sum(sum(s) for s in steps)
+    r = rng.randint(0, total)
+    values = []
+    for mask in range(1 << k):
+        counts = [sum(mask >> i & 1 for i in members) for members in classes]
+        values.append(min(r, sum(sum(s[:m]) for s, m in zip(steps, counts))))
+    sig = SpaceSignature(tuple(dims[label] for label in labels), r)
+    return sig, RankFunction(k, tuple(values)), [c for c in classes if c]
+
+
+def consistent_polymatroid(sig: SpaceSignature, support) -> Polymatroid | None:
+    """The dense reference for ``Polymatroid.from_support``: the round trip
+    of a support -> projection dimensions -> validated polymatroid ->
+    support; the polymatroid when the support comes back unchanged, else
+    ``None``."""
+    support = tuple(sorted(support))
+    if not support:
+        return None
+    try:
+        polymatroid = Polymatroid(sig, projections_from_support(sig, support))
+    except PreconditionError:
+        return None
+    return polymatroid if polymatroid.support() == support else None
 
 
 def enumerate_rank_functions(n):

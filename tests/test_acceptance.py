@@ -24,6 +24,7 @@ from multichow import (
     tensor_contract,
 )
 from multichow import linalg
+from multichow import polymatroid as pm
 from multichow.multiview import (
     CameraConfiguration,
     LinearSpaceTuple,
@@ -38,13 +39,16 @@ from multichow.multiview import (
     random_cameras,
     random_independent_forms,
 )
+from multichow.errors import PreconditionError
 from multichow.polymatroid import (
+    Polymatroid,
     SpaceSignature,
     projections_from_support,
     support_from_projections,
 )
 
 from helpers import (
+    consistent_polymatroid,
     enumerate_rank_functions,
     frobenius_multidegree,
     multiview_delta,
@@ -185,6 +189,69 @@ def test_criterion_equivalence(report):
             ok = ok and determines_variety(md, beta) == strict
             pairs += 1
     report(f"criterion equivalence ({pairs} (multidegree, beta) pairs)", ok, started, 30.0)
+
+
+def test_exchange_axiom_matches_round_trip(report, monkeypatch):
+    """The exchange test over all pairs and over the detected orbits agrees
+    with the dense round trip on every nonempty subset of the exponents of
+    each box with k <= 3, n_i <= 3 and at most 14 exponents.  So does
+    ``Polymatroid.from_support`` on the supports of the random sweep, with
+    and without their first point, and on the multiview supports for
+    k <= 8, taking each side of its selection on some of them."""
+    started = time.perf_counter()
+    ok = True
+    subsets = consistent = 0
+    for k in (1, 2, 3):
+        for n in product(range(4), repeat=k):
+            if list(n) != sorted(n):
+                continue
+            for codim in range(sum(n) + 1):
+                box = list(pm.profiles(n, codim))
+                if len(box) > 14:
+                    continue
+                sig = SpaceSignature(n, sum(n) - codim)
+                groups = pm._factor_groups(sig)
+                for mask in range(1, 1 << len(box)):
+                    support = [g for i, g in enumerate(box) if mask >> i & 1]
+                    expected = consistent_polymatroid(sig, support) is not None
+                    points = frozenset(support)
+                    classes = pm._factor_classes(points, groups)
+                    orbits = pm._orbit_representatives(points, classes, len(points))
+                    ok = ok and pm._exchange_holds(points, points) == expected
+                    ok = ok and pm._exchange_holds(points, orbits) == expected
+                    subsets += 1
+                    consistent += expected
+
+    dense = []
+    projections = pm.projections_from_support
+
+    def counted(sig, support):
+        dense.append(sig.k)
+        return projections(sig, support)
+
+    cases = []
+    for sig, delta in random_sweep():
+        support = support_from_projections(sig, delta)
+        cases += [(sig, support), (sig, support[1:])] if len(support) > 1 else [(sig, support)]
+    cases += [(multiview_sig(k), multiview_multidegree(k).support()) for k in range(2, 9)]
+    # helpers.consistent_polymatroid holds its own binding of the function.
+    monkeypatch.setattr(pm, "projections_from_support", counted)
+    for sig, support in cases:
+        expected = consistent_polymatroid(sig, support) is not None
+        try:
+            built = Polymatroid.from_support(sig, support) is not None
+        except PreconditionError:
+            built = False
+        ok = ok and built == expected
+    exchange = len(cases) - len(dense)
+    ok = ok and 0 < exchange < len(cases)
+    report(
+        f"exchange axiom = support round trip ({subsets} box subsets, {consistent} "
+        f"consistent; {len(cases)} supports, {exchange} by the exchange test)",
+        ok,
+        started,
+        30.0,
+    )
 
 
 def test_tensor_determinant_identity(report):

@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import itertools
 import json
 import random
 import sys
@@ -598,6 +599,8 @@ def test_number_past_the_digit_limit_exits_2(sub, tmp_path, capsys):
 
 class TestWorkDoneOnce:
     def test_analyze_all_beta_validates_once(self, tmp_path, capsys, monkeypatch):
+        """The multiview k=6 multidegree is checked by the exchange axiom:
+        no rank function is recovered from its support or validated."""
         path = write(tmp_path, {"multidegree": multiview_multidegree(6).to_json()})
         calls = {"validate": 0, "projections": 0}
 
@@ -617,13 +620,12 @@ class TestWorkDoneOnce:
         code, out, _ = run_main(["analyze", "--all-beta", "--input", path], capsys)
         assert code == 0
         assert len(json.loads(out)["results"]) == 90
-        assert calls["validate"] <= 2
-        assert calls["projections"] == 1
+        assert calls == {"validate": 0, "projections": 0}
 
-    def test_analyze_all_beta_checks_each_profile_four_times(self, tmp_path, capsys, monkeypatch):
+    def test_analyze_all_beta_checks_each_profile_once(self, tmp_path, capsys, monkeypatch):
         """Building the multiview k=6 multidegree checks its 50 exponents
-        twice; then each of the 90 profiles is checked once by the criterion
-        form and once by each of the three polymatroid criteria."""
+        once; then each of the 90 profiles is checked once, for the one
+        exponent tuple that both the criterion form and the tight set read."""
         path = write(tmp_path, {"multidegree": multiview_multidegree(6).to_json()})
         calls = []
         check_profile = pm.SpaceSignature.check_profile
@@ -636,12 +638,11 @@ class TestWorkDoneOnce:
         code, out, _ = run_main(["analyze", "--all-beta", "--input", path], capsys)
         assert code == 0
         assert len(json.loads(out)["results"]) == 90
-        assert len(calls) <= 100 + 4 * 90
+        assert len(calls) <= 50 + 90
 
     def test_analyze_all_beta_subset_sums(self, tmp_path, capsys, monkeypatch):
-        """On the multiview k=6 multidegree only its round trip sums subsets
-        (50 support points, one bound table, 50 support candidates); the 90
-        profiles need none."""
+        """On the multiview k=6 multidegree nothing sums subsets: the
+        exchange axiom checks its support, and the 90 profiles need none."""
         path = write(tmp_path, {"multidegree": multiview_multidegree(6).to_json()})
         calls = []
         subset_sums = pm.subset_sums
@@ -654,7 +655,7 @@ class TestWorkDoneOnce:
         code, out, _ = run_main(["analyze", "--all-beta", "--input", path], capsys)
         assert code == 0
         assert len(json.loads(out)["results"]) == 90
-        assert len(calls) <= 101
+        assert calls == []
 
 
 @pytest.mark.parametrize(
@@ -667,10 +668,11 @@ class TestWorkDoneOnce:
     ids=["support", "betas", "analyze"],
 )
 def test_one_polymatroid_per_request(argv, extra, tmp_path, capsys, monkeypatch):
-    """A multiview k=6 multidegree is validated once, by its round trip,
-    and its support is enumerated once."""
+    """A multiview k=6 multidegree is checked by the exchange axiom alone:
+    no rank function is recovered or validated and no support candidate is
+    enumerated; only ``betas`` enumerates its profiles, once."""
     path = write(tmp_path, dict(multiview_multidegree(6).to_json(), **extra))
-    calls = {"validate": 0, "profiles": 0}
+    calls = {"validate": 0, "projections": 0, "profiles": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -682,12 +684,58 @@ def test_one_polymatroid_per_request(argv, extra, tmp_path, capsys, monkeypatch)
     monkeypatch.setattr(
         pm, "validate_rank_function", counted("validate", pm.validate_rank_function)
     )
+    monkeypatch.setattr(
+        pm, "projections_from_support", counted("projections", pm.projections_from_support)
+    )
     monkeypatch.setattr(pm, "profiles", counted("profiles", pm.profiles))
     code, _, err = run_main([*argv, "--input", path], capsys)
     assert code == 0, err
-    assert calls["validate"] == 1
-    if argv == ["support"]:
-        assert calls["profiles"] == 1
+    assert calls == {
+        "validate": 0,
+        "projections": 0,
+        "profiles": 1 if argv[0] == "betas" else 0,
+    }
+
+
+def test_multiview_k16_needs_no_rank_function(tmp_path, capsys, monkeypatch):
+    """At k=16 ``support``, ``betas`` and ``analyze`` read a multiview
+    multidegree without recovering its ``2**16`` projection dimensions, and
+    agree with references built here: the exponents are ``2 - alpha`` for
+    the ``alpha`` in ``{0, 1, 2}^k`` with ``|alpha| = 3``, no profile
+    determines the variety for ``k >= 5``, and j is in the tight set of beta
+    exactly when ``beta - e_j`` is such an ``alpha``."""
+    k = 16
+    alphas = set()
+    for triple in itertools.combinations_with_replacement(range(k), 3):
+        alpha = tuple(triple.count(i) for i in range(k))
+        if max(alpha) <= 2:
+            alphas.add(alpha)
+    path = write(tmp_path, multiview_multidegree(k).to_json())
+    beta = (2, 1, 1) + (0,) * (k - 3)
+    beta_path = write(tmp_path, dict(multiview_multidegree(k).to_json(), beta=beta), "beta.json")
+
+    def refused(*args):
+        raise AssertionError("projections_from_support called")
+
+    monkeypatch.setattr(pm, "projections_from_support", refused)
+    monkeypatch.setattr(mdg, "projections_from_support", refused)
+    code, out, err = run_main(["support", "--input", path], capsys)
+    assert code == 0, err
+    assert json.loads(out)["support"] == sorted([2 - a for a in alpha] for alpha in alphas)
+    code, out, err = run_main(["betas", "--criterion", "determining", "--input", path], capsys)
+    assert (code, json.loads(out)) == (0, {"betas": []}), err
+    code, out, err = run_main(["analyze", "--input", beta_path], capsys)
+    assert code == 0, err
+    tight = [
+        j + 1
+        for j in range(k)
+        if beta[j] and beta[:j] + (beta[j] - 1,) + beta[j + 1:] in alphas
+    ]
+    assert tight == [1, 2, 3]
+    record = json.loads(out)
+    assert record["tight_set"] == tight
+    assert record["criterion_form"] == ["1" if j + 1 in tight else "0" for j in range(k)]
+    assert (record["one_deficient"], record["circuit"]) == (True, False)
 
 
 def test_camera_kernels_computed_once(tmp_path, capsys, monkeypatch):

@@ -16,6 +16,8 @@ from multichow import (
     multidegree_add,
     slice_multidegree,
 )
+from multichow import multidegree as mdg
+from multichow import polymatroid as pm
 from multichow.errors import CycleInputError, InapplicableError, PreconditionError
 from multichow.multidegree import CYCLE, VARIETY
 from multichow.multiview import multiview_multidegree
@@ -52,6 +54,23 @@ class TestConstruction:
             Multidegree(SIG22, {(2, 0): 1, (0, 2): 1})
         md = Multidegree(SIG22, {(2, 0): 1, (0, 2): 1}, tag=CYCLE)
         assert md.tag == CYCLE
+
+    def test_symmetric_support_failing_the_exchange_axiom_needs_cycle_tag(self, monkeypatch):
+        """The multiview k=8 exponents of type ``alpha = (2, 1, 0, ...)``
+        alone form one orbit, so the exchange test decides: x = 2e_1 + e_2
+        and y = e_7 + 2e_8 have no exchange, since ``x - e_1 + e_j`` has type
+        (1, 1, 1)."""
+        sig = SpaceSignature((2,) * 8, 3)
+        support = [g for g in multiview_multidegree(8).support() if 0 in g]
+
+        def refused(*args):
+            raise AssertionError("projections_from_support called")
+
+        monkeypatch.setattr(pm, "projections_from_support", refused)
+        monkeypatch.setattr(mdg, "projections_from_support", refused)
+        with pytest.raises(PreconditionError, match="fails the polymatroid consistency check"):
+            Multidegree(sig, {g: 1 for g in support})
+        assert Multidegree(sig, {g: 1 for g in support}, tag=CYCLE).tag == CYCLE
 
     def test_rank_function_readout(self):
         delta = frobenius_multidegree().rank_function()

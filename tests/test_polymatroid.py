@@ -18,12 +18,15 @@ from multichow import (
 )
 from multichow import polymatroid as pm
 from multichow.errors import PreconditionError
+from multichow.multiview import multiview_multidegree
 from multichow.polymatroid import Polymatroid, indices_of, mask_of, tight_sets
 
 from helpers import (
+    consistent_polymatroid,
     enumerate_rank_functions,
     multiview_delta,
     multiview_sig,
+    planted_symmetric_polymatroid,
     random_polymatroid,
     rank_of,
     sum_over,
@@ -347,6 +350,145 @@ def test_criteria_match_direct_scans_on_every_rank_function(n, functions, checke
         for criterion, betas in table.items():
             assert polymatroid.betas(criterion) == tuple(betas)
     assert (len(rank_functions), profiles_seen) == (functions, checked)
+
+
+def detected_orbits(sig, points):
+    """The factor classes ``from_support`` detects and one point per orbit."""
+    classes = pm._factor_classes(points, pm._factor_groups(sig))
+    return classes, pm._orbit_representatives(points, classes, len(points))
+
+
+def agrees_with_round_trip(sig, support) -> bool:
+    """Checks the exchange test over all pairs and over orbit
+    representatives, and ``Polymatroid.from_support``, against the dense
+    round trip; returns its verdict."""
+    points = frozenset(support)
+    reference = consistent_polymatroid(sig, support)
+    consistent = reference is not None
+    _, representatives = detected_orbits(sig, points)
+    assert pm._exchange_holds(points, points) == consistent
+    assert pm._exchange_holds(points, representatives) == consistent
+    try:
+        built = Polymatroid.from_support(sig, support)
+    except PreconditionError:
+        built = None
+    assert (built is not None) == consistent
+    if consistent:
+        assert built.support() == reference.support() == tuple(sorted(support))
+        assert built.delta == reference.delta
+    return consistent
+
+
+class TestExchangeAxiom:
+    """The support-first consistency check against the dense round trip
+    (``helpers.consistent_polymatroid``); every subset of the small boxes is
+    in ``test_acceptance.py``."""
+
+    def test_random_supports_with_a_point_removed_or_added(self):
+        rng = random.Random(61)
+        verdicts = []
+        for _ in range(150):
+            sig, delta = random_polymatroid(rng, rng.randint(1, 5))
+            support = Polymatroid(sig, delta).support()
+            assert agrees_with_round_trip(sig, support)
+            if len(support) > 1:
+                removed = rng.choice(support)
+                verdicts.append(
+                    agrees_with_round_trip(sig, [g for g in support if g != removed])
+                )
+            outside = [g for g in pm.profiles(sig.n, sig.codim()) if g not in support]
+            if outside:
+                verdicts.append(agrees_with_round_trip(sig, [*support, rng.choice(outside)]))
+        assert True in verdicts and False in verdicts
+
+    @pytest.mark.parametrize(
+        "n, pairs, consistent",
+        [((1, 1, 1, 1), 840, 693), ((2, 2, 1), 384, 320), ((2, 2, 2), 1674, 1212)],
+        ids=["1111", "221", "222"],
+    )
+    def test_unions_of_two_supports(self, n, pairs, consistent):
+        """The union of every two distinct supports of equal r on n."""
+        supports = {}
+        for delta in enumerate_rank_functions(n):
+            sig = SpaceSignature(n, delta.values[-1])
+            supports.setdefault(sig, set()).add(Polymatroid(sig, delta).support())
+        verdicts = [
+            agrees_with_round_trip(sig, {*first, *second})
+            for sig, found in supports.items()
+            for first, second in combinations(sorted(found), 2)
+        ]
+        assert (len(verdicts), sum(verdicts)) == (pairs, consistent)
+
+    def test_planted_symmetric_supports(self):
+        """Supports fixed by every permutation within each planted class,
+        M-convex or with one orbit removed or added: the detected classes
+        hold the planted ones and are symmetries, and the exchange test over
+        their orbits agrees with the round trip."""
+        rng = random.Random(71)
+        verdicts = []
+        for _ in range(80):
+            sig, delta, planted = planted_symmetric_polymatroid(rng, rng.randint(2, 7))
+            support = set(Polymatroid(sig, delta).support())
+            box = list(pm.profiles(sig.n, sig.codim()))
+
+            def orbit(gamma):
+                return {
+                    g for g in box
+                    if all(sorted(g[i] for i in c) == sorted(gamma[i] for i in c) for c in planted)
+                }
+
+            variants = [support, support - orbit(rng.choice(sorted(support)))]
+            outside = [g for g in box if g not in support]
+            if outside:
+                variants.append(support | orbit(rng.choice(outside)))
+            for points in map(frozenset, variants):
+                if not points:
+                    continue
+                classes, _ = detected_orbits(sig, points)
+                for c in planted:
+                    assert any(set(c) <= set(d) for d in classes) or len(c) == 1
+                for d in classes:
+                    for a, b in combinations(d, 2):
+                        assert all(pm._swapped(x, a, b) in points for x in points)
+                verdicts.append(agrees_with_round_trip(sig, points))
+        assert True in verdicts and False in verdicts
+
+    def test_multiview_support_is_two_orbits(self):
+        for k in range(3, 13):
+            points = frozenset(multiview_multidegree(k).support())
+            classes, representatives = detected_orbits(multiview_sig(k), points)
+            assert classes == [list(range(k))]
+            assert len(representatives) == 2
+            assert pm._exchange_holds(points, representatives)
+
+    def test_both_sides_of_the_selection(self, monkeypatch):
+        """The exchange test runs when ``2 * |orbits| * k <= 2**k``, else the
+        dense round trip; both agree with the reference."""
+        supports = {k: multiview_multidegree(k).support() for k in range(2, 9)}
+        dense = []
+        projections = pm.projections_from_support
+
+        def counted(sig, support):
+            dense.append(sig.k)
+            return projections(sig, support)
+
+        monkeypatch.setattr(pm, "projections_from_support", counted)
+        for k, support in supports.items():
+            assert Polymatroid.from_support(multiview_sig(k), support)
+        assert dense == [3]
+        rng = random.Random(73)
+        sides = {True: 0, False: 0}
+        for _ in range(60):
+            sig, delta = random_polymatroid(rng, rng.randint(4, 7), max_n=2)
+            support = Polymatroid(sig, delta).support()
+            _, representatives = detected_orbits(sig, frozenset(support))
+            exchange = 2 * len(representatives) * sig.k <= 1 << sig.k
+            dense.clear()
+            Polymatroid.from_support(sig, support)
+            assert len(dense) == (0 if exchange else 1)
+            assert agrees_with_round_trip(sig, support)
+            sides[exchange] += 1
+        assert sides[True] and sides[False]
 
 
 class TestJson:
