@@ -128,36 +128,33 @@ def _cmd_betas(obj, args):
     return {"betas": [list(b) for b in betas]}
 
 
-def _analyze_one(md, polymatroid, beta):
-    """The multidegree criteria read the coefficients and the polymatroid
-    criteria the support at the same k exponents ``alpha + e_j``."""
-    exponents = md.sig.criterion_exponents(beta)
-    form = [md.coefficient(g) for g in exponents]
-    tight = polymatroid.tight_mask(exponents)
+def _analyze_one(md, beta):
+    """Every field from one criterion form: on a variety, the coefficient at
+    ``alpha + e_j`` is positive exactly when that exponent is in the
+    support, that is, when j is in the minimal tight set."""
+    form = mdg.criterion_form(md, beta)
+    tight = [j + 1 for j, c in enumerate(form) if c]
     criterion = [decimal(c) for c in form]
     return {
         "beta": list(beta),
-        "hypersurface": any(form),
+        "hypersurface": bool(tight),
         "determines": all(form),
-        "one_deficient": any(tight),
-        "circuit": all(tight),
-        "tight_set": [j + 1 for j, t in enumerate(tight) if t] if any(tight) else None,
+        "one_deficient": bool(tight),
+        "circuit": all(form),
+        "tight_set": tight or None,
         "criterion_form": criterion,
         # A nonzero criterion form is the multidegree of the incidence form.
-        "chow_degree": criterion if any(form) else None,
+        "chow_degree": criterion if tight else None,
     }
 
 
 def _cmd_analyze(obj, args):
     md = _parse_multidegree(obj)
     mdg.require_variety(md, "analyze")
-    polymatroid = md.polymatroid()
     if args.all_beta:
         betas = pm.profiles(md.sig.n, md.sig.r + 1)
-        return {
-            "results": [_analyze_one(md, polymatroid, b) for b in betas]
-        }
-    return _analyze_one(md, polymatroid, field(obj, "beta", ints))
+        return {"results": [_analyze_one(md, b) for b in betas]}
+    return _analyze_one(md, field(obj, "beta", ints))
 
 
 def _cmd_chow_degree(obj, args):

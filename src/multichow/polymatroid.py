@@ -21,7 +21,8 @@ Convex Analysis*, SIAM 2003, ch. 4).  The rank function is then
 support is S again; ``gamma -> n - gamma`` preserves the axiom.  So
 :meth:`Polymatroid.from_support` checks a support with no rank-function
 table, running x over one point per orbit of the factor permutations that
-fix S.
+fix S when there are at most ``2**k / (2k)`` orbits, and through the dense
+round trip otherwise.
 
 The criteria read the support at the k exponents ``alpha + e_j``, where
 ``alpha = n - beta``: j lies in the minimal tight set of beta exactly when
@@ -48,8 +49,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import factorial, prod
-from operator import le, mul
+from operator import le
 from typing import Iterable
 
 from .errors import PreconditionError, array, field, integer, ints
@@ -203,7 +203,8 @@ class ValidationReport:
 
 
 def validate_rank_function(sig: SpaceSignature, delta: RankFunction) -> ValidationReport:
-    """Check the polymatroid axioms plus the ambient bound.
+    """Check the polymatroid axioms, the ambient bound and, as the axiom
+    ``"rank"`` on the full set, ``delta(full) = r``.
 
     Monotonicity and submodularity are checked through their single-element
     local forms, which are equivalent to the quantified axioms; each reported
@@ -239,6 +240,8 @@ def validate_rank_function(sig: SpaceSignature, delta: RankFunction) -> Validati
                             "submodular", indices_of(with_i), indices_of(with_j)
                         )
                     )
+    if delta.values[-1] != sig.r:
+        violations.append(Violation("rank", indices_of((1 << k) - 1), None))
     return ValidationReport(not violations, tuple(violations))
 
 
@@ -276,25 +279,20 @@ def _swapped(x: tuple, a: int, b: int) -> tuple:
     return x[:a] + (x[b],) + x[a + 1:b] + (x[a],) + x[b + 1:]
 
 
-def _factor_groups(sig: SpaceSignature) -> list[list[int]]:
-    """The groups of two or more factors with equal ``n_i``: only a
-    permutation within them can fix a set of exponents."""
+def _factor_classes(sig: SpaceSignature, points: frozenset) -> list[list[int]]:
+    """Classes of factors that permute freely without changing ``points``.
+
+    Only factors with equal ``n_i`` can be exchanged.  Within each group of
+    them, the transposition of consecutive members is tested on every point;
+    a run of members joined by symmetries is a class, since connected
+    transpositions generate the full symmetric group on it.  Symmetries this
+    misses cost time in the exchange test, never its answer.
+    """
     groups: dict[int, list[int]] = {}
     for i, n in enumerate(sig.n):
         groups.setdefault(n, []).append(i)
-    return [members for members in groups.values() if len(members) > 1]
-
-
-def _factor_classes(points: frozenset, groups) -> list[list[int]]:
-    """Classes of factors that permute freely without changing ``points``.
-
-    Within each group, the transposition of consecutive members is tested
-    on every point; a run of members joined by symmetries is a class, since
-    connected transpositions generate the full symmetric group on it.
-    Symmetries this misses cost time in the exchange test, never its answer.
-    """
     classes = []
-    for members in groups:
+    for members in groups.values():
         run = [members[0]]
         for a, b in zip(members, members[1:]):
             if all(x[a] == x[b] or _swapped(x, a, b) in points for x in points):
@@ -322,36 +320,33 @@ def _orbit_representatives(points: frozenset, classes, limit: int) -> set | None
     return representatives
 
 
+def _step(x: tuple, i: int, j: int) -> tuple:
+    """``x - e_i + e_j``."""
+    y = list(x)
+    y[i] -= 1
+    y[j] += 1
+    return tuple(y)
+
+
 def _exchange_holds(points: frozenset, representatives) -> bool:
     """The exchange axiom on ``points`` for x among ``representatives``:
     for every y in ``points`` and i with ``x_i > y_i`` there is a j with
     ``x_j < y_j`` such that ``x - e_i + e_j`` and ``y + e_i - e_j`` are both
     in ``points``.  With the representatives of every orbit of a symmetry
     group of ``points`` this is the whole axiom, since a symmetry carries
-    the witnesses of x to those of its image.
-
-    A point is looked up by its digits in base ``top + 1``, ``top`` the
-    largest entry; every exchange stays within ``0..top``, so a step is one
-    addition.  The steps ``x - e_i + e_j`` into ``points`` are listed once
-    per x.
+    the witnesses of x to those of its image.  The steps ``x - e_i + e_j``
+    into ``points`` are listed once per x.
     """
-    top = max(map(max, points))
     k = len(next(iter(points)))
-    weight = [(top + 1) ** i for i in range(k)]
-    code = {y: sum(map(mul, y, weight)) for y in points}
-    codes = set(code.values())
     for x in representatives:
-        cx = code[x]
         moves = [
-            [j for j in range(k) if x[j] < top and cx - weight[i] + weight[j] in codes]
-            if x[i] else []
+            [j for j in range(k) if _step(x, i, j) in points] if x[i] else []
             for i in range(k)
         ]
-        for y, cy in code.items():
-            up = [a < b for a, b in zip(x, y)]
-            for i, (a, b) in enumerate(zip(x, y)):
-                if a > b and not any(
-                    up[j] and cy + weight[i] - weight[j] in codes for j in moves[i]
+        for y in points:
+            for i in range(k):
+                if x[i] > y[i] and not any(
+                    x[j] < y[j] and _step(y, j, i) in points for j in moves[i]
                 ):
                     return False
     return True
@@ -360,12 +355,12 @@ def _exchange_holds(points: frozenset, representatives) -> bool:
 class Polymatroid:
     """Projection dimensions, held as their support.
 
-    ``Polymatroid(sig, delta)`` checks an explicit rank function against the
-    polymatroid axioms, the ambient bound and ``delta(full) = r``, then
-    enumerates its support.  :meth:`from_support` checks a support instead
-    (see the module docstring); the rank function is then computed from it
-    when ``delta`` is first read.  The criteria and enumerations below read
-    only the support and check only their own arguments.
+    ``Polymatroid(sig, delta)`` checks an explicit rank function with
+    :func:`validate_rank_function`, then enumerates its support.
+    :meth:`from_support` checks a support instead (see the module
+    docstring); the rank function is then computed from it when ``delta`` is
+    first read.  The criteria and enumerations below read only the support
+    and check only their own arguments.
     """
 
     def __init__(self, sig: SpaceSignature, delta: RankFunction):
@@ -376,10 +371,6 @@ class Polymatroid:
                 f"invalid rank function: {first.axiom} fails at "
                 f"I={list(first.subset_i)}"
                 + (f", J={list(first.subset_j)}" if first.subset_j is not None else "")
-            )
-        if delta.values[-1] != sig.r:
-            raise PreconditionError(
-                f"delta(full set)={delta.values[-1]} must equal r={sig.r}"
             )
         n, values = sig.n, delta.values
         self._keep(sig, tuple(
@@ -398,26 +389,16 @@ class Polymatroid:
         Two checks give the same answer: the exchange axiom over the orbits
         of the detected factor symmetries, about ``2 * |orbits| * k`` support
         scans, or the dense round trip through :func:`projections_from_support`,
-        about ``2**k`` steps per support point.  The cheaper one runs.
+        about ``2**k`` steps per support point.  The exchange test runs when
+        ``2 * |orbits| * k <= 2**k``, counting the orbits in one pass that
+        stops past that bound; else the round trip runs.
         """
         support = tuple(sorted(support))
         if not support:
             raise PreconditionError("empty support")
         points = frozenset(support)
-        # The exchange test runs when 2 * |orbits| * k <= 2**k.  Let G be all
-        # permutations within the groups: a G-orbit holds at most |G| points,
-        # and there are no more G-orbits than orbits under the symmetries
-        # found.  So |support| / |G|, then the G-orbits, bound the count from
-        # below, each before the next, costlier step.
         limit = (1 << sig.k) // (2 * sig.k)
-        groups = _factor_groups(sig)
-        representatives = None
-        if len(support) <= limit * prod(factorial(len(g)) for g in groups):
-            representatives = _orbit_representatives(points, groups, limit)
-        if representatives is not None:
-            classes = _factor_classes(points, groups)
-            if classes != groups:
-                representatives = _orbit_representatives(points, classes, limit)
+        representatives = _orbit_representatives(points, _factor_classes(sig, points), limit)
         if representatives is None:
             polymatroid = cls(sig, projections_from_support(sig, support))
             if polymatroid.support() != support:
@@ -439,14 +420,10 @@ class Polymatroid:
         """The rank function: given, or recovered from the support."""
         return projections_from_support(self.sig, self._support)
 
-    def tight_mask(self, exponents) -> list[bool]:
-        """Whether each of a profile's criterion exponents ``alpha + e_j``
-        (:meth:`SpaceSignature.criterion_exponents`) is in the support, that
-        is, whether j is in the minimal tight set."""
-        return [gamma in self._support_set for gamma in exponents]
-
     def _tight(self, beta) -> list[bool]:
-        return self.tight_mask(self.sig.criterion_exponents(beta))
+        """Whether each criterion exponent ``alpha + e_j`` of ``beta`` is in
+        the support, that is, whether j is in the minimal tight set."""
+        return [gamma in self._support_set for gamma in self.sig.criterion_exponents(beta)]
 
     def is_one_deficient(self, beta) -> bool:
         """|beta_I| <= delta(I) + 1 for every subset I.

@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+import multichow
 from multichow import cli, errors, linalg
 from multichow import multidegree as mdg
 from multichow import polymatroid as pm
@@ -131,6 +132,30 @@ class TestSubcommands:
         code, out, _ = run_main(["validate-rank", "--input", path], capsys)
         assert code == 0
         assert json.loads(out) == {"ok": True, "violations": []}
+
+    def test_validate_rank_refuses_what_support_refuses(self, tmp_path, capsys):
+        """A polymatroid whose full-set value is not r is reported by
+        ``validate-rank`` and refused by the commands that build one."""
+        values = {(): 0, (1,): 1, (2,): 1, (1, 2): 2}
+        obj = {
+            "n": [1, 1],
+            "r": 1,
+            "rank_function": {
+                "k": 2,
+                "values": [{"subset": list(s), "delta": d} for s, d in values.items()],
+            },
+        }
+        path = write(tmp_path, obj)
+        code, out, _ = run_main(["validate-rank", "--input", path], capsys)
+        assert code == 0
+        assert json.loads(out) == {
+            "ok": False,
+            "violations": [{"axiom": "rank", "I": [1, 2], "J": None}],
+        }
+        for argv in (["support"], ["betas", "--criterion", "hypersurface"]):
+            code, out, err = run_main([*argv, "--input", path], capsys)
+            assert (code, out) == (2, "")
+            assert "rank fails at I=[1, 2]" in json.loads(err)["error"]["message"]
 
     def test_chow_degree_and_slice(self, tmp_path, capsys):
         obj = multiview_multidegree(3).to_json()
@@ -809,6 +834,7 @@ class TestCoverage:
         listed = [op for sub in cli.SUBCOMMANDS.values() for op in sub.operations]
         assert len(listed) == len(set(listed))
         assert set(listed) == EXPECTED_OPERATIONS
+        assert all(callable(getattr(multichow, op, None)) for op in listed)
 
     def test_exit_code_table(self):
         assert cli.EXIT_CODES == {

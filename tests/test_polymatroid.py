@@ -61,7 +61,7 @@ class TestValidate:
     def test_bounded_violation(self):
         delta = rf(1, {(): 0, (1,): 3})
         report = validate_rank_function(SpaceSignature((2,), 2), delta)
-        assert [v.axiom for v in report.violations] == ["bounded"]
+        assert [v.axiom for v in report.violations] == ["bounded", "rank"]
 
     def test_size_mismatch_rejected(self):
         with pytest.raises(PreconditionError):
@@ -354,7 +354,7 @@ def test_criteria_match_direct_scans_on_every_rank_function(n, functions, checke
 
 def detected_orbits(sig, points):
     """The factor classes ``from_support`` detects and one point per orbit."""
-    classes = pm._factor_classes(points, pm._factor_groups(sig))
+    classes = pm._factor_classes(sig, points)
     return classes, pm._orbit_representatives(points, classes, len(points))
 
 
