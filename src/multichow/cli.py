@@ -51,7 +51,7 @@ def _load_input(args) -> dict:
             with open(args.input, "r", encoding="utf-8") as handle:
                 text = handle.read()
         obj = json.loads(text)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise PreconditionError(f"cannot read JSON input: {exc}")
     if not isinstance(obj, dict):
         raise PreconditionError("input must be a JSON object")

@@ -93,8 +93,6 @@ class Multidegree:
 
     def rank_function(self) -> RankFunction:
         """Projection dimensions read off the support (``2**k`` values)."""
-        if self._polymatroid is not None:
-            return self._polymatroid.delta
         return projections_from_support(self.sig, self.support())
 
     def polymatroid(self) -> Polymatroid:

@@ -6,9 +6,9 @@ functions are normalized (``delta(empty) = 0``), monotone and submodular,
 i.e. they are discrete polymatroid rank functions.  This module validates
 those axioms, converts between rank functions and multidegree supports, and
 classifies slicing-codimension profiles ``beta`` (1-deficient / circuit /
-determining).  The criteria and enumerations live on :class:`Polymatroid`,
-which holds the support; the module-level functions of the same names build
-one from a rank function per call.
+determining).  A :class:`Polymatroid` holds only the support; the criteria
+and enumerations live on it, and the module-level functions of the same
+names build one from a rank function per call.
 
 A nonempty set S of exponents in the box ``0 <= gamma <= n`` with equal sum
 is the support of a rank function exactly when it is M-convex: a finite set
@@ -48,7 +48,6 @@ k lookups in the support.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from operator import le
 from typing import Iterable
 
@@ -355,30 +354,16 @@ def _exchange_holds(points: frozenset, representatives) -> bool:
 class Polymatroid:
     """Projection dimensions, held as their support.
 
-    ``Polymatroid(sig, delta)`` checks an explicit rank function with
-    :func:`validate_rank_function`, then enumerates its support.
-    :meth:`from_support` checks a support instead (see the module
-    docstring); the rank function is then computed from it when ``delta`` is
-    first read.  The criteria and enumerations below read only the support
+    ``Polymatroid(sig, delta)`` keeps the support of an explicit rank
+    function from :func:`support_from_projections`, which validates it
+    first.  :meth:`from_support` checks a support instead (see the module
+    docstring).  No rank function is kept; :func:`projections_from_support`
+    recovers it.  The criteria and enumerations below read only the support
     and check only their own arguments.
     """
 
     def __init__(self, sig: SpaceSignature, delta: RankFunction):
-        report = validate_rank_function(sig, delta)
-        if not report.ok:
-            first = report.violations[0]
-            raise PreconditionError(
-                f"invalid rank function: {first.axiom} fails at "
-                f"I={list(first.subset_i)}"
-                + (f", J={list(first.subset_j)}" if first.subset_j is not None else "")
-            )
-        n, values = sig.n, delta.values
-        self._keep(sig, tuple(
-            gamma
-            for gamma in profiles(n, sig.codim())
-            if all(map(le, subset_sums(a - g for a, g in zip(n, gamma)), values))
-        ))
-        self.delta = delta
+        self._keep(sig, support_from_projections(sig, delta))
 
     @classmethod
     def from_support(cls, sig: SpaceSignature, support) -> "Polymatroid":
@@ -400,11 +385,9 @@ class Polymatroid:
         limit = (1 << sig.k) // (2 * sig.k)
         representatives = _orbit_representatives(points, _factor_classes(sig, points), limit)
         if representatives is None:
-            polymatroid = cls(sig, projections_from_support(sig, support))
-            if polymatroid.support() != support:
+            if support_from_projections(sig, projections_from_support(sig, support)) != support:
                 raise PreconditionError("support differs from the support of its projections")
-            return polymatroid
-        if not _exchange_holds(points, representatives):
+        elif not _exchange_holds(points, representatives):
             raise PreconditionError("support fails the exchange axiom")
         polymatroid = object.__new__(cls)
         polymatroid._keep(sig, support)
@@ -414,11 +397,6 @@ class Polymatroid:
         self.sig = sig
         self._support = support
         self._support_set = frozenset(support)
-
-    @cached_property
-    def delta(self) -> RankFunction:
-        """The rank function: given, or recovered from the support."""
-        return projections_from_support(self.sig, self._support)
 
     def _tight(self, beta) -> list[bool]:
         """Whether each criterion exponent ``alpha + e_j`` of ``beta`` is in
@@ -452,10 +430,8 @@ class Polymatroid:
         return all(self._tight(beta))
 
     def support(self) -> tuple[tuple[int, ...], ...]:
-        """All exponent vectors gamma compatible with the projection
-        dimensions, in lexicographic order: 0 <= gamma_i <= n_i and
-        sum_{i in I}(n_i - gamma_i) <= delta(I) for every I, with equality
-        on the full set.  Enumerated at construction."""
+        """The exponent vectors of :func:`support_from_projections`, in
+        lexicographic order; kept at construction."""
         return self._support
 
     def betas(self, criterion: str) -> tuple[tuple[int, ...], ...]:
@@ -472,8 +448,24 @@ class Polymatroid:
 def support_from_projections(
     sig: SpaceSignature, delta: RankFunction
 ) -> tuple[tuple[int, ...], ...]:
-    """See :meth:`Polymatroid.support`."""
-    return Polymatroid(sig, delta).support()
+    """The exponents gamma with 0 <= gamma_i <= n_i and
+    sum_{i in I}(n_i - gamma_i) <= delta(I) for every I, with equality on the
+    full set, in lexicographic order; raises the first violation that
+    :func:`validate_rank_function` finds in ``delta``."""
+    report = validate_rank_function(sig, delta)
+    if not report.ok:
+        first = report.violations[0]
+        raise PreconditionError(
+            f"invalid rank function: {first.axiom} fails at "
+            f"I={list(first.subset_i)}"
+            + (f", J={list(first.subset_j)}" if first.subset_j is not None else "")
+        )
+    n, values = sig.n, delta.values
+    return tuple(
+        gamma
+        for gamma in profiles(n, sig.codim())
+        if all(map(le, subset_sums(a - g for a, g in zip(n, gamma)), values))
+    )
 
 
 def projections_from_support(sig: SpaceSignature, support: Iterable) -> RankFunction:

@@ -122,6 +122,63 @@ def test_frobenius_chow_degrees(report):
     report("frobenius fixture: degrees (2,1) and (4,2) = p*(p,1)", ok)
 
 
+def frobenius_lengths(p, modulus):
+    """``(a_(2,0), fiber length)`` of the graph ``{(x, x^p)}`` of the p-th
+    power map in ``P^2 x P^2``, computed with sympy over ``GF(modulus)`` (or
+    over Q for ``None``).
+
+    ``a_(2,0)`` is the length of the fiber over ``y = (1 : 2 : 3)``: the
+    number of standard monomials of a Groebner basis of
+    ``(x1^p - 2, x2^p - 3)``.  The fiber length is that of the ``beta =
+    (1, 2)`` incidence locus over a point ``(line, y)`` of it: on the line
+    ``x0 + t*w`` with ``y = x0^p``, the multiplicity of the root ``t = 0``
+    of the gcd of the 2x2 minors of ``(x^p, y)``.  Over GF(p) the map is
+    Frobenius, ``(x0 + t*w)^p = x0^p + t^p w^p``, and every minor is
+    ``t^p`` times a constant; over Q the root is simple.
+    """
+    sympy = pytest.importorskip("sympy")
+    x1, x2, t = sympy.symbols("x1 x2 t")
+    domain = {} if modulus is None else {"modulus": modulus}
+    basis = sympy.groebner([x1**p - 2, x2**p - 3], x1, x2, order="grevlex", **domain)
+    leads = [g.monoms(order="grevlex")[0] for g in basis.polys]
+    box = [max(m[i] for m in leads if m[i] == sum(m)) for i in range(2)]
+    a20 = sum(
+        1
+        for e in product(*map(range, box))
+        if not any(all(a >= b for a, b in zip(e, m)) for m in leads)
+    )
+    # Not proportional modulo 2, 3 and 5, nor over Q.
+    x0, w = (1, 2, 3), (1, 3, 7)
+    x = [c + t * d for c, d in zip(x0, w)]
+    y = [c**p for c in x0]
+    minors = [
+        sympy.Poly(x[i] ** p * y[j] - x[j] ** p * y[i], t, **domain)
+        for i in range(3)
+        for j in range(i + 1, 3)
+    ]
+    g = minors[0]
+    for m in minors[1:]:
+        g = g.gcd(m)
+    return a20, min(e for (e,) in g.monoms())
+
+
+def test_frobenius_multiplicity_in_characteristic_p(report):
+    """The extra multiplicity of the Frobenius fixture, computed from the
+    variety: ``a_(2,0) = p^2`` in every characteristic, and the ``beta =
+    (1, 2)`` fiber has length p over GF(p) but 1 over Q, so the factor p in
+    the chow degree ``(p^2, p) = p * (p, 1)`` is a characteristic-p effect."""
+    ok = True
+    for p in (2, 3, 5):
+        md = frobenius_multidegree(p)
+        first = chow_form_multidegree(md, (2, 1))
+        second = chow_form_multidegree(md, (1, 2))
+        over_gf = frobenius_lengths(p, p)
+        ok = ok and over_gf == (p * p, p) == (md.coefficient((2, 0)), p)
+        ok = ok and second == tuple(over_gf[1] * d for d in first)
+        ok = ok and frobenius_lengths(p, None) == (p * p, 1)
+    report("frobenius: a_(2,0) = p^2, fiber length p over GF(p) and 1 over Q, p = 2, 3, 5", ok)
+
+
 def test_product_of_curves(report):
     md = product_of_curves_multidegree(2, 3)
     ok = is_hypersurface(md, (1, 2))

@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import io
 import itertools
 import json
 import random
@@ -235,6 +236,20 @@ class TestErrorHandling:
         path.write_text("{not json")
         code, _, err = run_main(["support", "--input", str(path)], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "text",
+        ["[" * 10_000 + "]" * 10_000, '{"n": ' + "[" * 10_000 + "]" * 10_000 + "}"],
+        ids=["top-level", "under-n"],
+    )
+    def test_deeply_nested_json(self, text, capsys, monkeypatch):
+        """JSON nested deeper than the parser's recursion limit is malformed
+        input, not a traceback; ``json.dumps`` of such a value recurses too,
+        so the fuzz test cannot carry this case."""
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        code, out, err = run_main(["support"], capsys)
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"]["status"] == "precondition-failed"
 
     def test_missing_input_file(self, tmp_path, capsys):
         code, _, err = run_main(["support", "--input", str(tmp_path / "absent.json")], capsys)
@@ -689,13 +704,15 @@ class TestWorkDoneOnce:
         (["support"], {}),
         (["betas", "--criterion", "determining"], {}),
         (["analyze"], {"beta": [2, 1, 1, 0, 0, 0]}),
+        (["validate-rank"], {}),
     ],
-    ids=["support", "betas", "analyze"],
+    ids=["support", "betas", "analyze", "validate-rank"],
 )
 def test_one_polymatroid_per_request(argv, extra, tmp_path, capsys, monkeypatch):
     """A multiview k=6 multidegree is checked by the exchange axiom alone:
-    no rank function is recovered or validated and no support candidate is
-    enumerated; only ``betas`` enumerates its profiles, once."""
+    no support candidate is enumerated, and only ``validate-rank`` recovers
+    and validates its rank function, once; only ``betas`` enumerates its
+    profiles, once."""
     path = write(tmp_path, dict(multiview_multidegree(6).to_json(), **extra))
     calls = {"validate": 0, "projections": 0, "profiles": 0}
 
@@ -709,17 +726,53 @@ def test_one_polymatroid_per_request(argv, extra, tmp_path, capsys, monkeypatch)
     monkeypatch.setattr(
         pm, "validate_rank_function", counted("validate", pm.validate_rank_function)
     )
-    monkeypatch.setattr(
-        pm, "projections_from_support", counted("projections", pm.projections_from_support)
-    )
+    projections = counted("projections", pm.projections_from_support)
+    monkeypatch.setattr(pm, "projections_from_support", projections)
+    monkeypatch.setattr(mdg, "projections_from_support", projections)
     monkeypatch.setattr(pm, "profiles", counted("profiles", pm.profiles))
     code, _, err = run_main([*argv, "--input", path], capsys)
     assert code == 0, err
+    rank = 1 if argv[0] == "validate-rank" else 0
     assert calls == {
-        "validate": 0,
-        "projections": 0,
+        "validate": rank,
+        "projections": rank,
         "profiles": 1 if argv[0] == "betas" else 0,
     }
+
+
+@pytest.mark.parametrize(
+    "argv,source,expected",
+    [
+        (["support"], "rank-function", 1),
+        (["betas", "--criterion", "hypersurface"], "rank-function", 1),
+        (["support"], 3, 1),
+        (["support"], 6, 0),
+    ],
+    ids=["support-rank-function", "betas-rank-function", "support-k3", "support-k6"],
+)
+def test_support_from_projections_is_the_rank_function_path(
+    argv, source, expected, tmp_path, capsys, monkeypatch
+):
+    """``support_from_projections`` runs once wherever a request turns a
+    rank function into a support: an explicit one, and the projections of a
+    multiview k=3 multidegree, whose check takes the dense round trip; the
+    k=6 one is checked by the exchange axiom and never calls it."""
+    if source == "rank-function":
+        md = multiview_multidegree(3)
+        obj = {"n": list(md.sig.n), "r": md.sig.r, "rank_function": md.rank_function().to_json()}
+    else:
+        obj = multiview_multidegree(source).to_json()
+    calls = []
+    support_from_projections = pm.support_from_projections
+
+    def counted(sig, delta):
+        calls.append(delta)
+        return support_from_projections(sig, delta)
+
+    monkeypatch.setattr(pm, "support_from_projections", counted)
+    code, _, err = run_main([*argv, "--input", write(tmp_path, obj)], capsys)
+    assert code == 0, err
+    assert len(calls) == expected
 
 
 def test_multiview_k16_needs_no_rank_function(tmp_path, capsys, monkeypatch):
