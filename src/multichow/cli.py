@@ -69,9 +69,9 @@ def _sig_and_delta(obj) -> tuple[pm.SpaceSignature, pm.RankFunction]:
 
 
 def _polymatroid(obj) -> pm.Polymatroid:
-    """The projection dimensions: an explicit rank function's, validated, or
-    else a multidegree's own (kept from its consistency check, for a
-    variety)."""
+    """An explicit rank function's polymatroid, validated, or else a
+    variety multidegree's, kept from its consistency check; a cycle is
+    refused."""
     if "rank_function" in obj:
         return pm.Polymatroid(*_sig_and_delta(obj))
     return _parse_multidegree(obj).polymatroid()
@@ -150,7 +150,7 @@ def _analyze_one(md, beta):
 
 def _cmd_analyze(obj, args):
     md = _parse_multidegree(obj)
-    mdg.require_variety(md, "analyze")
+    md.polymatroid()  # refuses a cycle: the criteria assume a variety
     if args.all_beta:
         betas = pm.profiles(md.sig.n, md.sig.r + 1)
         return {"results": [_analyze_one(md, b) for b in betas]}

@@ -18,8 +18,8 @@ class PreconditionError(MultichowError):
 
 
 class CycleInputError(PreconditionError):
-    """A cycle-tagged multidegree was passed to an operation whose meaning
-    requires an irreducible-variety multidegree."""
+    """A cycle-tagged multidegree has no polymatroid, so the criteria, whose
+    meaning requires an irreducible variety, refuse it."""
 
 
 class DegenerateInputError(MultichowError):

@@ -11,8 +11,8 @@ Coefficients are arbitrary-precision integers.  A multidegree is tagged
 ``"variety"`` when its support passes the polymatroid consistency check, that
 is, is the support of a polymatroid rank function (a necessary condition for
 coming from an irreducible variety; see :mod:`multichow.polymatroid`), and
-``"cycle"`` otherwise; the criteria operations whose meaning assumes
-irreducibility refuse cycle-tagged inputs.
+``"cycle"`` otherwise.  Only a variety has a polymatroid, and the criteria,
+which assume irreducibility, read it from :meth:`Multidegree.polymatroid`.
 
 Note: the multiplicity splitting the full incidence form into (reduced form,
 multiplicity) is not derivable from a multidegree alone; this module only
@@ -96,12 +96,12 @@ class Multidegree:
         return projections_from_support(self.sig, self.support())
 
     def polymatroid(self) -> Polymatroid:
-        """The projection dimensions with the support they define: for a
-        variety, the one its consistency check built, whose support is this
-        one; for a cycle, built and validated on each call."""
-        if self._polymatroid is not None:
-            return self._polymatroid
-        return Polymatroid(self.sig, self.rank_function())
+        """The polymatroid the consistency check built, whose support is this
+        one: the one gate of the criteria that assume an irreducible variety,
+        so a cycle raises :class:`CycleInputError`."""
+        if self._polymatroid is None:
+            raise CycleInputError("the criteria assume a variety; got a cycle-tagged input")
+        return self._polymatroid
 
     @classmethod
     def from_json(cls, obj) -> "Multidegree":
@@ -136,25 +136,14 @@ def criterion_form(md: Multidegree, beta) -> tuple[int, ...]:
     return tuple(md.coefficient(g) for g in md.sig.criterion_exponents(beta))
 
 
-def require_variety(md: Multidegree, op: str) -> None:
-    """Refuse a cycle-tagged ``md``: ``op`` assumes an irreducible variety."""
-    if md.tag != VARIETY:
-        raise CycleInputError(
-            f"{op} is only meaningful for irreducible-variety multidegrees; "
-            "got a cycle-tagged input"
-        )
-
-
 def is_hypersurface(md: Multidegree, beta) -> bool:
     """True iff some coefficient a_{alpha+e_j} is nonzero."""
-    require_variety(md, "is_hypersurface")
-    return any(c != 0 for c in criterion_form(md, beta))
+    return md.polymatroid().is_one_deficient(beta)
 
 
 def determines_variety(md: Multidegree, beta) -> bool:
     """True iff every coefficient a_{alpha+e_j} is nonzero."""
-    require_variety(md, "determines_variety")
-    return all(c != 0 for c in criterion_form(md, beta))
+    return md.polymatroid().is_circuit(beta)
 
 
 def chow_form_multidegree(md: Multidegree, beta) -> tuple[int, ...]:

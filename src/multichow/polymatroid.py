@@ -100,8 +100,12 @@ class SpaceSignature:
 
     def check_profile(self, vec, total: int) -> tuple[int, ...]:
         """``vec`` as an integer tuple, checked to have one entry per factor,
-        ``0 <= vec_i <= n_i`` and ``sum(vec) == total``."""
-        vec = tuple(int(v) for v in vec)
+        ``0 <= vec_i <= n_i`` and ``sum(vec) == total``; an entry that
+        ``int`` would change (1.5, ``"2"``) is refused, not truncated."""
+        entries = tuple(vec)
+        vec = tuple(map(int, entries))
+        if vec != entries:
+            raise PreconditionError(f"profile {list(entries)} needs integer entries")
         if len(vec) != self.k:
             raise PreconditionError(f"profile {vec} needs {self.k} entries, one per factor")
         for i, (v, n) in enumerate(zip(vec, self.n)):

@@ -5,10 +5,13 @@ import dataclasses
 import io
 import itertools
 import json
+import os
 import random
+import subprocess
 import sys
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -127,6 +130,23 @@ class TestSubcommands:
         assert parsed["r"] == 3
         table = {tuple(v["subset"]): v["delta"] for v in parsed["values"]}
         assert table == {(): 0, (1,): 2, (2,): 2, (1, 2): 3}
+
+    def test_support_of_a_cycle_via_its_projections(self, tmp_path, capsys):
+        """``support`` refuses the cycle P^2 x pt + pt x P^2, but the support
+        of its projection dimensions is still one ``projections`` away; it
+        holds (1, 1), whose coefficient in the cycle is 0."""
+        gammas = [[2, 0], [0, 2]]
+        cycle = {"n": [2, 2], "r": 2, "tag": "cycle"}
+        cycle["coefficients"] = [{"gamma": g, "a": "1"} for g in gammas]
+        code, _, _ = run_main(["support", "--input", write(tmp_path, cycle)], capsys)
+        assert code == 2
+        path = write(tmp_path, {"n": [2, 2], "support": gammas}, "support.json")
+        code, out, _ = run_main(["projections", "--input", path], capsys)
+        assert code == 0
+        delta = json.loads(out)
+        obj = {"n": [2, 2], "r": delta.pop("r"), "rank_function": delta}
+        code, out, _ = run_main(["support", "--input", write(tmp_path, obj, "rank.json")], capsys)
+        assert (code, json.loads(out)) == (0, {"support": [[0, 2], [1, 1], [2, 0]]})
 
     def test_validate_rank_reports_ok(self, tmp_path, capsys):
         path = write(tmp_path, multiview_multidegree(3).to_json())
@@ -317,7 +337,14 @@ class TestErrorHandling:
         assert (code, err) == (0, "")
         assert json.loads(out) == {"beta": [2, 2], "entries": []}
 
-    def test_cycle_input_refused_by_analyze(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "argv",
+        [["support"], ["betas", "--criterion", "hypersurface"], ["analyze"]],
+        ids=["support", "betas", "analyze"],
+    )
+    def test_cycle_input_refused_by_analyze(self, argv, tmp_path, capsys):
+        """Every command that reads a polymatroid refuses a cycle, which has
+        none: ``support`` and ``betas`` as ``analyze`` does."""
         obj = {
             "n": [2, 2],
             "r": 2,
@@ -325,8 +352,11 @@ class TestErrorHandling:
             "tag": "cycle",
             "beta": [2, 1],
         }
-        code, _, err = run_main(["analyze", "--input", write(tmp_path, obj)], capsys)
-        assert code == 2
+        code, out, err = run_main([*argv, "--input", write(tmp_path, obj)], capsys)
+        assert (code, out) == (2, "")
+        error = json.loads(err)["error"]
+        assert error["status"] == "precondition-failed"
+        assert "got a cycle-tagged input" in error["message"]
 
     def test_cycle_with_an_invalid_rank_function_gets_the_cycle_refusal(self, tmp_path, capsys):
         """The projection dimensions of this cycle are not submodular; the
@@ -854,6 +884,34 @@ class TestDeterminism:
         _, pretty, _ = run_main(["support", "--format", "pretty", "--input", path], capsys)
         assert json.loads(compact) == json.loads(pretty)
         assert compact != pretty
+
+
+GOLDEN_CASES = json.loads((Path(__file__).parent / "golden" / "cli.json").read_text())["cases"]
+
+
+@pytest.mark.parametrize(
+    "name", ["analyze-all-beta-multiview-k3-compact", "error-unknown-subcommand"]
+)
+def test_the_cli_process(name):
+    """``python -m multichow.cli`` in a process of its own, so through
+    ``sys.exit`` and the real streams: the exit code and stdout bytes of a
+    golden case, nothing on stderr on success, one JSON error on failure."""
+    case = next(case for case in GOLDEN_CASES if case["name"] == name)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-B", "-m", "multichow.cli", *case["argv"]],
+        input=case["stdin"].encode(),
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=60,
+    )
+    assert proc.returncode == case["exit"]
+    if case["exit"] == 0:
+        assert (proc.stdout, proc.stderr) == (case["stdout"].encode(), b"")
+    else:
+        assert proc.stdout == b""
+        assert json.loads(proc.stderr)["error"]["status"] == case["status"]
 
 
 EXPECTED_OPERATIONS = {

@@ -63,6 +63,44 @@ def test_every_multidegree_shape_gives_the_same_answer(case, monkeypatch, capsys
         assert (code, out) == (case["exit"], case.get("stdout", ""))
 
 
+def cycle_tagged(case):
+    """The input of an exit-0 case with each multidegree in it tagged
+    ``"cycle"``; ``None`` unless one of them was a variety."""
+    if case["exit"] != 0:
+        return None
+    obj = json.loads(case["stdin"])
+    parts = obj.get("multidegrees") or [obj.get("multidegree", obj)]
+    parts = [md for md in parts if "coefficients" in md]
+    if all(md.get("tag", "variety") == "cycle" for md in parts):
+        return None
+    for md in parts:
+        md["tag"] = "cycle"
+    return obj
+
+
+#: The commands that read a multidegree's polymatroid, and so refuse a cycle.
+GATED = {"support", "betas", "analyze"}
+#: The commands that are linear in the cycle or read only its projections.
+TAG_BLIND = {"validate-rank", "chow-degree", "slice"}
+VARIETY_CASES = [case for case in GOLDEN["cases"] if cycle_tagged(case)]
+
+
+@pytest.mark.parametrize("case", VARIETY_CASES, ids=lambda case: case["name"])
+def test_the_tag_changes_only_the_gate(case, monkeypatch, capsys):
+    """Tagging a variety ``"cycle"`` leaves the bytes of the tag-blind
+    commands as they were, and makes the gated ones exit 2."""
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(cycle_tagged(case))))
+    code = cli.main(case["argv"])
+    out, err = capsys.readouterr()
+    command = case["argv"][0]
+    assert command in GATED | TAG_BLIND
+    if command in GATED:
+        assert (code, out) == (2, "")
+        assert "got a cycle-tagged input" in json.loads(err)["error"]["message"]
+    else:
+        assert (code, out, err) == (0, case["stdout"], "")
+
+
 @pytest.mark.parametrize(
     "entry", GOLDEN["random_cameras"], ids=lambda e: f"k{e['k']}-seed{e['seed']}"
 )

@@ -43,6 +43,12 @@ class TestConstruction:
         with pytest.raises(PreconditionError):
             Multidegree(SIG22, {(3, -1): 1})
 
+    def test_non_integer_gamma_rejected(self):
+        # Truncating (1.2, 1) to (1, 1) used to let its coefficient 3 be
+        # overwritten by the 2 at (1, 1).
+        with pytest.raises(PreconditionError):
+            Multidegree(SIG22, {(1.2, 1): 3, (1, 1): 2}, CYCLE)
+
     def test_nonpositive_coefficient_rejected(self):
         with pytest.raises(PreconditionError):
             Multidegree(SIG22, {(1, 1): 0, (2, 0): 1})
