@@ -220,6 +220,7 @@ def _cmd_oracle_epsilon(obj, args):
     config = mv.CameraConfiguration.from_json(obj)
     beta = field(obj, "beta", ints)
     counts = mv.epsilon_oracle(config, beta, args.trials, args.seed)
+    _require_generic(config, "'counts'")
     return {"counts": _counts_json(counts)}
 
 

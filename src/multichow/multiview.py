@@ -593,8 +593,8 @@ def epsilon_oracle(
     beta_i through its images, and counts the variety points inside the
     product of those spaces by solving the pulled-back linear system
     exactly.  ``None`` flags a positive-dimensional fiber.  In
-    characteristic zero, determining profiles give 1 in every trial; in
-    characteristic p a fiber can have length p, as the test
+    characteristic zero, determining profiles of generic cameras give 1 in
+    every trial; in characteristic p a fiber can have length p, as the test
     ``test_frobenius_multiplicity_in_characteristic_p`` computes with sympy.
     """
     sig = _signature(config.k)

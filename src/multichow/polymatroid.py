@@ -11,12 +11,13 @@ and enumerations live on it, and the module-level functions of the same
 names build one from a rank function per call.
 
 A nonempty set S of exponents in the box ``0 <= gamma <= n`` with equal sum
-is the support of a rank function exactly when it is M-convex: a finite set
-of lattice points of equal sum is the point set of an integral polymatroid
-base polytope exactly when it satisfies the exchange axiom, for
-x, y in S and i with ``x_i > y_i`` there is a j with ``x_j < y_j`` such that
-``x - e_i + e_j`` and ``y + e_i - e_j`` are both in S (Murota, *Discrete
-Convex Analysis*, SIAM 2003, ch. 4).  The rank function is then
+is the support of a rank function exactly when it is M-convex, the point set
+of an integral polymatroid base polytope.  That holds exactly when S meets
+the weak exchange axiom: for x != y in S there are i, j with ``x_i > y_i``
+and ``x_j < y_j`` such that ``x - e_i + e_j`` and ``y + e_i - e_j`` are both
+in S.  For a nonempty set it is equivalent to the exchange axiom, which asks
+for such a j for every i with ``x_i > y_i`` (Murota, *Discrete Convex
+Analysis*, SIAM 2003, ch. 4).  The rank function is then
 ``delta(I) = max over gamma in S of sum_{i in I}(n_i - gamma_i)``, and its
 support is S again; ``gamma -> n - gamma`` preserves the axiom.  So
 :meth:`Polymatroid.from_support` checks a support with no rank-function
@@ -42,11 +43,12 @@ Subsets of ``{1, ..., k}`` are encoded as bitmasks (bit ``i-1`` for element
 ``i``).  Validating an explicit rank function, enumerating its support and
 recovering the projections from a support scan all ``2**k`` subsets; the
 exchange test does not, and the hard cap is ``k <= 24``.  Each criterion is
-k lookups in the support.
+k lookups in the support; :meth:`Polymatroid.betas` reads the profiles off it.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from operator import le
 from typing import Iterable
@@ -100,10 +102,14 @@ class SpaceSignature:
 
     def check_profile(self, vec, total: int) -> tuple[int, ...]:
         """``vec`` as an integer tuple, checked to have one entry per factor,
-        ``0 <= vec_i <= n_i`` and ``sum(vec) == total``; an entry that
-        ``int`` would change (1.5, ``"2"``) is refused, not truncated."""
-        entries = tuple(vec)
-        vec = tuple(map(int, entries))
+        ``0 <= vec_i <= n_i`` and ``sum(vec) == total``.  An entry that ``int``
+        would change (1.5, ``"2"``) is refused, not truncated, and so is one
+        it cannot read (``"x"``, ``None``) or a ``vec`` that is not iterable."""
+        try:
+            entries = tuple(vec)
+            vec = tuple(map(int, entries))
+        except (TypeError, ValueError, OverflowError):
+            raise PreconditionError(f"profile {vec} needs integer entries") from None
         if vec != entries:
             raise PreconditionError(f"profile {list(entries)} needs integer entries")
         if len(vec) != self.k:
@@ -158,9 +164,7 @@ class RankFunction:
         for entry in field(obj, "values", array):
             mask = field(entry, "subset", lambda subset: mask_of(ints(subset), k))
             if values[mask] is not None:
-                raise PreconditionError(
-                    f"subset {list(indices_of(mask))} appears more than once"
-                )
+                raise PreconditionError(f"subset {list(indices_of(mask))} appears more than once")
             values[mask] = field(entry, "delta", integer)
         missing = [mask for mask, v in enumerate(values) if v is None]
         if missing:
@@ -214,9 +218,7 @@ def validate_rank_function(sig: SpaceSignature, delta: RankFunction) -> Validati
     violation carries a witnessing pair of subsets.
     """
     if delta.k != sig.k:
-        raise PreconditionError(
-            f"rank function on k={delta.k} does not match signature k={sig.k}"
-        )
+        raise PreconditionError(f"rank function on k={delta.k} does not match signature k={sig.k}")
     k = sig.k
     violations: list[Violation] = []
     if delta.values[0] != 0:
@@ -229,9 +231,7 @@ def validate_rank_function(sig: SpaceSignature, delta: RankFunction) -> Validati
         for idx, i in enumerate(outside):
             with_i = mask | 1 << i
             if delta.values[mask] > delta.values[with_i]:
-                violations.append(
-                    Violation("monotone", indices_of(mask), indices_of(with_i))
-                )
+                violations.append(Violation("monotone", indices_of(mask), indices_of(with_i)))
             for j in outside[idx + 1:]:
                 with_j = mask | 1 << j
                 if (
@@ -332,26 +332,22 @@ def _step(x: tuple, i: int, j: int) -> tuple:
 
 
 def _exchange_holds(points: frozenset, representatives) -> bool:
-    """The exchange axiom on ``points`` for x among ``representatives``:
-    for every y in ``points`` and i with ``x_i > y_i`` there is a j with
+    """The weak exchange axiom on ``points`` for x among ``representatives``:
+    for every y != x in ``points`` there are i, j with ``x_i > y_i`` and
     ``x_j < y_j`` such that ``x - e_i + e_j`` and ``y + e_i - e_j`` are both
     in ``points``.  With the representatives of every orbit of a symmetry
     group of ``points`` this is the whole axiom, since a symmetry carries
-    the witnesses of x to those of its image.  The steps ``x - e_i + e_j``
-    into ``points`` are listed once per x.
+    the witnesses of x to those of its image.  The moves ``(i, j)`` with
+    ``x - e_i + e_j`` in ``points`` are listed once per x.
     """
     k = len(next(iter(points)))
     for x in representatives:
-        moves = [
-            [j for j in range(k) if _step(x, i, j) in points] if x[i] else []
-            for i in range(k)
-        ]
+        moves = [(i, j) for i in range(k) if x[i] for j in range(k) if _step(x, i, j) in points]
         for y in points:
-            for i in range(k):
-                if x[i] > y[i] and not any(
-                    x[j] < y[j] and _step(y, j, i) in points for j in moves[i]
-                ):
-                    return False
+            if y != x and not any(
+                x[i] > y[i] and x[j] < y[j] and _step(y, j, i) in points for i, j in moves
+            ):
+                return False
     return True
 
 
@@ -375,12 +371,12 @@ class Polymatroid:
         exponents already checked against ``sig``; raises
         :class:`PreconditionError` when no rank function has it as support.
 
-        Two checks give the same answer: the exchange axiom over the orbits
-        of the detected factor symmetries, about ``2 * |orbits| * k`` support
-        scans, or the dense round trip through :func:`projections_from_support`,
-        about ``2**k`` steps per support point.  The exchange test runs when
-        ``2 * |orbits| * k <= 2**k``, counting the orbits in one pass that
-        stops past that bound; else the round trip runs.
+        Two checks give the same answer: the weak exchange axiom over the
+        orbits of the detected factor symmetries, at most ``k**2`` lookups
+        per orbit and support point, or the dense round trip through
+        :func:`projections_from_support`, about ``2**k`` steps per support
+        point.  The exchange test runs when ``2 * |orbits| * k <= 2**k``,
+        counting the orbits in one pass that stops past that bound.
         """
         support = tuple(sorted(support))
         if not support:
@@ -441,12 +437,17 @@ class Polymatroid:
     def betas(self, criterion: str) -> tuple[tuple[int, ...], ...]:
         """All in-range beta with |beta| = r+1 passing the chosen criterion,
         in lexicographic order: ``"hypersurface"`` keeps the 1-deficient
-        ones, ``"determining"`` the circuits."""
-        keep = {"hypersurface": self.is_one_deficient, "determining": self.is_circuit}
-        if criterion not in keep:
+        ones, ``"determining"`` the circuits.  Each support point gamma gives
+        ``beta = n - gamma + e_j`` for each j with ``gamma_j > 0``, so beta is
+        reached once per member of its minimal tight set, a circuit k times."""
+        reached = {"hypersurface": 1, "determining": self.sig.k}
+        if criterion not in reached:
             raise PreconditionError(f"unknown criterion {criterion!r}")
-        candidates = profiles(self.sig.n, self.sig.r + 1)
-        return tuple(beta for beta in candidates if keep[criterion](beta))
+        counts = Counter()
+        for gamma in self._support:
+            drop = tuple(n - g for n, g in zip(self.sig.n, gamma))
+            counts.update(drop[:j] + (drop[j] + 1,) + drop[j + 1:] for j, g in enumerate(gamma) if g)
+        return tuple(sorted(beta for beta, c in counts.items() if c >= reached[criterion]))
 
 
 def support_from_projections(
@@ -497,9 +498,7 @@ def is_one_deficient(sig: SpaceSignature, delta: RankFunction, beta) -> bool:
 def tight_sets(sig: SpaceSignature, delta: RankFunction, beta) -> tuple[int, ...]:
     """Bitmasks of all subsets with |beta_I| = delta(I) + 1."""
     sums = subset_sums(sig.check_profile(beta, sig.r + 1))
-    return tuple(
-        mask for mask, (s, d) in enumerate(zip(sums, delta.values)) if s == d + 1
-    )
+    return tuple(mask for mask, (s, d) in enumerate(zip(sums, delta.values)) if s == d + 1)
 
 
 def minimal_tight_set(sig: SpaceSignature, delta: RankFunction, beta) -> tuple[int, ...]:

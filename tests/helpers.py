@@ -16,6 +16,7 @@ from multichow.polymatroid import (
     RankFunction,
     SpaceSignature,
     mask_of,
+    profiles,
     projections_from_support,
 )
 
@@ -103,6 +104,16 @@ def consistent_polymatroid(sig: SpaceSignature, support) -> Polymatroid | None:
     except PreconditionError:
         return None
     return polymatroid if polymatroid.support() == support else None
+
+
+def scanned_betas(polymatroid: Polymatroid, criterion: str) -> tuple:
+    """The reference for ``Polymatroid.betas``: the profiles of the box
+    ``0 <= beta <= n`` with ``|beta| = r + 1``, in lexicographic order, each
+    kept when ``is_one_deficient`` (``"hypersurface"``) or ``is_circuit``
+    (``"determining"``) accepts it."""
+    keep = {"hypersurface": polymatroid.is_one_deficient, "determining": polymatroid.is_circuit}
+    sig = polymatroid.sig
+    return tuple(beta for beta in profiles(sig.n, sig.r + 1) if keep[criterion](beta))
 
 
 def enumerate_rank_functions(n):

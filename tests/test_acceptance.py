@@ -53,8 +53,10 @@ from helpers import (
     frobenius_multidegree,
     multiview_delta,
     multiview_sig,
+    planted_symmetric_polymatroid,
     product_of_curves_multidegree,
     random_polymatroid,
+    scanned_betas,
     sum_over,
 )
 
@@ -305,6 +307,40 @@ def test_exchange_axiom_matches_round_trip(report, monkeypatch):
     report(
         f"exchange axiom = support round trip ({subsets} box subsets, {consistent} "
         f"consistent; {len(cases)} supports, {exchange} by the exchange test)",
+        ok,
+        started,
+        30.0,
+    )
+
+
+def test_betas_match_the_profile_scan(report):
+    """``Polymatroid.betas``, read off the support, against the scan of the
+    profile box (``helpers.scanned_betas``), for both criteria: on the
+    random sweep, on planted-symmetric draws, on every rank function of a
+    few small boxes and on the multiview polymatroids for k = 2..12."""
+    started = time.perf_counter()
+    polymatroids = [Polymatroid(sig, delta) for sig, delta in random_sweep()]
+    rng = random.Random(83)
+    for _ in range(150):
+        sig, delta, _ = planted_symmetric_polymatroid(rng, rng.randint(2, 7))
+        polymatroids.append(Polymatroid(sig, delta))
+    for n in ((2, 2, 2), (1, 1, 1, 1), (3, 2, 1)):
+        polymatroids += [
+            Polymatroid(SpaceSignature(n, delta.values[-1]), delta)
+            for delta in enumerate_rank_functions(n)
+        ]
+    polymatroids += [multiview_multidegree(k).polymatroid() for k in range(2, 13)]
+    ok = True
+    found = {"hypersurface": 0, "determining": 0}
+    for polymatroid in polymatroids:
+        for criterion in found:
+            betas = polymatroid.betas(criterion)
+            ok = ok and betas == scanned_betas(polymatroid, criterion)
+            found[criterion] += len(betas)
+    ok = ok and all(found.values())
+    report(
+        f"betas = profile scan ({len(polymatroids)} polymatroids, "
+        f"{found['hypersurface']} hypersurface and {found['determining']} determining betas)",
         ok,
         started,
         30.0,

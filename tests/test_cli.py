@@ -25,6 +25,14 @@ from multichow.multiview import multiview_multidegree, random_cameras
 from helpers import frobenius_multidegree, product_of_curves_multidegree, random_polymatroid
 
 
+# Cameras 1 and 2 share the center (0,0,0,1); camera 3 is general.
+SHARED_CENTER = [
+    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]],
+    [[1, 2, 0, 0], [0, 1, 3, 0], [1, 0, 1, 0]],
+    [[1, 0, 0, 1], [0, 1, 0, 2], [0, 0, 1, 3]],
+]
+
+
 def write(tmp_path, obj, name="input.json"):
     path = tmp_path / name
     path.write_text(json.dumps(obj))
@@ -329,6 +337,26 @@ class TestErrorHandling:
         error = json.loads(err)["error"]
         assert error["status"] == "degenerate-input"
         assert "'member' assumes generic cameras" in error["message"]
+
+    @pytest.mark.parametrize(
+        "cameras,beta",
+        [(SHARED_CENTER[:2], [2, 2]), (SHARED_CENTER, [2, 1, 1])],
+        ids=["k2", "k3"],
+    )
+    def test_non_generic_cameras_give_exit_3_on_oracle_epsilon(
+        self, cameras, beta, tmp_path, capsys
+    ):
+        # The oracle's counts here (all "non-finite" at k=2, all 1 at k=3)
+        # look plausible but assume generic cameras.
+        obj = {"cameras": cameras, "beta": beta}
+        code, out, err = run_main(
+            ["oracle-epsilon", "--trials", "3", "--input", write(tmp_path, obj)], capsys
+        )
+        assert code == 3
+        assert out == ""
+        error = json.loads(err)["error"]
+        assert error["status"] == "degenerate-input"
+        assert "'counts' assumes generic cameras" in error["message"]
 
     def test_tensor_of_non_generic_cameras_is_exact_and_quiet(self, tmp_path, capsys):
         cam = CAMERAS_2["cameras"][0]
@@ -740,9 +768,8 @@ class TestWorkDoneOnce:
 )
 def test_one_polymatroid_per_request(argv, extra, tmp_path, capsys, monkeypatch):
     """A multiview k=6 multidegree is checked by the exchange axiom alone:
-    no support candidate is enumerated, and only ``validate-rank`` recovers
-    and validates its rank function, once; only ``betas`` enumerates its
-    profiles, once."""
+    no support candidate or profile is enumerated, and only
+    ``validate-rank`` recovers and validates its rank function, once."""
     path = write(tmp_path, dict(multiview_multidegree(6).to_json(), **extra))
     calls = {"validate": 0, "projections": 0, "profiles": 0}
 
@@ -763,11 +790,7 @@ def test_one_polymatroid_per_request(argv, extra, tmp_path, capsys, monkeypatch)
     code, _, err = run_main([*argv, "--input", path], capsys)
     assert code == 0, err
     rank = 1 if argv[0] == "validate-rank" else 0
-    assert calls == {
-        "validate": rank,
-        "projections": rank,
-        "profiles": 1 if argv[0] == "betas" else 0,
-    }
+    assert calls == {"validate": rank, "projections": rank, "profiles": 0}
 
 
 @pytest.mark.parametrize(

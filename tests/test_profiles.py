@@ -90,7 +90,10 @@ def test_valid_profile_accepted(entry):
 def test_check_profile():
     sig = SpaceSignature((2, 1, 3), 3)
     assert sig.check_profile([1, 0, 2.0], 3) == (1, 0, 2)
-    for vec in ((1, 2), (1, 2, 0), (-1, 1, 3), (1, 1, 2), (1.5, 0, 2.5), ("1", 0, "2")):
+    for vec in (
+        (1, 2), (1, 2, 0), (-1, 1, 3), (1, 1, 2), (1.5, 0, 2.5), ("1", 0, "2"),
+        ("x", 0, 2), (None, 0, 2), 3,
+    ):
         with pytest.raises(PreconditionError):
             sig.check_profile(vec, 3)
 
