@@ -40,17 +40,22 @@ plain integer tuple with one entry per factor;
 and total.
 
 Subsets of ``{1, ..., k}`` are encoded as bitmasks (bit ``i-1`` for element
-``i``).  Validating an explicit rank function, enumerating its support and
-recovering the projections from a support scan all ``2**k`` subsets; the
-exchange test does not, and the hard cap is ``k <= 24``.  Each criterion is
-k lookups in the support; :meth:`Polymatroid.betas` reads the profiles off it.
+``i``).  A table on them, such as a rank function, is one int whose field
+``mask``, a whole number of bytes with a spare top bit, holds the value at
+``mask``.  The subset sums of ``x`` are k steps
+``sums |= (sums + x_j * ones_j) << (width << j)``, ``ones_j`` having 1 in each
+of the first ``2**j`` fields, and a fieldwise ``a >= b`` is one subtraction,
+``((a | high) - b) & high``.  So validating a rank function, enumerating its
+support and recovering the projections from a support cost a few big-int
+operations per factor pair, candidate or support point; the exchange test
+builds no table, and the hard cap is ``k <= 24``.  Each criterion is k
+lookups in the support; :meth:`Polymatroid.betas` reads the profiles off it.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from operator import le
 from typing import Iterable
 
 from .errors import PreconditionError, array, field, integer, ints
@@ -215,35 +220,37 @@ def validate_rank_function(sig: SpaceSignature, delta: RankFunction) -> Validati
 
     Monotonicity and submodularity are checked through their single-element
     local forms, which are equivalent to the quantified axioms; each reported
-    violation carries a witnessing pair of subsets.
+    violation carries a witnessing pair of subsets, in the order of a scan of
+    the subsets I, then of the elements i < j outside I.  One fieldwise
+    compare of the values, less their minimum, checks each local form.
     """
     if delta.k != sig.k:
         raise PreconditionError(f"rank function on k={delta.k} does not match signature k={sig.k}")
-    k = sig.k
-    violations: list[Violation] = []
-    if delta.values[0] != 0:
-        violations.append(Violation("normalization", (), None))
-    bounds = subset_sums(sig.n)
-    for mask in range(1 << k):
-        if delta.values[mask] > bounds[mask]:
+    k, values = sig.k, delta.values
+    lo = min(0, min(values))
+    table = _Packed(k, 2 * (max(sum(sig.n), max(values)) - lo))
+    packed = table.pack(v - lo for v in values)
+    bounds = table.sums(sig.n) - lo * (table.high >> table.width - 1)
+    failed = [(table.high & ~table.at_least(bounds, packed), -1, -1)]
+    shifted = [packed >> (table.width << i) for i in range(k)]
+    lacking = [table.lacking(i) for i in range(k)]
+    for i in range(k):
+        failed.append((lacking[i] & ~table.at_least(shifted[i], packed), i, -1))
+        for j in range(i + 1, k):
+            both = (shifted[i] >> (table.width << j)) + packed
+            flags = lacking[i] & lacking[j] & ~table.at_least(shifted[i] + shifted[j], both)
+            failed.append((flags, i, j))
+    violations = [Violation("normalization", (), None)] if values[0] != 0 else []
+    for mask, i, j in sorted((mask, i, j) for flags, i, j in failed for mask in table.masks(flags)):
+        if i < 0:
             violations.append(Violation("bounded", indices_of(mask), None))
-        outside = [i for i in range(k) if not mask >> i & 1]
-        for idx, i in enumerate(outside):
-            with_i = mask | 1 << i
-            if delta.values[mask] > delta.values[with_i]:
-                violations.append(Violation("monotone", indices_of(mask), indices_of(with_i)))
-            for j in outside[idx + 1:]:
-                with_j = mask | 1 << j
-                if (
-                    delta.values[with_i] + delta.values[with_j]
-                    < delta.values[with_i | with_j] + delta.values[mask]
-                ):
-                    violations.append(
-                        Violation(
-                            "submodular", indices_of(with_i), indices_of(with_j)
-                        )
-                    )
-    if delta.values[-1] != sig.r:
+        elif j < 0:
+            violations.append(Violation("monotone", indices_of(mask), indices_of(mask | 1 << i)))
+        else:
+            violations.append(
+                Violation("submodular", indices_of(mask | 1 << i), indices_of(mask | 1 << j))
+            )
+    if values[-1] != sig.r:
         violations.append(Violation("rank", indices_of((1 << k) - 1), None))
     return ValidationReport(not violations, tuple(violations))
 
@@ -275,6 +282,55 @@ def subset_sums(vec) -> list[int]:
     for x in vec:
         sums += [s + x for s in sums]
     return sums
+
+
+class _Packed:
+    """Tables on the subsets of ``{1, ..., k}``, one int each (see the module
+    docstring), with fields of ``width`` bits for values ``0..top``."""
+
+    def __init__(self, k: int, top: int):
+        self.k = k
+        self.size = (top.bit_length() + 8) // 8
+        self.width = 8 * self.size
+        self.high = self.lacking(k)
+
+    def lacking(self, i: int) -> int:
+        """The top bits of the fields whose mask lacks bit ``i``, all for ``i = k``."""
+        run = (bytes(self.size - 1) + b"\x80") * (1 << i) + bytes(self.size << i)
+        return int.from_bytes((run * (1 << self.k >> i))[: self.size << self.k], "little")
+
+    def pack(self, values: Iterable[int]) -> int:
+        return int.from_bytes(b"".join(v.to_bytes(self.size, "little") for v in values), "little")
+
+    def sums(self, vec) -> int:
+        """The subset sums of ``vec``, k entries ``>= 0`` totalling at most ``top``."""
+        sums, ones = 0, 1
+        for j, x in enumerate(vec):
+            shift = self.width << j
+            sums |= (sums + x * ones) << shift
+            ones |= ones << shift
+        return sums
+
+    def at_least(self, a: int, b: int) -> int:
+        """The top bit of each field where ``a >= b``."""
+        return ((a | self.high) - b) & self.high
+
+    def maximum(self, a: int, b: int) -> int:
+        pick = self.at_least(b, a)
+        return a ^ ((a ^ b) & (pick - (pick >> self.width - 1)))
+
+    def values(self, table: int) -> list[int]:
+        data = table.to_bytes(self.size << self.k, "little")
+        return [int.from_bytes(data[p:p + self.size], "little") for p in range(0, len(data), self.size)]
+
+    def masks(self, flags: int) -> list[int]:
+        """The masks of the fields whose top bit is set in ``flags``, in order."""
+        data = flags.to_bytes(self.size << self.k, "little") if flags else b""
+        found, p = [], data.find(0x80)
+        while p >= 0:
+            found.append(p // self.size)
+            p = data.find(0x80, p + 1)
+        return found
 
 
 def _swapped(x: tuple, a: int, b: int) -> tuple:
@@ -374,9 +430,10 @@ class Polymatroid:
         Two checks give the same answer: the weak exchange axiom over the
         orbits of the detected factor symmetries, at most ``k**2`` lookups
         per orbit and support point, or the dense round trip through
-        :func:`projections_from_support`, about ``2**k`` steps per support
-        point.  The exchange test runs when ``2 * |orbits| * k <= 2**k``,
-        counting the orbits in one pass that stops past that bound.
+        :func:`projections_from_support`, about k operations on tables of
+        ``2**k`` fields per support point and candidate.  The exchange test
+        runs when ``2 * |orbits| * k <= 2**k``, counting the orbits in one
+        pass that stops past that bound.
         """
         support = tuple(sorted(support))
         if not support:
@@ -465,11 +522,13 @@ def support_from_projections(
             f"I={list(first.subset_i)}"
             + (f", J={list(first.subset_j)}" if first.subset_j is not None else "")
         )
-    n, values = sig.n, delta.values
+    n = sig.n
+    table = _Packed(sig.k, sum(n))
+    ceiling = table.pack(delta.values)
     return tuple(
         gamma
         for gamma in profiles(n, sig.codim())
-        if all(map(le, subset_sums(a - g for a, g in zip(n, gamma)), values))
+        if table.at_least(ceiling, table.sums([a - g for a, g in zip(n, gamma)])) == table.high
     )
 
 
@@ -483,11 +542,11 @@ def projections_from_support(sig: SpaceSignature, support: Iterable) -> RankFunc
     support = [sig.check_profile(gamma, sig.codim()) for gamma in support]
     if not support:
         raise PreconditionError("rank function undefined for empty support")
-    values = [0] * (1 << sig.k)
+    table = _Packed(sig.k, sum(sig.n))
+    values = 0
     for gamma in support:
-        drops = subset_sums(n - g for n, g in zip(sig.n, gamma))
-        values = [max(v, d) for v, d in zip(values, drops)]
-    return RankFunction(sig.k, tuple(values))
+        values = table.maximum(values, table.sums([n - g for n, g in zip(sig.n, gamma)]))
+    return RankFunction(sig.k, tuple(table.values(values)))
 
 
 def is_one_deficient(sig: SpaceSignature, delta: RankFunction, beta) -> bool:

@@ -7,6 +7,7 @@ tests exercise genuinely varied polymatroids rather than hand-picked ones.
 
 import random
 from itertools import product
+from operator import le
 
 from multichow import CameraConfiguration, Multidegree, MultifocalTensor, linalg
 from multichow.errors import PreconditionError
@@ -15,9 +16,14 @@ from multichow.polymatroid import (
     Polymatroid,
     RankFunction,
     SpaceSignature,
+    ValidationReport,
+    Violation,
+    _Packed,
+    indices_of,
     mask_of,
     profiles,
     projections_from_support,
+    subset_sums,
 )
 
 FIELD_PRIME = 10007
@@ -243,3 +249,82 @@ def reference_tensor(config: CameraConfiguration, beta) -> MultifocalTensor:
         entries[index] = sign * linalg.det(rows)
     return MultifocalTensor(tuple(beta), entries)
 
+
+
+def count_table_builds(monkeypatch, calls: list) -> None:
+    """Append to ``calls`` the argument of every packed subset table that
+    ``polymatroid`` builds, from subset sums or from values."""
+    for name in ("sums", "pack"):
+        build = getattr(_Packed, name)
+
+        def counted(table, entries, build=build):
+            calls.append(entries)
+            return build(table, entries)
+
+        monkeypatch.setattr(_Packed, name, counted)
+
+
+def dense_validate_rank_function(sig: SpaceSignature, delta: RankFunction) -> ValidationReport:
+    """The reference for ``validate_rank_function``: one Python-level pass
+    over every subset and every pair of elements outside it."""
+    if delta.k != sig.k:
+        raise PreconditionError(f"rank function on k={delta.k} does not match signature k={sig.k}")
+    k = sig.k
+    violations: list[Violation] = []
+    if delta.values[0] != 0:
+        violations.append(Violation("normalization", (), None))
+    bounds = subset_sums(sig.n)
+    for mask in range(1 << k):
+        if delta.values[mask] > bounds[mask]:
+            violations.append(Violation("bounded", indices_of(mask), None))
+        outside = [i for i in range(k) if not mask >> i & 1]
+        for idx, i in enumerate(outside):
+            with_i = mask | 1 << i
+            if delta.values[mask] > delta.values[with_i]:
+                violations.append(Violation("monotone", indices_of(mask), indices_of(with_i)))
+            for j in outside[idx + 1:]:
+                with_j = mask | 1 << j
+                if (
+                    delta.values[with_i] + delta.values[with_j]
+                    < delta.values[with_i | with_j] + delta.values[mask]
+                ):
+                    violations.append(
+                        Violation(
+                            "submodular", indices_of(with_i), indices_of(with_j)
+                        )
+                    )
+    if delta.values[-1] != sig.r:
+        violations.append(Violation("rank", indices_of((1 << k) - 1), None))
+    return ValidationReport(not violations, tuple(violations))
+
+
+def dense_support_from_projections(sig: SpaceSignature, delta: RankFunction) -> tuple:
+    """The reference for ``support_from_projections``: each candidate's
+    ``2**k`` subset sums compared with ``delta`` one by one."""
+    report = dense_validate_rank_function(sig, delta)
+    if not report.ok:
+        first = report.violations[0]
+        raise PreconditionError(
+            f"invalid rank function: {first.axiom} fails at "
+            f"I={list(first.subset_i)}"
+            + (f", J={list(first.subset_j)}" if first.subset_j is not None else "")
+        )
+    n, values = sig.n, delta.values
+    return tuple(
+        gamma
+        for gamma in profiles(n, sig.codim())
+        if all(map(le, subset_sums(a - g for a, g in zip(n, gamma)), values))
+    )
+
+
+def dense_projections_from_support(sig: SpaceSignature, support) -> RankFunction:
+    """The reference for ``projections_from_support``: the maximum of the
+    ``2**k`` subset sums of ``n - gamma`` taken subset by subset."""
+    support = [sig.check_profile(gamma, sig.codim()) for gamma in support]
+    if not support:
+        raise PreconditionError("rank function undefined for empty support")
+    values = [0] * (1 << sig.k)
+    for gamma in support:
+        drops = subset_sums(n - g for n, g in zip(sig.n, gamma))
+        values = [max(v, d) for v, d in zip(values, drops)]
+    return RankFunction(sig.k, tuple(values))

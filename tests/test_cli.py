@@ -22,7 +22,12 @@ from multichow import polymatroid as pm
 from multichow.errors import DegenerateInputError, InapplicableError, integer, rational
 from multichow.multiview import multiview_multidegree, random_cameras
 
-from helpers import frobenius_multidegree, product_of_curves_multidegree, random_polymatroid
+from helpers import (
+    count_table_builds,
+    frobenius_multidegree,
+    product_of_curves_multidegree,
+    random_polymatroid,
+)
 
 
 # Cameras 1 and 2 share the center (0,0,0,1); camera 3 is general.
@@ -739,8 +744,9 @@ class TestWorkDoneOnce:
         assert len(calls) <= 50 + 90
 
     def test_analyze_all_beta_subset_sums(self, tmp_path, capsys, monkeypatch):
-        """On the multiview k=6 multidegree nothing sums subsets: the
-        exchange axiom checks its support, and the 90 profiles need none."""
+        """On the multiview k=6 multidegree nothing sums subsets or builds a
+        packed subset table: the exchange axiom checks its support, and the
+        90 profiles need none."""
         path = write(tmp_path, {"multidegree": multiview_multidegree(6).to_json()})
         calls = []
         subset_sums = pm.subset_sums
@@ -750,6 +756,7 @@ class TestWorkDoneOnce:
             return subset_sums(vec)
 
         monkeypatch.setattr(pm, "subset_sums", counted)
+        count_table_builds(monkeypatch, calls)
         code, out, _ = run_main(["analyze", "--all-beta", "--input", path], capsys)
         assert code == 0
         assert len(json.loads(out)["results"]) == 90
@@ -848,8 +855,13 @@ def test_multiview_k16_needs_no_rank_function(tmp_path, capsys, monkeypatch):
     def refused(*args):
         raise AssertionError("projections_from_support called")
 
+    def refused_table(*args):
+        raise AssertionError("packed subset table built")
+
     monkeypatch.setattr(pm, "projections_from_support", refused)
     monkeypatch.setattr(mdg, "projections_from_support", refused)
+    monkeypatch.setattr(pm._Packed, "sums", refused_table)
+    monkeypatch.setattr(pm._Packed, "pack", refused_table)
     code, out, err = run_main(["support", "--input", path], capsys)
     assert code == 0, err
     assert json.loads(out)["support"] == sorted([2 - a for a in alpha] for alpha in alphas)

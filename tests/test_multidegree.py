@@ -72,8 +72,13 @@ class TestConstruction:
         def refused(*args):
             raise AssertionError("projections_from_support called")
 
+        def refused_table(*args):
+            raise AssertionError("packed subset table built")
+
         monkeypatch.setattr(pm, "projections_from_support", refused)
         monkeypatch.setattr(mdg, "projections_from_support", refused)
+        monkeypatch.setattr(pm._Packed, "sums", refused_table)
+        monkeypatch.setattr(pm._Packed, "pack", refused_table)
         with pytest.raises(PreconditionError, match="fails the polymatroid consistency check"):
             Multidegree(sig, {g: 1 for g in support})
         assert Multidegree(sig, {g: 1 for g in support}, tag=CYCLE).tag == CYCLE

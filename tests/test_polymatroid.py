@@ -23,6 +23,7 @@ from multichow.polymatroid import Polymatroid, indices_of, mask_of, tight_sets
 
 from helpers import (
     consistent_polymatroid,
+    count_table_builds,
     enumerate_rank_functions,
     multiview_delta,
     multiview_sig,
@@ -180,7 +181,7 @@ class TestMinimalTightSet:
     )
     def test_no_subset_scan_after_construction(self, sig, delta, beta, tight, monkeypatch):
         """The criteria read the support kept at construction: no subset
-        sums and no rank-function values."""
+        sums, no packed subset tables and no rank-function values."""
         polymatroid = Polymatroid(sig, delta)
         object.__setattr__(polymatroid, "delta", None)
         calls = []
@@ -194,6 +195,7 @@ class TestMinimalTightSet:
             raise AssertionError("minimal_tight_set called tight_sets")
 
         monkeypatch.setattr(pm, "subset_sums", counted)
+        count_table_builds(monkeypatch, calls)
         monkeypatch.setattr(pm, "tight_sets", refused)
         if tight is None:
             with pytest.raises(PreconditionError, match="not 1-deficient"):
