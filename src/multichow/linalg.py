@@ -13,7 +13,7 @@ The elimination starts from it, and an ``int`` or ``Fraction`` entry passes
 through it without a new ``Fraction`` being built, so integer rows (the
 camera code in :mod:`multiview` keeps its cameras as integer rows) cost no
 conversion at all.  ``proportional`` compares the 2x2 minors of the two
-integer-scaled vectors.
+integer-scaled vectors, and ``cross`` keeps integer vectors integral.
 """
 
 from __future__ import annotations
@@ -117,9 +117,10 @@ def det(m) -> Fraction:
     return Fraction(sign * last, scale**n) if len(pivots) == n else Fraction(0)
 
 
-def cross(u, v) -> tuple[Fraction, Fraction, Fraction]:
-    a = [Fraction(x) for x in u]
-    b = [Fraction(x) for x in v]
+def cross(u, v) -> tuple:
+    """u x v; ``int`` and ``Fraction`` entries are used as they are, so two
+    integer vectors have an integer cross product."""
+    a, b = ([x if type(x) in _EXACT else Fraction(x) for x in w] for w in (u, v))
     return (
         a[1] * b[2] - a[2] * b[1],
         a[2] * b[0] - a[0] * b[2],

@@ -10,7 +10,7 @@ membership in the locus of k-tuples all of whose slicing spaces meet the
 variety.
 
 All arithmetic is exact rational.  "Random" always means integer numerators
-and denominators drawn from a seeded generator in [-10, 10], with rank-based
+and denominators drawn from a seeded generator in [-10, 10], with
 genericity checks and bounded resampling (32 retries) on degeneracy.  Oracle
 trial i uses a deterministic substream derived from (seed, i), so per-trial
 results are reproducible regardless of execution order.
@@ -20,11 +20,20 @@ beside its public ``Fraction`` cameras, each camera times one scale, the lcm
 of all 12 of its denominators, as integer rows, and each center scaled to
 integers.  A camera must be scaled as a whole: scaling its rows by different
 factors would change the camera, not just its scale.  Kernels, ranks, zero
-tests and proportionality do not see a scale, so a drawn form or world point
-is scaled to integers once it is drawn (the draws themselves are unchanged),
-and images and pulled-back systems are integer products.  A value that does
-depend on the scale, the residual or a tensor entry, is an integer
-determinant divided by the product of the scales of the rows it used.
+tests and proportionality do not see a scale, so a random form or world
+point is an integer vector: its numerator and denominator draws times the
+lcm of the denominators.  A form is defined only up to scale, and the
+sampling helpers return int tuples.  Images and pulled-back systems are
+integer products.  A value that does depend on the scale, the residual or a
+tensor entry, is an integer determinant divided by the product of the scales
+of the rows it used.
+
+An oracle trial and the genericity gate run no elimination.  Two forms on
+P^2 are independent when their cross product is nonzero; three rows in P^3
+have rank 3 when their signed 3x3 minors (:func:`_kernel3`, which also gives
+the camera centers) are not all zero, and those minors then span their
+kernel, so a pulled-back system is solved by the minors of its first row
+triple of rank 3, checked against the other rows.
 """
 
 from __future__ import annotations
@@ -93,12 +102,7 @@ class CameraConfiguration:
         rows, scales, centers = [], [], []
         for idx, cam in enumerate(cams):
             (r0, r1, r2), scale = linalg.integer_rows(cam)
-            # Entry j is det(r0; r1; r2; e_j); a camera has rank 3 exactly
-            # when one of these 3x3 minors is nonzero.
-            top = _minors(r0, r1)
-            center = tuple(
-                _laplace(top, _minors(r2, [int(i == j) for i in range(4)])) for j in range(4)
-            )
+            center = _kernel3(r0, r1, r2)
             if not any(center):
                 raise PreconditionError(f"camera {idx + 1} does not have rank 3")
             rows.append((tuple(r0), tuple(r1), tuple(r2)))
@@ -118,9 +122,11 @@ class CameraConfiguration:
 
     def is_generic(self) -> bool:
         """Pairwise-distinct centers and no three centers collinear."""
+        centers = self._int_centers
+        if self.k < 3:
+            return all(any(_minors(a, b)) for a, b in combinations(centers, 2))
         # From three cameras on, a repeated center also drops a triple's rank.
-        size = min(self.k, 3)
-        return all(linalg.rank(s) == size for s in combinations(self._int_centers, size))
+        return all(any(_kernel3(a, b, c)) for a, b, c in combinations(centers, 3))
 
     @classmethod
     def from_json(cls, obj) -> "CameraConfiguration":
@@ -250,14 +256,13 @@ def _signature(k: int) -> SpaceSignature:
     return SpaceSignature((2,) * k, 3)
 
 
-def multiview_multidegree(k: int) -> Multidegree:
-    """Multidegree of the image closure of P^3 in (P^2)^k (generic cameras).
+def _multiview_coefficients(k: int) -> dict[tuple[int, ...], int]:
+    """The multidegree coefficients of the image closure of P^3 in (P^2)^k.
 
     Expands t_1^2...t_k^2 * (sum over i1<i2<i3 of 1/(t_i1 t_i2 t_i3)
     + sum over ordered pairs i1 != i2 of 1/(t_i1^2 t_i2)); every surviving
     exponent carries coefficient 1.
     """
-    sig = _signature(k)
     coeffs: dict[tuple, int] = {}
 
     def add(gamma):
@@ -274,7 +279,13 @@ def multiview_multidegree(k: int) -> Multidegree:
         gamma[i1] -= 2
         gamma[i2] -= 1
         add(tuple(gamma))
-    return Multidegree(sig, coeffs)
+    return coeffs
+
+
+def multiview_multidegree(k: int) -> Multidegree:
+    """Multidegree of the image closure of P^3 in (P^2)^k (generic cameras),
+    with the coefficients of :func:`_multiview_coefficients`."""
+    return Multidegree(_signature(k), _multiview_coefficients(k))
 
 
 # ---------------------------------------------------------------------------
@@ -317,13 +328,15 @@ def chow_residual(config: CameraConfiguration, spaces: LinearSpaceTuple) -> Frac
     return linalg.det(rows) / scale
 
 
-#: Column pairs of a 2x4 block, in the order of its 2x2 minors.
-_COLUMN_PAIRS = tuple(combinations(range(4), 2))
-
-
 def _minors(u, v) -> tuple[int, ...]:
-    """The six 2x2 minors of the block with rows u and v."""
-    return tuple(u[i] * v[j] - u[j] * v[i] for i, j in _COLUMN_PAIRS)
+    """The six 2x2 minors of the block with rows u and v, by column pairs
+    (1,2), (1,3), (1,4), (2,3), (2,4), (3,4)."""
+    u0, u1, u2, u3 = u
+    v0, v1, v2, v3 = v
+    return (
+        u0 * v1 - u1 * v0, u0 * v2 - u2 * v0, u0 * v3 - u3 * v0,
+        u1 * v2 - u2 * v1, u1 * v3 - u3 * v1, u2 * v3 - u3 * v2,
+    )
 
 
 def _laplace(top, bottom) -> int:
@@ -336,6 +349,22 @@ def _laplace(top, bottom) -> int:
     return (
         top[0] * bottom[5] - top[1] * bottom[4] + top[2] * bottom[3]
         + top[3] * bottom[2] - top[4] * bottom[1] + top[5] * bottom[0]
+    )
+
+
+def _kernel3(r0, r1, r2) -> tuple[int, ...]:
+    """The signed 3x3 minors of three rows of length 4: entry j is
+    det(r0; r1; r2; e_j), :func:`_laplace` with the minors of (r2, e_j) as
+    bottom block.  They are all zero exactly when the rows have rank below 3;
+    otherwise they span the kernel (each row meets them in a determinant
+    with a repeated row)."""
+    m01, m02, m03, m12, m13, m23 = _minors(r0, r1)
+    a, b, c, d = r2
+    return (
+        m13 * c - m12 * d - m23 * b,
+        m02 * d - m03 * c + m23 * a,
+        m03 * b - m01 * d - m13 * a,
+        m01 * c - m02 * b + m12 * a,
     )
 
 
@@ -431,8 +460,12 @@ def _trial_rngs(seed: int, trials: int):
         yield trial_rng(seed, trial)
 
 
-def random_rational(rng: random.Random) -> Fraction:
-    return Fraction(rng.randint(-10, 10), rng.randint(1, 10))
+def _random_vector(rng: random.Random, length: int) -> tuple[int, ...]:
+    """``length`` rationals ``randint(-10, 10) / randint(1, 10)``, numerator
+    first, times the lcm of their denominators."""
+    pairs = [(rng.randint(-10, 10), rng.randint(1, 10)) for _ in range(length)]
+    scale = lcm(*(d for _, d in pairs))
+    return tuple(n * (scale // d) for n, d in pairs)
 
 
 def _sample(rng, draw, good, what: str):
@@ -443,34 +476,48 @@ def _sample(rng, draw, good, what: str):
     raise DegenerateInputError(f"could not sample a non-degenerate {what}")
 
 
-def random_form(rng: random.Random) -> Vec:
-    return _sample(
-        rng,
-        lambda r: tuple(random_rational(r) for _ in range(3)),
-        lambda v: not linalg.is_zero_vector(v),
-        "linear form",
-    )
+def random_form(rng: random.Random) -> tuple[int, ...]:
+    """A nonzero linear form on P^2, as an integer vector."""
+    return _sample(rng, lambda r: _random_vector(r, 3), any, "linear form")
 
 
-def _independent_forms(rng, draw, count: int, what: str) -> tuple[Vec, ...]:
-    """``count`` forms, each drawn until it is independent of the earlier ones."""
-    forms: list[Vec] = []
+def _independent_forms(rng, draw, count: int, what: str) -> tuple[tuple[int, ...], ...]:
+    """``count`` forms, each drawn until it is independent of the earlier
+    ones: nonzero, and the second with a nonzero cross product with the
+    first.  No third test is needed, as ``count`` is a codimension in P^2,
+    which ``check_profile`` bounds by ``n_i = 2``."""
+    if count > 2:
+        raise PreconditionError(f"at most 2 independent forms cut P^2, not {count}")
+    forms: list[tuple[int, ...]] = []
     for _ in range(count):
-        forms.append(
-            _sample(rng, draw, lambda f: linalg.rank(forms + [f]) == len(forms) + 1, what)
-        )
+        good = (lambda f: any(linalg.cross(forms[0], f))) if forms else any
+        forms.append(_sample(rng, draw, good, what))
     return tuple(forms)
 
 
 def random_independent_forms(rng: random.Random, count: int):
+    """``count`` (at most 2) independent linear forms, as integer vectors."""
     return _independent_forms(rng, random_form, count, "independent form")
 
 
-def forms_through(rng: random.Random, point: Vec, count: int) -> tuple[Vec, ...]:
-    """``count`` independent linear forms on P^2 vanishing at ``point``."""
-    basis = linalg.nullspace([list(point)], 3)
-    if len(basis) != 2:
+def forms_through(rng: random.Random, point, count: int) -> tuple[tuple[int, ...], ...]:
+    """``count`` independent linear forms on P^2 vanishing at ``point``, as
+    integer vectors.
+
+    Each is ``u * b_f + v * b_g`` for random integers u, v, over the basis
+    ``b_f = x[c] * e_f - x[f] * e_c`` of the forms through the integer point
+    x, where c is the first nonzero entry of x and f runs over the other two
+    columns in order: the kernel basis of x, times x[c].
+    """
+    if not all(type(a) is int for a in point):
+        (point,), _ = linalg.integer_rows([point])
+    c = next((i for i, a in enumerate(point) if a), None)
+    if c is None:
         raise DegenerateInputError("candidate coordinate is the zero vector")
+    basis = [
+        [point[c] if j == f else -point[f] if j == c else 0 for j in range(3)]
+        for f in range(3) if f != c
+    ]
 
     def draw(r):
         u, v = r.randint(-10, 10), r.randint(-10, 10)
@@ -488,7 +535,7 @@ def random_cameras(k: int, seed: int) -> CameraConfiguration:
     def draw(r):
         return CameraConfiguration(
             tuple(
-                _sample(r, draw_camera, lambda c: linalg.rank(c) == 3, "rank-3 camera")
+                _sample(r, draw_camera, lambda c: any(_kernel3(*c)), "rank-3 camera")
                 for _ in range(k)
             )
         )
@@ -503,12 +550,19 @@ def _fiber_size(config: CameraConfiguration, rows) -> int | None:
 
     ``None`` when the solution space is positive-dimensional; otherwise 1
     for a single solution that is not a camera center and 0 in every other
-    case (no solution, or the solution is a center).
+    case (no solution, or the solution is a center).  Any number of integer
+    rows of length 4: the first row triple of rank 3 gives the only
+    candidate point, its :func:`_kernel3`; with no such triple the rows have
+    rank below 3, and when the point misses a row they have rank 4.
     """
-    solutions = linalg.nullspace(rows, 4)
-    if len(solutions) != 1:
-        return None if solutions else 0
-    (point,), _ = linalg.integer_rows(solutions)
+    for triple in combinations(rows, 3):
+        point = _kernel3(*triple)
+        if any(point):
+            break
+    else:
+        return None
+    if any(_image(rows, point)):
+        return 0
     return 0 if any(not any(_image(cam, point)) for cam in config._rows) else 1
 
 
@@ -567,17 +621,18 @@ def majority_count(counts) -> int | None:
 
 def _random_world_images(config: CameraConfiguration, center_images, rng: random.Random):
     """The integer images, one per camera, of a random world point that no
-    camera sends to zero."""
+    camera sends to zero; ``center_images[i]`` holds the nonzero images of
+    the other cameras' centers under camera i."""
 
     def draw(r):
-        (point,), _ = linalg.integer_rows([[random_rational(r) for _ in range(4)]])
+        point = _random_vector(r, 4)
         return [_image(cam, point) for cam in config._rows]
 
     def good(images) -> bool:
         # Avoid points whose image coincides with the image of another
         # camera's center: those sit on special lines through two centers.
         return all(
-            any(img) and not any(linalg.proportional(img, c) for c in others)
+            any(img) and all(any(linalg.cross(img, c)) for c in others)
             for img, others in zip(images, center_images)
         )
 
@@ -599,9 +654,10 @@ def epsilon_oracle(
     """
     sig = _signature(config.k)
     beta = sig.check_profile(beta, sig.r + 1)
-    # Per camera, the images of the other cameras' centers.
+    # Per camera, the images of the other cameras' centers; a zero image, of
+    # a center it shares, rules out no point.
     center_images = [
-        [_image(cam, c) for j, c in enumerate(config._int_centers) if j != i]
+        [img for j, c in enumerate(config._int_centers) if j != i and any(img := _image(cam, c))]
         for i, cam in enumerate(config._rows)
     ]
     results = []
@@ -630,12 +686,12 @@ def sz_membership(
     through it).  True answers hold up to sampling confidence; False answers
     are exact.
     """
-    candidate = [parse_vector(vec, 3) for vec in candidate]
+    # The contraction is only tested against zero, so one scale serves.
+    candidate, _ = linalg.integer_rows(parse_vector(vec, 3) for vec in candidate)
     if len(candidate) != config.k or tensor.k != config.k:
         raise PreconditionError(f"candidate and tensor must have {config.k} slots")
-    for vec in candidate:
-        if linalg.is_zero_vector(vec):
-            raise PreconditionError("candidate coordinates must be nonzero")
+    if not all(map(any, candidate)):
+        raise PreconditionError("candidate coordinates must be nonzero")
     for rng in _trial_rngs(rng_seed, trials):
         coords = []
         for x, b in zip(candidate, tensor.beta):

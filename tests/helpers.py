@@ -6,12 +6,21 @@ tests exercise genuinely varied polymatroids rather than hand-picked ones.
 """
 
 import random
+from fractions import Fraction
 from itertools import product
 from operator import le
 
 from multichow import CameraConfiguration, Multidegree, MultifocalTensor, linalg
-from multichow.errors import PreconditionError
-from multichow.multiview import random_cameras
+from multichow.errors import DegenerateInputError, PreconditionError
+from multichow.multiview import (
+    _image,
+    _pullback_rows,
+    _sample,
+    _signature,
+    _trial_rngs,
+    parse_vector,
+    random_cameras,
+)
 from multichow.polymatroid import (
     Polymatroid,
     RankFunction,
@@ -328,3 +337,108 @@ def dense_projections_from_support(sig: SpaceSignature, support) -> RankFunction
         drops = subset_sums(n - g for n, g in zip(sig.n, gamma))
         values = [max(v, d) for v, d in zip(values, drops)]
     return RankFunction(sig.k, tuple(values))
+
+
+# ---------------------------------------------------------------------------
+# the oracle trials in Fraction arithmetic with elimination, as references for
+# the integer kernels of ``multiview``
+
+
+def reference_random_rational(rng: random.Random) -> Fraction:
+    return Fraction(rng.randint(-10, 10), rng.randint(1, 10))
+
+
+def reference_random_form(rng: random.Random):
+    """The reference for ``random_form``: a ``Fraction`` vector."""
+    return _sample(
+        rng,
+        lambda r: tuple(reference_random_rational(r) for _ in range(3)),
+        lambda v: not linalg.is_zero_vector(v),
+        "linear form",
+    )
+
+
+def reference_independent_forms(rng, draw, count: int, what: str):
+    """Forms drawn until each raises the rank of the earlier ones."""
+    forms = []
+    for _ in range(count):
+        forms.append(
+            _sample(rng, draw, lambda f: linalg.rank(forms + [f]) == len(forms) + 1, what)
+        )
+    return tuple(forms)
+
+
+def reference_random_independent_forms(rng: random.Random, count: int):
+    return reference_independent_forms(rng, reference_random_form, count, "independent form")
+
+
+def reference_forms_through(rng: random.Random, point, count: int):
+    """The reference for ``forms_through``: the forms through ``point`` over
+    the ``nullspace`` basis of the point."""
+    basis = linalg.nullspace([list(point)], 3)
+    if len(basis) != 2:
+        raise DegenerateInputError("candidate coordinate is the zero vector")
+
+    def draw(r):
+        u, v = r.randint(-10, 10), r.randint(-10, 10)
+        return tuple(u * a + v * b for a, b in zip(basis[0], basis[1]))
+
+    return reference_independent_forms(rng, draw, count, "form through a point")
+
+
+def reference_fiber_size(config: CameraConfiguration, rows):
+    """The reference for ``_fiber_size``: the ``nullspace`` of the rows."""
+    solutions = linalg.nullspace(rows, 4)
+    if len(solutions) != 1:
+        return None if solutions else 0
+    (point,), _ = linalg.integer_rows(solutions)
+    return 0 if any(not any(_image(cam, point)) for cam in config._rows) else 1
+
+
+def reference_has_world_point_preimage(config: CameraConfiguration, candidate) -> bool:
+    candidate = [parse_vector(vec, 3) for vec in candidate]
+    if len(candidate) != config.k:
+        raise PreconditionError(f"candidate needs {config.k} coordinates")
+    forms = [linalg.nullspace([list(x)], 3) for x in candidate]
+    return reference_fiber_size(config, _pullback_rows(config, forms)[0]) != 0
+
+
+def reference_intersection_count_oracle(config: CameraConfiguration, gamma, trials, rng_seed):
+    sig = _signature(config.k)
+    gamma = sig.check_profile(gamma, sig.codim())
+    results = []
+    for rng in _trial_rngs(rng_seed, trials):
+        forms = [reference_random_independent_forms(rng, 2 - g) for g in gamma]
+        results.append(reference_fiber_size(config, _pullback_rows(config, forms)[0]))
+    return results
+
+
+def reference_epsilon_oracle(config: CameraConfiguration, beta, trials, rng_seed):
+    """The reference for ``epsilon_oracle``: ``Fraction`` world points, and
+    images compared with the other centers' images by ``proportional``."""
+    sig = _signature(config.k)
+    beta = sig.check_profile(beta, sig.r + 1)
+    center_images = [
+        [_image(cam, c) for j, c in enumerate(config._int_centers) if j != i]
+        for i, cam in enumerate(config._rows)
+    ]
+
+    def draw(r):
+        (point,), _ = linalg.integer_rows([[reference_random_rational(r) for _ in range(4)]])
+        return [_image(cam, point) for cam in config._rows]
+
+    def good(images) -> bool:
+        return all(
+            any(img) and not any(linalg.proportional(img, c) for c in others)
+            for img, others in zip(images, center_images)
+        )
+
+    results = []
+    for rng in _trial_rngs(rng_seed, trials):
+        images = _sample(rng, draw, good, "world point")
+        forms = [
+            reference_forms_through(rng, image, b) if b else ()
+            for image, b in zip(images, beta)
+        ]
+        results.append(reference_fiber_size(config, _pullback_rows(config, forms)[0]))
+    return results
