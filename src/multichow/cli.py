@@ -208,8 +208,7 @@ def _cmd_oracle_multidegree(obj, args):
     counts = mv.intersection_count_oracle(config, gamma, args.trials, args.seed)
     _require_generic(config, "'expected'")
     majority = mv.majority_count(counts)
-    # The oracle has checked gamma; the closed-form table needs no check.
-    expected = mv._multiview_coefficients(config.k).get(gamma, 0)
+    expected = mv.multiview_multidegree(config.k).coefficient(gamma)
     return {
         "counts": _counts_json(counts),
         "majority": "non-finite" if majority is None else majority,

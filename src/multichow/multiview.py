@@ -256,13 +256,14 @@ def _signature(k: int) -> SpaceSignature:
     return SpaceSignature((2,) * k, 3)
 
 
-def _multiview_coefficients(k: int) -> dict[tuple[int, ...], int]:
-    """The multidegree coefficients of the image closure of P^3 in (P^2)^k.
+def multiview_multidegree(k: int) -> Multidegree:
+    """Multidegree of the image closure of P^3 in (P^2)^k (generic cameras).
 
     Expands t_1^2...t_k^2 * (sum over i1<i2<i3 of 1/(t_i1 t_i2 t_i3)
     + sum over ordered pairs i1 != i2 of 1/(t_i1^2 t_i2)); every surviving
     exponent carries coefficient 1.
     """
+    sig = _signature(k)
     coeffs: dict[tuple, int] = {}
 
     def add(gamma):
@@ -279,13 +280,7 @@ def _multiview_coefficients(k: int) -> dict[tuple[int, ...], int]:
         gamma[i1] -= 2
         gamma[i2] -= 1
         add(tuple(gamma))
-    return coeffs
-
-
-def multiview_multidegree(k: int) -> Multidegree:
-    """Multidegree of the image closure of P^3 in (P^2)^k (generic cameras),
-    with the coefficients of :func:`_multiview_coefficients`."""
-    return Multidegree(_signature(k), _multiview_coefficients(k))
+    return Multidegree(sig, coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -500,24 +495,29 @@ def random_independent_forms(rng: random.Random, count: int):
     return _independent_forms(rng, random_form, count, "independent form")
 
 
-def forms_through(rng: random.Random, point, count: int) -> tuple[tuple[int, ...], ...]:
-    """``count`` independent linear forms on P^2 vanishing at ``point``, as
-    integer vectors.
-
-    Each is ``u * b_f + v * b_g`` for random integers u, v, over the basis
-    ``b_f = x[c] * e_f - x[f] * e_c`` of the forms through the integer point
-    x, where c is the first nonzero entry of x and f runs over the other two
-    columns in order: the kernel basis of x, times x[c].
-    """
-    if not all(type(a) is int for a in point):
-        (point,), _ = linalg.integer_rows([point])
-    c = next((i for i, a in enumerate(point) if a), None)
+def _forms_vanishing_at(x) -> list[tuple[int, ...]]:
+    """A basis of the linear forms on P^2 vanishing at the integer point x:
+    ``x[c] * e_f - x[f] * e_c``, where c is the first nonzero entry of x and
+    f runs over the other two columns in order, which is the kernel basis of
+    x times x[c].  All three unit forms when x is zero."""
+    c = next((i for i, a in enumerate(x) if a), None)
     if c is None:
-        raise DegenerateInputError("candidate coordinate is the zero vector")
-    basis = [
-        [point[c] if j == f else -point[f] if j == c else 0 for j in range(3)]
+        return [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    return [
+        tuple(x[c] if j == f else -x[f] if j == c else 0 for j in range(3))
         for f in range(3) if f != c
     ]
+
+
+def forms_through(rng: random.Random, point, count: int) -> tuple[tuple[int, ...], ...]:
+    """``count`` independent linear forms on P^2 vanishing at ``point``, as
+    integer vectors: each is ``u * b_0 + v * b_1`` for random integers u, v,
+    over the basis :func:`_forms_vanishing_at` of the point."""
+    if not all(type(a) is int for a in point):
+        (point,), _ = linalg.integer_rows([point])
+    basis = _forms_vanishing_at(point)
+    if len(basis) != 2:
+        raise DegenerateInputError("candidate coordinate is the zero vector")
 
     def draw(r):
         u, v = r.randint(-10, 10), r.randint(-10, 10)
@@ -578,7 +578,9 @@ def has_world_point_preimage(config: CameraConfiguration, candidate) -> bool:
     candidate = [parse_vector(vec, 3) for vec in candidate]
     if len(candidate) != config.k:
         raise PreconditionError(f"candidate needs {config.k} coordinates")
-    forms = [linalg.nullspace([list(x)], 3) for x in candidate]
+    # A point is defined only up to scale, so one scale serves.
+    candidate, _ = linalg.integer_rows(candidate)
+    forms = [_forms_vanishing_at(x) for x in candidate]
     # A positive-dimensional solution space counts: a generic element avoids
     # the finitely many centers.
     return _fiber_size(config, _pullback_rows(config, forms)[0]) != 0
