@@ -117,8 +117,10 @@ class CameraConfiguration:
         return len(self.cameras)
 
     def center(self, i: int) -> Vec:
-        """The world point killed by camera i (1-based); spans the kernel."""
-        return linalg.nullspace(self._rows[i - 1], 4)[0]
+        """The world point killed by camera i (1-based); its last nonzero
+        entry is 1, as in the ``linalg.nullspace`` basis."""
+        *_, last = filter(None, center := self._int_centers[i - 1])
+        return tuple(Fraction(x, last) for x in center)
 
     def is_generic(self) -> bool:
         """Pairwise-distinct centers and no three centers collinear."""
@@ -160,15 +162,10 @@ class LinearSpaceTuple:
         )
         object.__setattr__(self, "forms", parsed)
         for idx, factor in enumerate(parsed):
-            for form in factor:
-                if len(form) != 3:
-                    raise PreconditionError(
-                        f"factor {idx + 1}: forms must have 3 coefficients"
-                    )
-            if factor and linalg.rank(list(factor)) != len(factor):
-                raise PreconditionError(
-                    f"factor {idx + 1}: cutting forms are linearly dependent"
-                )
+            if any(len(form) != 3 for form in factor):
+                raise PreconditionError(f"factor {idx + 1}: forms must have 3 coefficients")
+            if not _independent(factor):
+                raise PreconditionError(f"factor {idx + 1}: cutting forms are linearly dependent")
 
     @property
     def beta(self) -> tuple[int, ...]:
@@ -319,8 +316,8 @@ def chow_residual(config: CameraConfiguration, spaces: LinearSpaceTuple) -> Frac
     is the closure of that condition, so this is the form up to scale.
     """
     _tensor_profile(config.k, spaces.beta)
-    rows, scale = _pullback_rows(config, spaces.forms)
-    return linalg.det(rows) / scale
+    (r0, r1, r2, r3), scale = _pullback_rows(config, spaces.forms)
+    return Fraction(_laplace(_minors(r0, r1), _minors(r2, r3)), scale)
 
 
 def _minors(u, v) -> tuple[int, ...]:
@@ -413,11 +410,9 @@ def tensor_contract(tensor: MultifocalTensor, coordinates) -> Fraction:
         raise PreconditionError(
             f"need {tensor.k} coordinate vectors of length 3"
         )
-    # Integer numerators over one common denominator.
-    denominator = lcm(*(value.denominator for value in tensor.entries.values()))
+    (numerators,), denominator = linalg.integer_rows([tensor.entries.values()])
     total = 0
-    for index, value in tensor.entries.items():
-        term = value.numerator * (denominator // value.denominator)
+    for index, term in zip(tensor.entries, numerators):
         for vec, a in zip(coords, index):
             term *= vec[a - 1]
         total += term
@@ -476,18 +471,22 @@ def random_form(rng: random.Random) -> tuple[int, ...]:
     return _sample(rng, lambda r: _random_vector(r, 3), any, "linear form")
 
 
+def _independent(forms) -> bool:
+    """Whether forms on P^2 are linearly independent: each is nonzero, and
+    two have a nonzero cross product.  More than two are refused, as a
+    codimension in P^2 is at most 2."""
+    if len(forms) > 2:
+        raise PreconditionError(f"at most 2 independent forms cut P^2, not {len(forms)}")
+    return all(map(any, forms)) and (len(forms) < 2 or any(linalg.cross(*forms)))
+
+
 def _independent_forms(rng, draw, count: int, what: str) -> tuple[tuple[int, ...], ...]:
-    """``count`` forms, each drawn until it is independent of the earlier
-    ones: nonzero, and the second with a nonzero cross product with the
-    first.  No third test is needed, as ``count`` is a codimension in P^2,
-    which ``check_profile`` bounds by ``n_i = 2``."""
-    if count > 2:
-        raise PreconditionError(f"at most 2 independent forms cut P^2, not {count}")
-    forms: list[tuple[int, ...]] = []
+    """``count`` forms, each drawn until it is :func:`_independent` of the
+    earlier ones."""
+    forms = ()
     for _ in range(count):
-        good = (lambda f: any(linalg.cross(forms[0], f))) if forms else any
-        forms.append(_sample(rng, draw, good, what))
-    return tuple(forms)
+        forms += (_sample(rng, draw, lambda f: _independent((*forms, f)), what),)
+    return forms
 
 
 def random_independent_forms(rng: random.Random, count: int):
