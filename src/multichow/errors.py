@@ -1,6 +1,7 @@
 """Exception hierarchy shared across the package, plus the one reader of
-input fields, the two readers of JSON numbers and the one writer of decimal
-strings, which report malformed data as :class:`PreconditionError`.  Each
+input fields, the two readers of JSON numbers, the one integer rule of the
+value constructors and the one writer of decimal strings, which report
+malformed data as :class:`PreconditionError`.  Each
 class's ``status`` names the CLI status (see ``cli.EXIT_CODES``) it ends in."""
 
 from fractions import Fraction
@@ -72,6 +73,20 @@ def integer(value) -> int:
 def ints(value) -> tuple[int, ...]:
     """A JSON array of integers, each read by :func:`integer`."""
     return tuple(map(integer, array(value)))
+
+
+def exact_ints(values, what: str) -> tuple[int, ...]:
+    """``values`` as a tuple of ints.  An entry that ``int`` would change
+    (1.5, ``"2"``) is refused, not truncated, and so is one it cannot read
+    (``"x"``, ``None``) or ``values`` that are not iterable; 2.0 reads as 2."""
+    try:
+        entries = tuple(values)
+        exact = tuple(map(int, entries))
+    except (TypeError, ValueError, OverflowError):
+        raise PreconditionError(f"{what} {values} must be integers") from None
+    if exact != entries:
+        raise PreconditionError(f"{what} {list(entries)} must be integers")
+    return exact
 
 
 def rational(value) -> Fraction:

@@ -5,14 +5,17 @@ columns).  One fraction-free Gauss-Jordan elimination (Bareiss) on integer
 rows serves ``rref``, ``rank``, ``nullspace`` and ``det``: every division in
 it is exact, so no ``Fraction`` arithmetic runs inside the loop.  Matrices
 are sequences of rows; rows are sequences of numbers coercible to
-``Fraction``.
+``Fraction``.  The elimination and these four entry points are references
+that no package code calls: :mod:`multiview` has a closed-form kernel for
+each of its jobs, the tests compare those kernels against them, and
+``perfbench/tracer.py`` wraps their names.
 
 :func:`integer_rows` is the one integer-scaling helper: it turns a matrix
 into integer rows times one common scale, the lcm of all its denominators.
-The elimination starts from it, and an ``int`` or ``Fraction`` entry passes
-through it without a new ``Fraction`` being built, so integer rows (the
-camera code in :mod:`multiview` keeps its cameras as integer rows) cost no
-conversion at all.  ``proportional`` compares the 2x2 minors of the two
+The elimination and the camera, form and tensor code of :mod:`multiview`
+start from it, and an ``int`` or ``Fraction`` entry passes through it
+without a new ``Fraction`` being built, so integer rows cost no conversion
+at all.  ``proportional`` compares the 2x2 minors of the two
 integer-scaled vectors, and ``cross`` keeps integer vectors integral.
 """
 

@@ -35,6 +35,7 @@ from .errors import (
     PreconditionError,
     array,
     decimal,
+    exact_ints,
     field,
     integer,
     ints,
@@ -64,9 +65,8 @@ class Multidegree:
             raise PreconditionError(f"unknown tag {self.tag!r}")
         codim = self.sig.codim()
         clean = {}
-        for gamma, a in self.coeffs.items():
+        for gamma, a in zip(self.coeffs, exact_ints(self.coeffs.values(), "coefficients")):
             gamma = self.sig.check_profile(gamma, codim)
-            a = int(a)
             if a <= 0:
                 raise PreconditionError(
                     f"coefficient at {gamma} must be positive, got {a}"

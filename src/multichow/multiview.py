@@ -28,12 +28,16 @@ integer products.  A value that does depend on the scale, the residual or a
 tensor entry, is an integer determinant divided by the product of the scales
 of the rows it used.
 
-An oracle trial and the genericity gate run no elimination.  Two forms on
-P^2 are independent when their cross product is nonzero; three rows in P^3
-have rank 3 when their signed 3x3 minors (:func:`_kernel3`, which also gives
-the camera centers) are not all zero, and those minors then span their
-kernel, so a pulled-back system is solved by the minors of its first row
-triple of rank 3, checked against the other rows.
+No geometry computation runs an elimination; each job has one closed-form
+kernel.  One or two forms on P^2 are independent when they are nonzero and,
+for two, their cross product is nonzero (:func:`_independent`, for the
+sampler and for :class:`LinearSpaceTuple`); three rows in P^3 have rank 3
+when their signed 3x3 minors (:func:`_kernel3`, which also gives the camera
+centers) are not all zero, and those minors then span their kernel, so a
+pulled-back system is solved by the minors of its first row triple of rank
+3, checked against the other rows.  The residual and every tensor entry
+are 4x4 determinants, both computed by one Laplace expansion over 2x2
+minors (:func:`_laplace`).
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ from operator import mul
 
 from . import linalg
 from .errors import (
-    DegenerateInputError, PreconditionError, array, decimal, field, ints, rational
+    DegenerateInputError, PreconditionError, array, decimal, exact_ints, field, ints, rational
 )
 from .multidegree import Multidegree
 from .polymatroid import SpaceSignature
@@ -119,6 +123,8 @@ class CameraConfiguration:
     def center(self, i: int) -> Vec:
         """The world point killed by camera i (1-based); its last nonzero
         entry is 1, as in the ``linalg.nullspace`` basis."""
+        if not 1 <= i <= self.k:
+            raise PreconditionError(f"camera {i} out of range 1..{self.k}")
         *_, last = filter(None, center := self._int_centers[i - 1])
         return tuple(Fraction(x, last) for x in center)
 
@@ -150,7 +156,7 @@ class LinearSpaceTuple:
     """For each factor, the linear forms cutting out a subspace of P^2.
 
     ``forms[i]`` holds the cutting forms of the i-th space; its length is the
-    codimension beta_i.  Forms within a factor must be linearly independent.
+    codimension beta_i, at most 2.  Forms within a factor must be independent.
     """
 
     forms: tuple[tuple[Vec, ...], ...]
@@ -195,7 +201,7 @@ class MultifocalTensor:
         object.__setattr__(self, "beta", beta)
         clean = {}
         for index, value in self.entries.items():
-            index = tuple(map(int, index))
+            index = exact_ints(index, "tensor index")
             if len(index) != len(beta) or min(index) < 1 or max(index) > 3:
                 raise PreconditionError(f"bad tensor index {index}")
             if value := value if type(value) is Fraction else Fraction(value):

@@ -58,7 +58,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import PreconditionError, array, field, integer, ints
+from .errors import PreconditionError, array, exact_ints, field, integer, ints
 
 MAX_K = 24
 
@@ -88,7 +88,8 @@ class SpaceSignature:
     r: int
 
     def __post_init__(self):
-        object.__setattr__(self, "n", tuple(int(x) for x in self.n))
+        object.__setattr__(self, "n", exact_ints(self.n, "factor dimensions"))
+        object.__setattr__(self, "r", exact_ints((self.r,), "dimension r")[0])
         if not self.n:
             raise PreconditionError("need at least one factor")
         if len(self.n) > MAX_K:
@@ -106,17 +107,10 @@ class SpaceSignature:
         return sum(self.n) - self.r
 
     def check_profile(self, vec, total: int) -> tuple[int, ...]:
-        """``vec`` as an integer tuple, checked to have one entry per factor,
-        ``0 <= vec_i <= n_i`` and ``sum(vec) == total``.  An entry that ``int``
-        would change (1.5, ``"2"``) is refused, not truncated, and so is one
-        it cannot read (``"x"``, ``None``) or a ``vec`` that is not iterable."""
-        try:
-            entries = tuple(vec)
-            vec = tuple(map(int, entries))
-        except (TypeError, ValueError, OverflowError):
-            raise PreconditionError(f"profile {vec} needs integer entries") from None
-        if vec != entries:
-            raise PreconditionError(f"profile {list(entries)} needs integer entries")
+        """``vec`` read by :func:`~multichow.errors.exact_ints`, checked to
+        have one entry per factor, ``0 <= vec_i <= n_i`` and
+        ``sum(vec) == total``."""
+        vec = exact_ints(vec, "profile")
         if len(vec) != self.k:
             raise PreconditionError(f"profile {vec} needs {self.k} entries, one per factor")
         for i, (v, n) in enumerate(zip(vec, self.n)):
@@ -146,7 +140,8 @@ class RankFunction:
     values: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(int(v) for v in self.values))
+        object.__setattr__(self, "k", exact_ints((self.k,), "k")[0])
+        object.__setattr__(self, "values", exact_ints(self.values, "rank function values"))
         if not 1 <= self.k <= MAX_K:
             raise PreconditionError(f"k must be in 1..{MAX_K}")
         if len(self.values) != 1 << self.k:

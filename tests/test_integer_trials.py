@@ -18,6 +18,7 @@ from multichow import cli, linalg
 from multichow.errors import MultichowError, PreconditionError
 from multichow.multiview import (
     CameraConfiguration,
+    LinearSpaceTuple,
     _fiber_size,
     _image,
     epsilon_oracle,
@@ -29,11 +30,13 @@ from multichow.multiview import (
     random_form,
     random_independent_forms,
     sz_membership,
+    tensor_contract,
 )
 from multichow.polymatroid import profiles
 
 from helpers import (
     IDENTITY_CAMERA,
+    fraction_pullback_rows,
     rational_cameras,
     reference_epsilon_oracle,
     reference_fiber_size,
@@ -42,6 +45,7 @@ from helpers import (
     reference_intersection_count_oracle,
     reference_random_form,
     reference_random_independent_forms,
+    reference_tensor,
     translated_camera,
 )
 
@@ -238,8 +242,11 @@ def test_world_point_preimage_matches_reference(name):
 
 
 def refuse_elimination(monkeypatch):
+    """Make the elimination behind ``rref``, ``rank``, ``nullspace`` and
+    ``det`` fail, as no package code may reach it."""
+
     def refused(*args):
-        raise AssertionError("elimination during an oracle trial")
+        raise AssertionError("elimination in package code")
 
     monkeypatch.setattr(linalg, "_eliminate", refused)
 
@@ -253,7 +260,18 @@ def test_oracle_trials_run_no_elimination(monkeypatch, tmp_path, capsys):
         reference_has_world_point_preimage(configs[3], x)
         for x in (candidate, [_image(cam, (1, -2, 3, 5)) for cam in configs[3]._rows])
     ]
+    rational = rational_cameras(3, 7)
+    spaces = LinearSpaceTuple((((1, 2, 3), ("1/2", 0, 1)), ((0, 1, -1),), ((4, 0, 1),)))
+    residual = linalg.det(fraction_pullback_rows(rational, spaces.forms))
+    centers = [linalg.nullspace(cam, 4)[0] for cam in rational.cameras]
+    expected_tensor = reference_tensor(rational, (2, 1, 1))
+    coords = [linalg.cross(*spaces.forms[0]), *spaces.forms[1], *spaces.forms[2]]
+    assert residual != 0
     refuse_elimination(monkeypatch)
+    assert [rational.center(i) for i in (1, 2, 3)] == centers
+    assert LinearSpaceTuple(spaces.forms) == spaces
+    with pytest.raises(PreconditionError, match="linearly dependent"):
+        LinearSpaceTuple((((1, 2, 3), (2, 4, 6)),))
     for k, config in configs.items():
         assert config.is_generic()
         gamma = (0, 1) if k == 2 else (1, 1, 1) + (2,) * (k - 3)
@@ -268,18 +286,29 @@ def test_oracle_trials_run_no_elimination(monkeypatch, tmp_path, capsys):
     ] == [False, True]
     path = tmp_path / "in.json"
     for argv, obj, answer in (
-        (["oracle-epsilon"], dict(configs[4].to_json(), beta=[1, 1, 1, 1]), {"counts": [1] * 4}),
+        (["oracle-epsilon", "--trials", "4"], dict(configs[4].to_json(), beta=[1, 1, 1, 1]), {"counts": [1] * 4}),
         (
-            ["oracle-multidegree"],
+            ["oracle-multidegree", "--trials", "4"],
             dict(configs[3].to_json(), gamma=[1, 1, 1]),
             {"counts": [1] * 4, "expected": 1, "majority": 1},
         ),
         (
-            ["sz-test"],
+            ["sz-test", "--trials", "4"],
             dict(configs[3].to_json(), beta=[2, 1, 1], candidate=candidate),
             {"member": False},
         ),
+        (["tensor"], dict(rational.to_json(), beta=[2, 1, 1]), expected_tensor.to_json()),
+        (
+            ["residual"],
+            dict(rational.to_json(), spaces=[[[str(x) for x in f] for f in factor] for factor in spaces.forms]),
+            {"residual": str(residual)},
+        ),
+        (
+            ["contract"],
+            {"tensor": expected_tensor.to_json(), "coordinates": [[str(x) for x in c] for c in coords]},
+            {"value": str(residual)},
+        ),
     ):
         path.write_text(json.dumps(obj))
-        assert cli.main([*argv, "--trials", "4", "--input", str(path)]) == 0
+        assert cli.main([*argv, "--input", str(path)]) == 0
         assert json.loads(capsys.readouterr().out) == answer

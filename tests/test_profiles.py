@@ -1,6 +1,7 @@
 """Every entry point that takes a profile (a codimension profile beta or an
 exponent gamma) refuses one of the wrong length, with an entry out of range
-or with the wrong total, through ``SpaceSignature.check_profile``."""
+or with the wrong total, through ``SpaceSignature.check_profile``; the value
+constructors apply its integer rule, ``errors.exact_ints``."""
 
 import pytest
 
@@ -23,8 +24,8 @@ from multichow import (
 )
 from multichow.errors import PreconditionError
 from multichow.multidegree import CYCLE
-from multichow.multiview import random_cameras
-from multichow.polymatroid import SpaceSignature, tight_sets
+from multichow.multiview import MultifocalTensor, random_cameras
+from multichow.polymatroid import RankFunction, SpaceSignature, tight_sets
 
 from helpers import multiview_delta, multiview_sig
 
@@ -96,6 +97,38 @@ def test_check_profile():
     ):
         with pytest.raises(PreconditionError):
             sig.check_profile(vec, 3)
+
+
+NON_INTEGERS = (1.5, 2.9, "2", "x", None)
+
+
+@pytest.mark.parametrize("value", NON_INTEGERS)
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda x: SpaceSignature((x, 2), 3),
+        lambda x: SpaceSignature((2, 2), x),
+        lambda x: RankFunction(1, (0, x)),
+        lambda x: RankFunction(x, (0, 1)),
+        lambda x: Multidegree(SpaceSignature((1,), 0), {(1,): x}, CYCLE),
+        lambda x: MultifocalTensor((2, 2), {(x, 2): 3}),
+    ],
+    ids=["n", "r", "rank-values", "rank-k", "coefficient", "tensor-index"],
+)
+def test_value_constructors_refuse_non_integers(build, value):
+    # int would truncate 1.5 and 2.9 and read "2"; none is an integer.
+    with pytest.raises(PreconditionError, match="must be integers"):
+        build(value)
+
+
+def test_value_constructors_read_whole_floats():
+    sig = SpaceSignature((2.0, 2), 3.0)
+    assert (sig.n, sig.r) == ((2, 2), 3)
+    assert type(sig.r) is int
+    assert RankFunction(1, (0, 1.0)).values == (0, 1)
+    assert RankFunction(2.0, (0, 1, 1, 2)).k == 2
+    assert Multidegree(SpaceSignature((1,), 0), {(1,): 2.0}, CYCLE).coeffs == {(1,): 2}
+    assert MultifocalTensor((2, 2), {(1.0, 2): 3}).entries == {(1, 2): 3}
 
 
 def test_tight_sets_rejects_a_short_beta():
