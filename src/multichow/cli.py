@@ -228,10 +228,9 @@ def _cmd_sz_test(obj, args):
     config = mv.CameraConfiguration.from_json(obj)
     beta = field(obj, "beta", ints)
     candidate = _parse_vectors(obj, "candidate")
-    tensor = mv.multifocal_tensor(config, beta)
-    member = mv.sz_membership(config, tensor, candidate, args.trials, args.seed)
-    # A non-generic configuration can have a zero tensor, which every
-    # candidate would pass.
+    member = mv.sz_membership(config, beta, candidate, args.trials, args.seed)
+    # A non-generic configuration can have an identically zero incidence
+    # form, which every candidate would pass.
     _require_generic(config, "'member'")
     return {"member": member}
 

@@ -15,18 +15,27 @@ genericity checks and bounded resampling (32 retries) on degeneracy.  Oracle
 trial i uses a deterministic substream derived from (seed, i), so per-trial
 results are reproducible regardless of execution order.
 
-The work itself runs on integers.  A :class:`CameraConfiguration` keeps,
-beside its public ``Fraction`` cameras, each camera times one scale, the lcm
-of all 12 of its denominators, as integer rows, and each center scaled to
-integers.  A camera must be scaled as a whole: scaling its rows by different
-factors would change the camera, not just its scale.  Kernels, ranks, zero
-tests and proportionality do not see a scale, so a random form or world
-point is an integer vector: its numerator and denominator draws times the
-lcm of the denominators.  A form is defined only up to scale, and the
-sampling helpers return int tuples.  Images and pulled-back systems are
-integer products.  A value that does depend on the scale, the residual or a
-tensor entry, is an integer determinant divided by the product of the scales
-of the rows it used.
+The work itself runs on integers, from the input to the answer; ``Fraction``
+appears only in public attributes (``cameras``, ``forms``, ``entries``) and
+in returned values.  Every number is read by :func:`_exact`: an ``int`` or a
+``Fraction`` as it is, anything else by ``errors.rational``, so a float is
+read from its decimal text, as on the command line.  Each object keeps, at
+construction, an integer form of what it holds.  A
+:class:`CameraConfiguration` keeps each camera times one scale, the lcm of
+all 12 of its denominators, as integer rows (a camera of ints is its own
+integer rows, with scale 1), and each center scaled to integers.  A camera
+must be scaled as a whole: scaling its rows by different factors would
+change the camera, not just its scale.  A :class:`LinearSpaceTuple` keeps
+its forms times the lcm of their denominators, and a
+:class:`MultifocalTensor` its entries as integer numerators over one
+denominator, in index order.  Kernels, ranks, zero tests and
+proportionality do not see a scale, so a random form or world point is an
+integer vector: its numerator and denominator draws times the lcm of the
+denominators.  A form is defined only up to scale, and the sampling helpers
+return int tuples.  Images and pulled-back systems are integer products.  A
+value that does depend on the scale, the residual or a tensor entry, is an
+integer determinant divided by the product of the scales of the rows it
+used.
 
 No geometry computation runs an elimination; each job has one closed-form
 kernel.  One or two forms on P^2 are independent when they are nonzero and,
@@ -35,9 +44,9 @@ sampler and for :class:`LinearSpaceTuple`); three rows in P^3 have rank 3
 when their signed 3x3 minors (:func:`_kernel3`, which also gives the camera
 centers) are not all zero, and those minors then span their kernel, so a
 pulled-back system is solved by the minors of its first row triple of rank
-3, checked against the other rows.  The residual and every tensor entry
-are 4x4 determinants, both computed by one Laplace expansion over 2x2
-minors (:func:`_laplace`).
+3, checked against the other rows.  The residual, every tensor entry and
+each trial of :func:`sz_membership` are 4x4 determinants, all computed by
+one Laplace expansion over 2x2 minors (:func:`_laplace`).
 """
 
 from __future__ import annotations
@@ -61,20 +70,38 @@ MAX_RESAMPLES = 32
 Vec = tuple[Fraction, ...]
 Camera = tuple[Vec, Vec, Vec]
 
+_EXACT = (int, Fraction)
 
-def _as_camera(rows) -> Camera:
-    rows = tuple(
-        tuple(x if type(x) is Fraction else Fraction(x) for x in row) for row in rows
-    )
-    if len(rows) != 3 or any(len(row) != 4 for row in rows):
+
+def _exact(x) -> int | Fraction:
+    """The one reader of a number: an ``int`` or a ``Fraction`` as it is,
+    anything else (a float, a string such as ``"-2/3"``) by
+    ``errors.rational``."""
+    return x if type(x) in _EXACT else rational(x)
+
+
+def _fractions(row) -> Vec:
+    return tuple(x if type(x) is Fraction else Fraction(x) for x in row)
+
+
+def _as_camera(rows) -> tuple[Camera, tuple, int]:
+    """A camera's ``Fraction`` rows, its rows times its scale (the lcm of
+    its 12 denominators) as integers, and that scale; a camera of ints is
+    its own integer rows, with scale 1, and runs no ``Fraction`` arithmetic."""
+    exact = tuple(tuple(map(_exact, row)) for row in rows)
+    if len(exact) != 3 or any(len(row) != 4 for row in exact):
         raise PreconditionError("a camera must be a 3x4 matrix")
-    return rows
+    camera = tuple(map(_fractions, exact))
+    if all(type(x) is int for row in exact for x in row):
+        return camera, exact, 1
+    rows, scale = linalg.integer_rows(exact)
+    return camera, tuple(map(tuple, rows)), scale
 
 
-def parse_vector(entries, length: int) -> Vec:
-    """An array of ``length`` exact rationals (numbers or strings such as
-    ``"-2/3"``)."""
-    vec = tuple(map(rational, array(entries)))
+def parse_vector(entries, length: int) -> tuple[int | Fraction, ...]:
+    """An array of ``length`` exact numbers, each read by :func:`_exact`, so
+    a JSON integer stays an ``int``."""
+    vec = tuple(map(_exact, array(entries)))
     if len(vec) != length:
         raise PreconditionError(f"expected a vector of length {length}")
     return vec
@@ -99,22 +126,18 @@ class CameraConfiguration:
     cameras: tuple[Camera, ...]
 
     def __post_init__(self):
-        cams = tuple(_as_camera(c) for c in self.cameras)
-        object.__setattr__(self, "cameras", cams)
-        if not cams:
+        read = [_as_camera(cam) for cam in self.cameras]
+        object.__setattr__(self, "cameras", tuple(cam for cam, _, _ in read))
+        if not read:
             raise PreconditionError("need at least one camera")
-        rows, scales, centers = [], [], []
-        for idx, cam in enumerate(cams):
-            (r0, r1, r2), scale = linalg.integer_rows(cam)
-            center = _kernel3(r0, r1, r2)
+        _, rows, scales = zip(*read)
+        centers = tuple(_kernel3(*cam) for cam in rows)
+        for idx, center in enumerate(centers):
             if not any(center):
                 raise PreconditionError(f"camera {idx + 1} does not have rank 3")
-            rows.append((tuple(r0), tuple(r1), tuple(r2)))
-            scales.append(scale)
-            centers.append(center)
-        object.__setattr__(self, "_rows", tuple(rows))
-        object.__setattr__(self, "_scales", tuple(scales))
-        object.__setattr__(self, "_int_centers", tuple(centers))
+        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_scales", scales)
+        object.__setattr__(self, "_int_centers", centers)
 
     @property
     def k(self) -> int:
@@ -157,21 +180,24 @@ class LinearSpaceTuple:
 
     ``forms[i]`` holds the cutting forms of the i-th space; its length is the
     codimension beta_i, at most 2.  Forms within a factor must be independent.
+    ``_forms[i]`` holds the forms of factor i times the lcm of their
+    denominators, as integers, and ``_scale`` the product of those lcms, each
+    to the power of its factor's number of forms.
     """
 
     forms: tuple[tuple[Vec, ...], ...]
 
     def __post_init__(self):
-        parsed = tuple(
-            tuple(tuple(Fraction(x) for x in form) for form in factor)
-            for factor in self.forms
-        )
-        object.__setattr__(self, "forms", parsed)
-        for idx, factor in enumerate(parsed):
+        exact = tuple(tuple(tuple(map(_exact, form)) for form in factor) for factor in self.forms)
+        object.__setattr__(self, "forms", tuple(tuple(map(_fractions, factor)) for factor in exact))
+        for idx, factor in enumerate(exact):
             if any(len(form) != 3 for form in factor):
                 raise PreconditionError(f"factor {idx + 1}: forms must have 3 coefficients")
             if not _independent(factor):
                 raise PreconditionError(f"factor {idx + 1}: cutting forms are linearly dependent")
+        scaled = [linalg.integer_rows(factor) for factor in exact]
+        object.__setattr__(self, "_forms", tuple(tuple(map(tuple, rows)) for rows, _ in scaled))
+        object.__setattr__(self, "_scale", prod(scale ** len(rows) for rows, scale in scaled))
 
     @property
     def beta(self) -> tuple[int, ...]:
@@ -190,7 +216,9 @@ class MultifocalTensor:
 
     Slot i contracts with point coordinates when beta_i = 2 (the slicing
     space is a point) and with line coordinates when beta_i = 1.  Only the
-    nonzero entries are stored.
+    nonzero entries are stored.  ``_numerators`` holds every entry times
+    ``_denominator`` as an integer, zeros included, in
+    :data:`_TENSOR_INDICES` order.
     """
 
     beta: tuple[int, ...]
@@ -198,15 +226,38 @@ class MultifocalTensor:
 
     def __post_init__(self):
         beta = _tensor_profile(len(self.beta), self.beta)
-        object.__setattr__(self, "beta", beta)
-        clean = {}
+        indices, positions = _TENSOR_INDICES[len(beta)], _INDEX_POSITIONS[len(beta)]
+        clean, placed = {}, []
         for index, value in self.entries.items():
-            index = exact_ints(index, "tensor index")
-            if len(index) != len(beta) or min(index) < 1 or max(index) > 3:
-                raise PreconditionError(f"bad tensor index {index}")
-            if value := value if type(value) is Fraction else Fraction(value):
-                clean[index] = value
-        object.__setattr__(self, "entries", clean)
+            # One lookup accepts exactly what exact_ints and the range
+            # check accept: equal numbers have equal hashes.
+            position = positions.get(index)
+            if position is None:
+                raise PreconditionError(f"bad tensor index {exact_ints(index, 'tensor index')}")
+            if value := value if type(value) is Fraction else rational(value):
+                clean[indices[position]] = value
+                placed.append((position, value))
+        denominator = lcm(*{value.denominator for _, value in placed})
+        numerators = [0] * len(indices)
+        for position, value in placed:
+            numerators[position] = value.numerator * (denominator // value.denominator)
+        # Past the frozen __setattr__, as in _of_numerators.
+        vars(self).update(
+            beta=beta, entries=clean, _numerators=tuple(numerators), _denominator=denominator
+        )
+
+    @classmethod
+    def _of_numerators(cls, beta, numerators, denominator) -> "MultifocalTensor":
+        """The tensor of a checked profile whose entries are the integer
+        ``numerators``, in :data:`_TENSOR_INDICES` order, over
+        ``denominator``; nothing is derived again."""
+        tensor = cls.__new__(cls)
+        indices = _TENSOR_INDICES[len(beta)]
+        entries = {index: Fraction(n, denominator) for index, n in zip(indices, numerators) if n}
+        vars(tensor).update(
+            beta=beta, entries=entries, _numerators=tuple(numerators), _denominator=denominator
+        )
+        return tensor
 
     @property
     def k(self) -> int:
@@ -245,8 +296,8 @@ class MultifocalTensor:
 
 def project_point(camera, world_point) -> Vec:
     """Apply a camera to a world point; undefined at the camera center."""
-    camera = _as_camera(camera)
-    image = linalg.mat_vec(camera, [Fraction(x) for x in world_point])
+    camera, _, _ = _as_camera(camera)
+    image = linalg.mat_vec(camera, [_exact(x) for x in world_point])
     if linalg.is_zero_vector(image):
         raise DegenerateInputError("projection undefined: point is the camera center")
     return image
@@ -291,16 +342,25 @@ def multiview_multidegree(k: int) -> Multidegree:
 
 
 def _pullback_rows(config: CameraConfiguration, factors):
-    """Integer multiples of the rows l^T P_i for every cutting form l of
-    factor i, factor order then form order, and the product of their
-    multipliers; the caller has matched the factors to the cameras."""
+    """The integer rows l^T P_i, each times the scale of camera i, for every
+    integer cutting form l of factor i, factor order then form order, and
+    the product of those scales; the caller has matched the factors to the
+    cameras."""
     rows, scale = [], 1
-    for cam, cam_scale, factor in zip(config._rows, config._scales, factors):
-        forms, form_scale = linalg.integer_rows(factor)
+    for cam, cam_scale, forms in zip(config._rows, config._scales, factors):
         columns = tuple(zip(*cam))
         rows.extend(_image(columns, form) for form in forms)
-        scale *= (cam_scale * form_scale) ** len(forms)
+        scale *= cam_scale ** len(forms)
     return rows, scale
+
+
+#: For 2, 3 and 4 cameras, the 3^k tensor indices in product order, and the
+#: position of each in that order.
+_TENSOR_INDICES = {k: tuple(product((1, 2, 3), repeat=k)) for k in (2, 3, 4)}
+_INDEX_POSITIONS = {
+    k: {index: position for position, index in enumerate(indices)}
+    for k, indices in _TENSOR_INDICES.items()
+}
 
 
 def _tensor_profile(k: int, beta) -> tuple[int, ...]:
@@ -322,8 +382,8 @@ def chow_residual(config: CameraConfiguration, spaces: LinearSpaceTuple) -> Frac
     is the closure of that condition, so this is the form up to scale.
     """
     _tensor_profile(config.k, spaces.beta)
-    (r0, r1, r2, r3), scale = _pullback_rows(config, spaces.forms)
-    return Fraction(_laplace(_minors(r0, r1), _minors(r2, r3)), scale)
+    (r0, r1, r2, r3), scale = _pullback_rows(config, spaces._forms)
+    return Fraction(_laplace(_minors(r0, r1), _minors(r2, r3)), scale * spaces._scale)
 
 
 def _minors(u, v) -> tuple[int, ...]:
@@ -397,32 +457,33 @@ def multifocal_tensor(config: CameraConfiguration, beta) -> MultifocalTensor:
 
     # Every entry stacks beta_i rows of camera i, each times that camera's scale.
     scale = prod(s**b for s, b in zip(config._scales, beta))
-    entries = {}
-    for index in product((1, 2, 3), repeat=config.k):
+    numerators = []
+    for index in _TENSOR_INDICES[config.k]:
         rows, sign = (), 1
         for choice, a in zip(choices, index):
             pairs, pair_sign = choice[a - 1]
             rows += pairs
             sign *= pair_sign
-        if value := _laplace(block(rows[:2]), block(rows[2:])):
-            entries[index] = Fraction(sign * value, scale)
-    return MultifocalTensor(beta, entries)
+        numerators.append(sign * _laplace(block(rows[:2]), block(rows[2:])))
+    return MultifocalTensor._of_numerators(beta, numerators, scale)
 
 
 def tensor_contract(tensor: MultifocalTensor, coordinates) -> Fraction:
-    """Full multilinear contraction sum T[a] * prod_i x_i[a_i]."""
-    coords, scale = linalg.integer_rows(coordinates)
+    """Full multilinear contraction sum T[a] * prod_i x_i[a_i], slot by slot
+    from the last: the tensor's integer numerators, in index order, fall
+    into consecutive triples that agree in every slot but the last, and
+    each triple contracts with that slot's integer coordinates."""
+    coords, scale = linalg.integer_rows([map(_exact, vec) for vec in coordinates])
     if len(coords) != tensor.k or any(len(vec) != 3 for vec in coords):
         raise PreconditionError(
             f"need {tensor.k} coordinate vectors of length 3"
         )
-    (numerators,), denominator = linalg.integer_rows([tensor.entries.values()])
-    total = 0
-    for index, term in zip(tensor.entries, numerators):
-        for vec, a in zip(coords, index):
-            term *= vec[a - 1]
-        total += term
-    return Fraction(total, denominator * scale**tensor.k)
+    values = tensor._numerators
+    for x0, x1, x2 in reversed(coords):
+        triples = iter(values)
+        values = [a * x0 + b * x1 + c * x2 for a, b, c in zip(triples, triples, triples)]
+    (total,) = values
+    return Fraction(total, tensor._denominator * scale**tensor.k)
 
 
 def contraction_coordinates(spaces: LinearSpaceTuple) -> list[Vec]:
@@ -523,10 +584,17 @@ def forms_through(rng: random.Random, point, count: int) -> tuple[tuple[int, ...
     basis = _forms_vanishing_at(point)
     if len(basis) != 2:
         raise DegenerateInputError("candidate coordinate is the zero vector")
+    return _forms_spanned_by(rng, basis, count)
+
+
+def _forms_spanned_by(rng: random.Random, basis, count: int) -> tuple[tuple[int, ...], ...]:
+    """``count`` independent forms ``u * b_0 + v * b_1`` for random integers
+    u, v, over the two integer forms of ``basis``."""
+    b0, b1 = basis
 
     def draw(r):
         u, v = r.randint(-10, 10), r.randint(-10, 10)
-        return tuple(u * a + v * b for a, b in zip(basis[0], basis[1]))
+        return tuple(u * a + v * b for a, b in zip(b0, b1))
 
     return _independent_forms(rng, draw, count, "form through a point")
 
@@ -680,32 +748,38 @@ def epsilon_oracle(
 
 def sz_membership(
     config: CameraConfiguration,
-    tensor: MultifocalTensor,
+    beta,
     candidate,
     trials: int,
     rng_seed: int,
 ) -> bool:
-    """Sampled membership test for the always-incident locus.
+    """Sampled membership test for the always-incident locus of profile beta.
 
-    Returns True iff the tensor contraction vanishes for every sampled tuple
-    of spaces through the candidate's coordinates (codimension-2 slots are
-    forced to the coordinate itself; codimension-1 slots get random lines
-    through it).  True answers hold up to sampling confidence; False answers
-    are exact.
+    Returns True iff the incidence form vanishes on every sampled tuple of
+    spaces through the candidate's coordinates: codimension-2 slots are the
+    coordinate itself, codimension-1 slots random lines through it.  Each
+    trial is one 4x4 determinant of pulled-back rows (:func:`_laplace`), the
+    residual of those spaces: a codimension-2 slot pulls back the two forms
+    of :func:`_forms_vanishing_at`, whose cross product is a nonzero multiple
+    of the coordinate, so the determinant is a nonzero multiple of the
+    multifocal tensor contracted with the coordinates and the lines.  True
+    answers hold up to sampling confidence; False answers are exact.
     """
-    # The contraction is only tested against zero, so one scale serves.
-    candidate, _ = linalg.integer_rows(parse_vector(vec, 3) for vec in candidate)
-    if len(candidate) != config.k or tensor.k != config.k:
+    beta = _tensor_profile(config.k, beta)
+    # A point is defined only up to scale, so one scale serves.
+    candidate, _ = linalg.integer_rows([parse_vector(vec, 3) for vec in candidate])
+    if len(candidate) != config.k:
         raise PreconditionError(f"candidate and tensor must have {config.k} slots")
     if not all(map(any, candidate)):
         raise PreconditionError("candidate coordinates must be nonzero")
+    # The forms through each coordinate: both on a codimension-2 slot, one
+    # random combination of them on a codimension-1 slot.
+    bases = [_forms_vanishing_at(x) for x in candidate]
     for rng in _trial_rngs(rng_seed, trials):
-        coords = []
-        for x, b in zip(candidate, tensor.beta):
-            if b == 2:
-                coords.append(x)
-            else:
-                coords.append(forms_through(rng, x, 1)[0])
-        if tensor_contract(tensor, coords) != 0:
+        forms = [
+            basis if b == 2 else _forms_spanned_by(rng, basis, 1) for basis, b in zip(bases, beta)
+        ]
+        (r0, r1, r2, r3), _ = _pullback_rows(config, forms)
+        if _laplace(_minors(r0, r1), _minors(r2, r3)):
             return False
     return True

@@ -18,6 +18,7 @@ from multichow.multiview import (
     _sample,
     _signature,
     _trial_rngs,
+    forms_through,
     parse_vector,
     random_cameras,
 )
@@ -257,6 +258,37 @@ def reference_tensor(config: CameraConfiguration, beta) -> MultifocalTensor:
                 rows.append(cam[a - 1])
         entries[index] = sign * linalg.det(rows)
     return MultifocalTensor(tuple(beta), entries)
+
+
+def reference_contract(tensor: MultifocalTensor, coordinates) -> Fraction:
+    """The reference for ``tensor_contract``: ``sum T[a] * prod_i x_i[a_i]``
+    over the stored entries, in ``Fraction`` arithmetic."""
+    coordinates = [[Fraction(x) for x in vec] for vec in coordinates]
+    total = Fraction(0)
+    for index, value in tensor.entries.items():
+        for vec, a in zip(coordinates, index):
+            value *= vec[a - 1]
+        total += value
+    return total
+
+
+def reference_sz_membership(config, tensor: MultifocalTensor, candidate, trials: int, seed: int):
+    """The reference for ``sz_membership``: per trial, the tensor contracted
+    with the candidate's coordinates on codimension-2 slots and a random line
+    through the coordinate on codimension-1 slots, the same line
+    ``sz_membership`` draws."""
+    candidate, _ = linalg.integer_rows([parse_vector(vec, 3) for vec in candidate])
+    if len(candidate) != config.k or tensor.k != config.k:
+        raise PreconditionError(f"candidate and tensor must have {config.k} slots")
+    if not all(map(any, candidate)):
+        raise PreconditionError("candidate coordinates must be nonzero")
+    for rng in _trial_rngs(seed, trials):
+        coords = [
+            x if b == 2 else forms_through(rng, x, 1)[0] for x, b in zip(candidate, tensor.beta)
+        ]
+        if reference_contract(tensor, coords) != 0:
+            return False
+    return True
 
 
 

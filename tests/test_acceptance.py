@@ -403,7 +403,6 @@ def test_trifocal_extra_components(report):
     started = time.perf_counter()
     config = random_cameras(3, 500)
     beta = (2, 1, 1)
-    tensor = multifocal_tensor(config, beta)
     centers = [config.center(i) for i in (1, 2, 3)]
 
     def epipole(cam_index, center_index):
@@ -417,7 +416,7 @@ def test_trifocal_extra_components(report):
     ok = True
     for candidate in (first, second):
         ok = ok and not has_world_point_preimage(config, candidate)
-        ok = ok and sz_membership(config, tensor, candidate, 10, 0)
+        ok = ok and sz_membership(config, beta, candidate, 10, 0)
     rng = random.Random("acceptance-sz")
     rejected = 0
     for _ in range(100):
@@ -426,7 +425,7 @@ def test_trifocal_extra_components(report):
         ]
         if any(linalg.is_zero_vector(x) for x in candidate):
             candidate = [(1, 2, 3), (4, 5, 6), (7, 8, 9)]
-        if not sz_membership(config, tensor, candidate, 4, 1):
+        if not sz_membership(config, beta, candidate, 4, 1):
             rejected += 1
     ok = ok and rejected == 100
     report("trifocal always-incident locus: extra components and rejections", ok, started, 30.0)

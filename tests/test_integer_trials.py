@@ -25,7 +25,6 @@ from multichow.multiview import (
     forms_through,
     has_world_point_preimage,
     intersection_count_oracle,
-    multifocal_tensor,
     random_cameras,
     random_form,
     random_independent_forms,
@@ -253,7 +252,6 @@ def refuse_elimination(monkeypatch):
 
 def test_oracle_trials_run_no_elimination(monkeypatch, tmp_path, capsys):
     configs = {k: random_cameras(k, 50 + k) for k in (2, 3, 4, 5)}
-    tensor = multifocal_tensor(configs[3], (2, 1, 1))
     degenerate = degenerate_configurations()
     candidate = [(1, 2, 3), (-4, 5, 1), (2, 2, 7)]
     preimages = [
@@ -279,7 +277,7 @@ def test_oracle_trials_run_no_elimination(monkeypatch, tmp_path, capsys):
         beta = (2, 2) if k == 2 else (2, 1, 1) + (0,) * (k - 3)
         assert epsilon_oracle(config, beta, 5, k) == [1] * 5
     assert not any(degenerate[name].is_generic() for name in ("collinear", "repeated", "one-center"))
-    assert not sz_membership(configs[3], tensor, candidate, 10, 0)
+    assert not sz_membership(configs[3], (2, 1, 1), candidate, 10, 0)
     assert preimages == [
         has_world_point_preimage(configs[3], x)
         for x in (candidate, [_image(cam, (1, -2, 3, 5)) for cam in configs[3]._rows])

@@ -311,13 +311,12 @@ class TestMultifocalTensor:
 @pytest.mark.parametrize("trials", [0, -1])
 def test_oracles_need_a_trial(trials):
     config = random_cameras(2, 21)
-    tensor = multifocal_tensor(config, (2, 2))
     with pytest.raises(PreconditionError, match="at least one trial"):
         intersection_count_oracle(config, (1, 0), trials, 0)
     with pytest.raises(PreconditionError, match="at least one trial"):
         epsilon_oracle(config, (2, 2), trials, 0)
     with pytest.raises(PreconditionError, match="at least one trial"):
-        sz_membership(config, tensor, [(1, 0, 0), (0, 1, 0)], trials, 0)
+        sz_membership(config, (2, 2), [(1, 0, 0), (0, 1, 0)], trials, 0)
 
 
 def multifocal_profiles(k):
@@ -491,22 +490,19 @@ class TestEpsilonOracle:
 class TestSzMembership:
     def test_image_points_are_members(self):
         config = random_cameras(3, 24)
-        tensor = multifocal_tensor(config, (2, 1, 1))
         rng = random.Random(25)
         world = random_world_point(config, rng)
         candidate = [project_point(cam, world) for cam in config.cameras]
         assert has_world_point_preimage(config, candidate)
-        assert sz_membership(config, tensor, candidate, 10, 0)
+        assert sz_membership(config, (2, 1, 1), candidate, 10, 0)
 
     def test_random_candidate_is_not_a_member(self):
         config = random_cameras(3, 24)
-        tensor = multifocal_tensor(config, (2, 1, 1))
         candidate = [(1, 2, 3), (-4, 5, 1), (2, 2, 7)]
         assert not has_world_point_preimage(config, candidate)
-        assert not sz_membership(config, tensor, candidate, 10, 0)
+        assert not sz_membership(config, (2, 1, 1), candidate, 10, 0)
 
     def test_zero_coordinate_rejected(self):
         config = random_cameras(3, 24)
-        tensor = multifocal_tensor(config, (2, 1, 1))
         with pytest.raises(PreconditionError):
-            sz_membership(config, tensor, [(0, 0, 0), (1, 1, 1), (1, 1, 1)], 2, 0)
+            sz_membership(config, (2, 1, 1), [(0, 0, 0), (1, 1, 1), (1, 1, 1)], 2, 0)
