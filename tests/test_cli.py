@@ -512,6 +512,8 @@ MALFORMED = {
     "integer-is-infinite": (["tensor"], dict(CAMERAS_2, beta=[2, float("inf")])),
     "camera-entry-division-by-zero": (["tensor"], camera_entry("1/0")),
     "camera-entry-not-a-number": (["oracle-epsilon", "--trials", "1"], camera_entry("x")),
+    "camera-entry-is-blank": (["tensor"], camera_entry(" ")),
+    "camera-entry-past-the-digit-limit": (["tensor"], camera_entry("7" * 4301)),
     "space-entry-division-by-zero": (
         ["residual"],
         dict(CAMERAS_2, spaces=[[["1/0", "0", "0"], ["0", "1", "0"]], SPACES[1]]),

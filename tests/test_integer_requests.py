@@ -18,6 +18,8 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multichow import (
     CameraConfiguration,
@@ -31,7 +33,7 @@ from multichow import (
     tensor_contract,
 )
 from multichow import multiview
-from multichow.errors import PreconditionError, exact_ints
+from multichow.errors import PreconditionError, exact_ints, rational
 from multichow.multiview import _image, random_cameras
 
 from helpers import rational_cameras, reference_contract, reference_sz_membership, reference_tensor
@@ -60,7 +62,7 @@ def json_round_trip(obj):
 def test_library_reads_a_float_from_its_decimal_text():
     spaces = LinearSpaceTuple((((0.1, 0, 1),),))
     assert spaces.forms == (((Fraction(1, 10), 0, 1),),)
-    assert (spaces._forms, spaces._scale) == ((((1, 0, 10),),), 10)
+    assert (spaces._forms, spaces._scales) == ((((1, 0, 10),),), (10,))
     tensor = MultifocalTensor((2, 2), {(1, 1): 0.1, (2, 3): -2.5})
     assert tensor.entries == {(1, 1): Fraction(1, 10), (2, 3): Fraction(-5, 2)}
     ints = random_cameras(2, 5).cameras
@@ -88,6 +90,52 @@ def test_library_and_cli_read_floats_alike(monkeypatch, capsys):
 def test_library_refuses_a_boolean_as_the_cli_does():
     with pytest.raises(TypeError, match="got bool"):
         LinearSpaceTuple((((True, 0, 1),),))
+
+
+def read_outcome(read, text):
+    """``read(text)`` with its type, or the type and message of the refusal."""
+    try:
+        value = read(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        return "refused", type(exc), str(exc)
+    return "ok", value, type(value)
+
+
+# Strings at the edges of what ``int`` and ``errors.rational`` read, each
+# with the outcome both readers must give: a value or a refusal.
+READER_STRINGS = {
+    "7": 7, " 7 ": 7, "\t-7\n": -7, "\u00a07\u2003": 7, "+7": 7, "-0": 0, "007": 7,
+    "1_000": 1000, "٣": 3, "١٢": 12, "3/4": Fraction(3, 4), " -3/4 ": Fraction(-3, 4),
+    "٣/٤": Fraction(3, 4), "1.0": 1, ".5": Fraction(1, 2),
+    "1e3": 1000, "1E-2": Fraction(1, 100), "7" * 4300: int("7" * 4300),
+    "": None, " ": None, "+": None, "-": None, "+-1": None, "- 1": None, "1 2": None,
+    "1__000": None, "_1": None, "1_": None, "0x10": None, "0b1": None, "1/0": None,
+    "3 / 4": None, "x": None, "inf": None, "7" * 4301: None, "1/" + "7" * 4301: None,
+}
+
+
+@pytest.mark.parametrize("text", list(READER_STRINGS), ids=lambda t: repr(t)[:24])
+def test_int_first_reader_reads_what_rational_reads(text):
+    got, expected = read_outcome(multiview._exact, text), read_outcome(rational, text)
+    if expected[0] == "ok":
+        assert got[:2] == expected[:2] == ("ok", READER_STRINGS[text])
+        assert got[2] is (int if read_outcome(int, text)[0] == "ok" else Fraction)
+    else:
+        assert got == expected and READER_STRINGS[text] is None
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=400)
+@given(
+    st.one_of(
+        st.text(alphabet=" \t+-_/.eEx0123456789٣", max_size=8),
+        st.from_regex(r"\s*[+-]?[0-9٣]+(_[0-9]+)*\s*(/\s*[1-9][0-9]*)?\s*", fullmatch=True),
+    )
+)
+def test_int_first_reader_agrees_with_rational_on_random_strings(text):
+    got, expected = read_outcome(multiview._exact, text), read_outcome(rational, text)
+    assert got[:2] == expected[:2]
+    if got[0] == "ok":
+        assert got[2] is (int if read_outcome(int, text)[0] == "ok" else Fraction)
 
 
 # ---------------------------------------------------------------------------

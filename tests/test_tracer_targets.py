@@ -3,7 +3,8 @@
 ``perfbench/tracer.py`` is loaded by file path and left as it is; for each
 entry of its ``TARGETS`` the owner (the module, or the class named before
 the dot) must hold the attribute in its own ``__dict__``, which is how
-``Tracer.install`` finds it.
+``Tracer.install`` finds it, and building each multiview value from JSON
+runs the ``__post_init__`` that the tracer wraps.
 """
 
 import importlib
@@ -35,3 +36,24 @@ def test_tracer_target_resolves(module_name, dotted):
     module = importlib.import_module(module_name)
     owner = getattr(module, owner_name) if owner_name else module
     assert attr in owner.__dict__, f"{module_name}.{dotted} is gone"
+
+
+# One JSON input per value class the tracer wraps by ``__post_init__``.
+FROM_JSON = {
+    "CameraConfiguration": {"cameras": [[[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]]},
+    "LinearSpaceTuple": [[[1, 2, 3], ["1/2", 0, 1]], [[0, 1, -1]]],
+    "MultifocalTensor": {"beta": [2, 2], "entries": [{"index": [1, 2], "value": "-3/4"}]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(FROM_JSON))
+def test_building_from_json_runs_the_traced_post_init(name):
+    module = importlib.import_module("multichow.multiview")
+    tracer = _load_tracer().Tracer()
+    tracer.install()
+    try:
+        getattr(module, name).from_json(FROM_JSON[name])
+    finally:
+        tracer.uninstall()
+    roots = [span[0] for span in tracer.spans if span[3] == -1]
+    assert roots == [f"multiview.{name}.__post_init__"]
