@@ -128,11 +128,10 @@ def _cmd_betas(obj, args):
     return {"betas": [list(b) for b in betas]}
 
 
-def _analyze_one(md, beta):
-    """Every field from one criterion form: on a variety, the coefficient at
-    ``alpha + e_j`` is positive exactly when that exponent is in the
-    support, that is, when j is in the minimal tight set."""
-    form = mdg.criterion_form(md, beta)
+def _analyze_one(beta, form):
+    """Every field from the criterion form of ``beta``: on a variety, the
+    coefficient at ``alpha + e_j`` is positive exactly when that exponent is
+    in the support, that is, when j is in the minimal tight set."""
     tight = [j + 1 for j, c in enumerate(form) if c]
     criterion = [decimal(c) for c in form]
     return {
@@ -152,9 +151,9 @@ def _cmd_analyze(obj, args):
     md = _parse_multidegree(obj)
     md.polymatroid()  # refuses a cycle: the criteria assume a variety
     if args.all_beta:
-        betas = pm.profiles(md.sig.n, md.sig.r + 1)
-        return {"results": [_analyze_one(md, b) for b in betas]}
-    return _analyze_one(md, field(obj, "beta", ints))
+        return {"results": [_analyze_one(*pair) for pair in mdg.criterion_forms(md)]}
+    beta = field(obj, "beta", ints)
+    return _analyze_one(beta, mdg.criterion_form(md, beta))
 
 
 def _cmd_chow_degree(obj, args):

@@ -27,6 +27,8 @@ of the incidence form is returned as its coefficient tuple.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+from math import prod
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -45,6 +47,7 @@ from .polymatroid import (
     RankFunction,
     SpaceSignature,
     mask_of,
+    profiles,
     projections_from_support,
 )
 
@@ -63,15 +66,13 @@ class Multidegree:
     def __post_init__(self):
         if self.tag not in (VARIETY, CYCLE):
             raise PreconditionError(f"unknown tag {self.tag!r}")
-        codim = self.sig.codim()
-        clean = {}
-        for gamma, a in zip(self.coeffs, exact_ints(self.coeffs.values(), "coefficients")):
-            gamma = self.sig.check_profile(gamma, codim)
-            if a <= 0:
-                raise PreconditionError(
-                    f"coefficient at {gamma} must be positive, got {a}"
-                )
-            clean[gamma] = a
+        codim, gammas = self.sig.codim(), list(self.coeffs)
+        values = exact_ints(self.coeffs.values(), "coefficients")
+        if values and min(values) <= 0:
+            first = [a > 0 for a in values].index(False)
+            gamma = self.sig.check_profiles(gammas[:first + 1], codim)[first]
+            raise PreconditionError(f"coefficient at {gamma} must be positive, got {values[first]}")
+        clean = dict(zip(self.sig.check_profiles(gammas, codim), values))
         object.__setattr__(self, "coeffs", clean)
         polymatroid = None
         if self.tag == VARIETY:
@@ -92,8 +93,10 @@ class Multidegree:
         return self.coeffs.get(tuple(gamma), 0)
 
     def rank_function(self) -> RankFunction:
-        """Projection dimensions read off the support (``2**k`` values)."""
-        return projections_from_support(self.sig, self.support())
+        """Projection dimensions read off the support (``2**k`` values), or
+        kept from a consistency check that recovered them."""
+        kept = self._polymatroid and self._polymatroid.projections
+        return kept or projections_from_support(self.sig, self.support())
 
     def polymatroid(self) -> Polymatroid:
         """The polymatroid the consistency check built, whose support is this
@@ -105,13 +108,25 @@ class Multidegree:
 
     @classmethod
     def from_json(cls, obj) -> "Multidegree":
+        """Read in one pass when each gamma is an array of ints and each ``a``
+        an int or a decimal string, no gamma repeated; else entry by entry."""
         sig = SpaceSignature(field(obj, "n", ints), field(obj, "r", integer))
-        coeffs = {}
-        for entry in field(obj, "coefficients", array):
-            gamma = field(entry, "gamma", ints)
-            if gamma in coeffs:
-                raise PreconditionError(f"gamma {gamma} appears more than once")
-            coeffs[gamma] = field(entry, "a", integer)
+        entries = field(obj, "coefficients", array)
+        try:
+            gammas = [entry["gamma"] for entry in entries]
+            values = [entry["a"] for entry in entries]
+            plain = {*map(type, gammas)} <= {list} and {*map(type, values)} <= {int, str}
+            plain = plain and {*map(type, chain.from_iterable(gammas))} <= {int}
+            coeffs = dict(zip(map(tuple, gammas), map(int, values))) if plain else {}
+        except (KeyError, TypeError, ValueError):
+            plain = False
+        if not plain or len(coeffs) != len(entries):
+            coeffs = {}
+            for entry in entries:
+                gamma = field(entry, "gamma", ints)
+                if gamma in coeffs:
+                    raise PreconditionError(f"gamma {gamma} appears more than once")
+                coeffs[gamma] = field(entry, "a", integer)
         return cls(sig, coeffs, obj.get("tag", VARIETY))
 
     def to_json(self) -> dict:
@@ -134,6 +149,19 @@ def criterion_form(md: Multidegree, beta) -> tuple[int, ...]:
     variety.  Entries where alpha + e_j falls outside the exponent box are 0.
     """
     return tuple(md.coefficient(g) for g in md.sig.criterion_exponents(beta))
+
+
+def criterion_forms(md: Multidegree) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """``(beta, criterion_form(md, beta))`` for every in-range beta with
+    ``|beta| = r + 1``, in lexicographic order, by code lookups: the code of
+    ``alpha + e_j`` is ``top - code(beta) + w_j``, in the box iff ``beta_j > 0``."""
+    sig, betas = md.sig, list(profiles(md.sig.n, md.sig.r + 1))
+    places, top = sig.places, prod(n + 1 for n in sig.n) - 1
+    coded = dict(zip(sig.encode(md.coeffs), md.coeffs.values()))
+    return [
+        (beta, tuple(coded.get(top - code + w, 0) if b else 0 for b, w in zip(beta, places)))
+        for beta, code in zip(betas, sig.encode(betas))
+    ]
 
 
 def is_hypersurface(md: Multidegree, beta) -> bool:

@@ -37,7 +37,11 @@ missing j is tight, so ``beta - e_j`` is at most delta on every subset.
 A profile (a codimension profile ``beta`` or an exponent ``gamma``) is a
 plain integer tuple with one entry per factor;
 :meth:`SpaceSignature.check_profile` is the one check of its length, range
-and total.
+and total; :meth:`SpaceSignature.check_profiles` checks many at once by set
+and column operations, calling it only to name a failure.  The exchange test
+and the beta enumerations work on mixed-radix codes ``sum(g_i * w_i)``,
+``w_i`` the product of ``n_l + 1`` over ``l > i``, in lexicographic order;
+``g - e_i + e_j`` has the code ``c - w_i + w_j`` if ``g_i > 0``, ``g_j < n_j``.
 
 Subsets of ``{1, ..., k}`` are encoded as bitmasks (bit ``i-1`` for element
 ``i``).  A table on them, such as a rank function, is one int whose field
@@ -56,6 +60,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate, chain, compress, product, repeat
+from operator import add, itemgetter, mul, sub
 from typing import Iterable
 
 from .errors import PreconditionError, array, exact_ints, field, integer, ints
@@ -81,7 +87,8 @@ class SpaceSignature:
     """Ambient product of projective spaces plus the subvariety dimension.
 
     ``n`` lists the factor dimensions; ``r`` is the dimension of the
-    subvariety (or cycle) living inside the product.
+    subvariety (or cycle) living inside the product.  ``places`` holds the
+    place values ``w_i`` of the codes of profiles (see the module docstring).
     """
 
     n: tuple[int, ...]
@@ -98,6 +105,8 @@ class SpaceSignature:
             raise PreconditionError("factor dimensions must be non-negative")
         if not 0 <= self.r <= sum(self.n):
             raise PreconditionError("dimension r out of range")
+        places = accumulate((n + 1 for n in reversed(self.n[1:])), mul, initial=1)
+        object.__setattr__(self, "places", tuple(places)[::-1])
 
     @property
     def k(self) -> int:
@@ -119,6 +128,28 @@ class SpaceSignature:
         if sum(vec) != total:
             raise PreconditionError(f"profile {vec} sums to {sum(vec)}, expected {total}")
         return vec
+
+    def check_profiles(self, vecs, total: int) -> list[tuple[int, ...]]:
+        """:meth:`check_profile` on each of ``vecs`` at once: tuples of k ints
+        with the right totals and columns in range are returned as they are;
+        otherwise each is checked in turn, naming the first failure."""
+        vecs = list(vecs)
+        plain = {*map(type, vecs)} <= {tuple} and {*map(len, vecs)} <= {self.k}
+        plain = plain and {*map(type, chain.from_iterable(vecs))} <= {int}
+        if plain and {*map(sum, vecs)} <= {total}:
+            if all(min(col) >= 0 and max(col) <= n for col, n in zip(zip(*vecs), self.n)):
+                return vecs
+        return [self.check_profile(vec, total) for vec in vecs]
+
+    def encode(self, vecs) -> list[int]:
+        """The codes of checked profiles."""
+        places = self.places
+        return [sum(map(mul, vec, places)) for vec in vecs]
+
+    def decode(self, codes) -> list[tuple[int, ...]]:
+        """The profiles of a list of codes."""
+        columns = [[code // w % (n + 1) for code in codes] for w, n in zip(self.places, self.n)]
+        return list(zip(*columns))
 
     def criterion_exponents(self, beta) -> tuple[tuple[int, ...], ...]:
         """The k exponents ``alpha + e_j``, ``alpha = n - beta``, of a checked
@@ -328,20 +359,16 @@ class _Packed:
         return found
 
 
-def _swapped(x: tuple, a: int, b: int) -> tuple:
-    """``x`` with entries ``a < b`` exchanged."""
-    return x[:a] + (x[b],) + x[a + 1:b] + (x[a],) + x[b + 1:]
-
-
-def _factor_classes(sig: SpaceSignature, points: frozenset) -> list[list[int]]:
-    """Classes of factors that permute freely without changing ``points``.
-
-    Only factors with equal ``n_i`` can be exchanged.  Within each group of
-    them, the transposition of consecutive members is tested on every point;
-    a run of members joined by symmetries is a class, since connected
-    transpositions generate the full symmetric group on it.  Symmetries this
-    misses cost time in the exchange test, never its answer.
-    """
+def _factor_classes(sig: SpaceSignature, coded: dict) -> list[list[int]]:
+    """Classes of factors that permute freely without changing the support
+    ``coded``, a dict from the codes of its points to the points.  Only
+    factors with equal ``n_i`` can be exchanged.  Within each group of them,
+    the transposition of consecutive members a < b, which moves the code c of
+    x to ``c + (x_b - x_a)(w_a - w_b)``, is tested on every point; a run of
+    members joined by symmetries is a class, since connected transpositions
+    generate the full symmetric group on it.  Symmetries this misses cost
+    time in the exchange test, never its answer."""
+    columns = list(zip(*coded.values()))
     groups: dict[int, list[int]] = {}
     for i, n in enumerate(sig.n):
         groups.setdefault(n, []).append(i)
@@ -349,7 +376,9 @@ def _factor_classes(sig: SpaceSignature, points: frozenset) -> list[list[int]]:
     for members in groups.values():
         run = [members[0]]
         for a, b in zip(members, members[1:]):
-            if all(x[a] == x[b] or _swapped(x, a, b) in points for x in points):
+            shift = repeat(sig.places[a] - sig.places[b])
+            moved = map(add, coded, map(mul, map(sub, columns[b], columns[a]), shift))
+            if all(map(coded.__contains__, moved)):
                 run.append(b)
             else:
                 classes.append(run)
@@ -358,47 +387,44 @@ def _factor_classes(sig: SpaceSignature, points: frozenset) -> list[list[int]]:
     return [run for run in classes if len(run) > 1]
 
 
-def _orbit_representatives(points: frozenset, classes, limit: int) -> set | None:
-    """One point per orbit of ``points`` under the permutations of each
-    class, its entries on a class sorted in decreasing order; ``None`` as
-    soon as there are more than ``limit`` orbits."""
-    representatives = set()
-    for x in points:
-        rep = list(x)
-        for members in classes:
-            for i, v in zip(members, sorted([x[i] for i in members], reverse=True)):
-                rep[i] = v
-        representatives.add(tuple(rep))
-        if len(representatives) > limit:
-            return None
-    return representatives
+def _orbit_representatives(sig: SpaceSignature, coded: dict, classes, limit: int) -> set | None:
+    """One code per orbit of the support ``coded`` under the permutations of
+    each class, the largest, whose entries on a class decrease; ``None``
+    when there are more than ``limit`` orbits."""
+    representatives = list(coded)
+    for members in classes:
+        weights = [sig.places[i] for i in members]
+        representatives = [
+            c + sum(map(mul, sorted(x, reverse=True), weights)) - sum(map(mul, x, weights))
+            for c, x in zip(representatives, map(itemgetter(*members), coded.values()))
+        ]
+    representatives = set(representatives)
+    return representatives if len(representatives) <= limit else None
 
 
-def _step(x: tuple, i: int, j: int) -> tuple:
-    """``x - e_i + e_j``."""
-    y = list(x)
-    y[i] -= 1
-    y[j] += 1
-    return tuple(y)
-
-
-def _exchange_holds(points: frozenset, representatives) -> bool:
-    """The weak exchange axiom on ``points`` for x among ``representatives``:
-    for every y != x in ``points`` there are i, j with ``x_i > y_i`` and
-    ``x_j < y_j`` such that ``x - e_i + e_j`` and ``y + e_i - e_j`` are both
-    in ``points``.  With the representatives of every orbit of a symmetry
-    group of ``points`` this is the whole axiom, since a symmetry carries
-    the witnesses of x to those of its image.  The moves ``(i, j)`` with
-    ``x - e_i + e_j`` in ``points`` are listed once per x.
-    """
-    k = len(next(iter(points)))
-    for x in representatives:
-        moves = [(i, j) for i in range(k) if x[i] for j in range(k) if _step(x, i, j) in points]
-        for y in points:
-            if y != x and not any(
-                x[i] > y[i] and x[j] < y[j] and _step(y, j, i) in points for i, j in moves
-            ):
-                return False
+def _exchange_holds(sig: SpaceSignature, coded: dict, representatives) -> bool:
+    """The weak exchange axiom on the support ``coded`` for x among the codes
+    ``representatives``: for every y != x in it there are i, j with
+    ``x_i > y_i`` and ``x_j < y_j`` such that ``x - e_i + e_j`` and
+    ``y + e_i - e_j`` are both in it.  With the representatives of every
+    orbit of a symmetry group of the support this is the whole axiom, since
+    a symmetry carries the witnesses of x to those of its image.  The moves
+    ``c - w_i + w_j`` of x are listed once; the guards ``x_i > 0`` and
+    ``x_j < n_j``, and the comparisons for y, keep every code in the box.
+    Each move in turn drops the points y it serves, until none is left."""
+    places, n, k = sig.places, sig.n, sig.k
+    for c in representatives:
+        x = coded[c]
+        left = [point for point in coded.items() if point[0] != c]
+        for i, j in product(range(k), repeat=2):
+            if left and x[i] and x[j] < n[j] and j != i and c - places[i] + places[j] in coded:
+                xi, xj, shift = x[i], x[j], places[i] - places[j]
+                left = [
+                    p for p in left
+                    if not (p[1][i] < xi and p[1][j] > xj and p[0] + shift in coded)
+                ]
+        if left:
+            return False
     return True
 
 
@@ -408,13 +434,14 @@ class Polymatroid:
     ``Polymatroid(sig, delta)`` keeps the support of an explicit rank
     function from :func:`support_from_projections`, which validates it
     first.  :meth:`from_support` checks a support instead (see the module
-    docstring).  No rank function is kept; :func:`projections_from_support`
-    recovers it.  The criteria and enumerations below read only the support
+    docstring).  Only a rank function its dense round trip recovered is kept,
+    as ``projections`` (else ``None``); :func:`projections_from_support`
+    recovers one.  The criteria and enumerations below read only the support
     and check only their own arguments.
     """
 
     def __init__(self, sig: SpaceSignature, delta: RankFunction):
-        self._keep(sig, support_from_projections(sig, delta))
+        self._keep(sig, support_from_projections(sig, delta), None)
 
     @classmethod
     def from_support(cls, sig: SpaceSignature, support) -> "Polymatroid":
@@ -423,32 +450,32 @@ class Polymatroid:
         :class:`PreconditionError` when no rank function has it as support.
 
         Two checks give the same answer: the weak exchange axiom over the
-        orbits of the detected factor symmetries, at most ``k**2`` lookups
-        per orbit and support point, or the dense round trip through
+        orbits of the detected factor symmetries, at most ``k**2`` code
+        lookups per orbit and support point, or the dense round trip through
         :func:`projections_from_support`, about k operations on tables of
         ``2**k`` fields per support point and candidate.  The exchange test
-        runs when ``2 * |orbits| * k <= 2**k``, counting the orbits in one
-        pass that stops past that bound.
-        """
-        support = tuple(sorted(support))
-        if not support:
+        runs when ``2 * |orbits| * k <= 2**k``."""
+        coded = dict(sorted(zip(sig.encode(support), support)))
+        if not coded:
             raise PreconditionError("empty support")
-        points = frozenset(support)
+        support, delta = tuple(coded.values()), None
         limit = (1 << sig.k) // (2 * sig.k)
-        representatives = _orbit_representatives(points, _factor_classes(sig, points), limit)
+        representatives = _orbit_representatives(sig, coded, _factor_classes(sig, coded), limit)
         if representatives is None:
-            if support_from_projections(sig, projections_from_support(sig, support)) != support:
+            delta = projections_from_support(sig, support)
+            if support_from_projections(sig, delta) != support:
                 raise PreconditionError("support differs from the support of its projections")
-        elif not _exchange_holds(points, representatives):
+        elif not _exchange_holds(sig, coded, representatives):
             raise PreconditionError("support fails the exchange axiom")
         polymatroid = object.__new__(cls)
-        polymatroid._keep(sig, support)
+        polymatroid._keep(sig, support, delta)
         return polymatroid
 
-    def _keep(self, sig: SpaceSignature, support: tuple) -> None:
+    def _keep(self, sig: SpaceSignature, support: tuple, delta: RankFunction | None) -> None:
         self.sig = sig
         self._support = support
         self._support_set = frozenset(support)
+        self.projections = delta
 
     def _tight(self, beta) -> list[bool]:
         """Whether each criterion exponent ``alpha + e_j`` of ``beta`` is in
@@ -495,11 +522,13 @@ class Polymatroid:
         reached = {"hypersurface": 1, "determining": self.sig.k}
         if criterion not in reached:
             raise PreconditionError(f"unknown criterion {criterion!r}")
+        places, codes = self.sig.places, self.sig.encode(self._support)
+        top = sum(map(mul, self.sig.n, places))
         counts = Counter()
-        for gamma in self._support:
-            drop = tuple(n - g for n, g in zip(self.sig.n, gamma))
-            counts.update(drop[:j] + (drop[j] + 1,) + drop[j + 1:] for j, g in enumerate(gamma) if g)
-        return tuple(sorted(beta for beta, c in counts.items() if c >= reached[criterion]))
+        for w, column in zip(places, zip(*self._support)):
+            counts.update(map((top + w).__sub__, compress(codes, column)))
+        kept = sorted(code for code, c in counts.items() if c >= reached[criterion])
+        return tuple(self.sig.decode(kept))
 
 
 def support_from_projections(
@@ -534,7 +563,7 @@ def projections_from_support(sig: SpaceSignature, support: Iterable) -> RankFunc
     set of lattice points it would produce (in particular for supports of
     actual irreducible varieties).
     """
-    support = [sig.check_profile(gamma, sig.codim()) for gamma in support]
+    support = sig.check_profiles(support, sig.codim())
     if not support:
         raise PreconditionError("rank function undefined for empty support")
     table = _Packed(sig.k, sum(sig.n))

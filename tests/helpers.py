@@ -11,7 +11,15 @@ from itertools import product
 from operator import le
 
 from multichow import CameraConfiguration, Multidegree, MultifocalTensor, linalg
-from multichow.errors import DegenerateInputError, PreconditionError
+from multichow.errors import (
+    DegenerateInputError,
+    PreconditionError,
+    array,
+    exact_ints,
+    field,
+    integer,
+    ints,
+)
 from multichow.multiview import (
     _image,
     _pullback_rows,
@@ -22,6 +30,7 @@ from multichow.multiview import (
     parse_vector,
     random_cameras,
 )
+from multichow import polymatroid as pm
 from multichow.polymatroid import (
     Polymatroid,
     RankFunction,
@@ -369,6 +378,119 @@ def dense_projections_from_support(sig: SpaceSignature, support) -> RankFunction
         drops = subset_sums(n - g for n, g in zip(sig.n, gamma))
         values = [max(v, d) for v, d in zip(values, drops)]
     return RankFunction(sig.k, tuple(values))
+
+
+def reference_multidegree_from_json(obj) -> Multidegree:
+    """The reference for ``Multidegree.from_json``: the tag checked, the
+    entries read one by one and each exponent and coefficient checked in
+    turn, before the multidegree is built."""
+    sig = SpaceSignature(field(obj, "n", ints), field(obj, "r", integer))
+    coeffs = {}
+    for entry in field(obj, "coefficients", array):
+        gamma = field(entry, "gamma", ints)
+        if gamma in coeffs:
+            raise PreconditionError(f"gamma {gamma} appears more than once")
+        coeffs[gamma] = field(entry, "a", integer)
+    tag = obj.get("tag", "variety")
+    if tag not in ("variety", "cycle"):
+        raise PreconditionError(f"unknown tag {tag!r}")
+    clean = {}
+    for gamma, a in zip(coeffs, exact_ints(coeffs.values(), "coefficients")):
+        gamma = sig.check_profile(gamma, sig.codim())
+        if a <= 0:
+            raise PreconditionError(f"coefficient at {gamma} must be positive, got {a}")
+        clean[gamma] = a
+    return Multidegree(sig, clean, tag)
+
+
+# ---------------------------------------------------------------------------
+# the exchange test on exponent tuples, as references for the coded helpers
+# of ``Polymatroid.from_support``
+
+
+def swapped(x: tuple, a: int, b: int) -> tuple:
+    """``x`` with entries ``a < b`` exchanged."""
+    return x[:a] + (x[b],) + x[a + 1:b] + (x[a],) + x[b + 1:]
+
+
+def reference_factor_classes(sig: SpaceSignature, points: frozenset) -> list[list[int]]:
+    """The reference for ``_factor_classes``: each transposition of
+    consecutive members of a group of equal ``n_i`` tested tuple by tuple."""
+    groups: dict[int, list[int]] = {}
+    for i, n in enumerate(sig.n):
+        groups.setdefault(n, []).append(i)
+    classes = []
+    for members in groups.values():
+        run = [members[0]]
+        for a, b in zip(members, members[1:]):
+            if all(x[a] == x[b] or swapped(x, a, b) in points for x in points):
+                run.append(b)
+            else:
+                classes.append(run)
+                run = [b]
+        classes.append(run)
+    return [run for run in classes if len(run) > 1]
+
+
+def reference_orbit_representatives(points: frozenset, classes, limit: int) -> set | None:
+    """The reference for ``_orbit_representatives``: each point with its
+    entries on a class sorted in decreasing order."""
+    representatives = set()
+    for x in points:
+        rep = list(x)
+        for members in classes:
+            for i, v in zip(members, sorted([x[i] for i in members], reverse=True)):
+                rep[i] = v
+        representatives.add(tuple(rep))
+        if len(representatives) > limit:
+            return None
+    return representatives
+
+
+def step(x: tuple, i: int, j: int) -> tuple:
+    """``x - e_i + e_j``."""
+    y = list(x)
+    y[i] -= 1
+    y[j] += 1
+    return tuple(y)
+
+
+def reference_exchange_holds(points: frozenset, representatives) -> bool:
+    """The reference for ``_exchange_holds``: the weak exchange axiom for x
+    among ``representatives``, on tuples."""
+    k = len(next(iter(points)))
+    for x in representatives:
+        moves = [(i, j) for i in range(k) if x[i] for j in range(k) if step(x, i, j) in points]
+        for y in points:
+            if y != x and not any(
+                x[i] > y[i] and x[j] < y[j] and step(y, j, i) in points for i, j in moves
+            ):
+                return False
+    return True
+
+
+def coded_support(sig: SpaceSignature, support) -> dict:
+    """A checked support as ``from_support`` codes it: code -> exponent, in
+    code order."""
+    return dict(sorted(zip(sig.encode(support), support)))
+
+
+def coded_matches_reference(sig: SpaceSignature, support) -> bool:
+    """Whether the coded classes, orbits (past and within a limit) and
+    verdicts, over all points and over the orbits, equal the tuple
+    references and the verdicts agree; ``False`` on any difference."""
+    points, coded = frozenset(support), coded_support(sig, support)
+    classes = reference_factor_classes(sig, points)
+    orbits = reference_orbit_representatives(points, classes, len(points))
+    verdict = reference_exchange_holds(points, points)
+    return (
+        pm._factor_classes(sig, coded) == classes
+        and pm._orbit_representatives(sig, coded, classes, len(points)) == set(sig.encode(orbits))
+        and pm._orbit_representatives(sig, coded, classes, len(orbits) - 1) is None
+        and reference_exchange_holds(points, orbits) == verdict
+        and pm._exchange_holds(sig, coded, coded) == verdict
+        and pm._exchange_holds(sig, coded, sig.encode(orbits)) == verdict
+    )
 
 
 # ---------------------------------------------------------------------------

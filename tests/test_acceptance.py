@@ -48,6 +48,7 @@ from multichow.polymatroid import (
 )
 
 from helpers import (
+    coded_matches_reference,
     consistent_polymatroid,
     enumerate_rank_functions,
     frobenius_multidegree,
@@ -56,6 +57,7 @@ from helpers import (
     planted_symmetric_polymatroid,
     product_of_curves_multidegree,
     random_polymatroid,
+    reference_exchange_holds,
     scanned_betas,
     sum_over,
 )
@@ -253,7 +255,9 @@ def test_criterion_equivalence(report):
 def test_exchange_axiom_matches_round_trip(report, monkeypatch):
     """The exchange test over all pairs and over the detected orbits agrees
     with the dense round trip on every nonempty subset of the exponents of
-    each box with k <= 3, n_i <= 3 and at most 14 exponents.  So does
+    each box with k <= 3, n_i <= 3 and at most 14 exponents, and its coded
+    form finds the classes, orbits and verdicts of the tuple references
+    (``helpers.coded_matches_reference``) there.  So does
     ``Polymatroid.from_support`` on the supports of the random sweep, with
     and without their first point, and on the multiview supports for
     k <= 8, taking each side of its selection on some of them."""
@@ -273,10 +277,8 @@ def test_exchange_axiom_matches_round_trip(report, monkeypatch):
                     support = [g for i, g in enumerate(box) if mask >> i & 1]
                     expected = consistent_polymatroid(sig, support) is not None
                     points = frozenset(support)
-                    classes = pm._factor_classes(sig, points)
-                    orbits = pm._orbit_representatives(points, classes, len(points))
-                    ok = ok and pm._exchange_holds(points, points) == expected
-                    ok = ok and pm._exchange_holds(points, orbits) == expected
+                    ok = ok and reference_exchange_holds(points, points) == expected
+                    ok = ok and coded_matches_reference(sig, support)
                     subsets += 1
                     consistent += expected
 

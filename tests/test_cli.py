@@ -728,22 +728,29 @@ class TestWorkDoneOnce:
         assert calls == {"validate": 0, "projections": 0}
 
     def test_analyze_all_beta_checks_each_profile_once(self, tmp_path, capsys, monkeypatch):
-        """Building the multiview k=6 multidegree checks its 50 exponents
-        once; then each of the 90 profiles is checked once, for the one
-        exponent tuple that both the criterion form and the tight set read."""
+        """Building the multiview k=6 multidegree checks its 50 exponents in
+        one bulk check and none one by one; the 90 profiles, in range by
+        construction, are not checked again."""
         path = write(tmp_path, {"multidegree": multiview_multidegree(6).to_json()})
-        calls = []
+        single, bulk = [], []
         check_profile = pm.SpaceSignature.check_profile
+        check_profiles = pm.SpaceSignature.check_profiles
 
         def counted(self, vec, total):
-            calls.append(vec)
+            single.append(vec)
             return check_profile(self, vec, total)
 
+        def counted_bulk(self, vecs, total):
+            vecs = list(vecs)
+            bulk.append(len(vecs))
+            return check_profiles(self, vecs, total)
+
         monkeypatch.setattr(pm.SpaceSignature, "check_profile", counted)
+        monkeypatch.setattr(pm.SpaceSignature, "check_profiles", counted_bulk)
         code, out, _ = run_main(["analyze", "--all-beta", "--input", path], capsys)
         assert code == 0
         assert len(json.loads(out)["results"]) == 90
-        assert len(calls) <= 50 + 90
+        assert (single, bulk) == ([], [50])
 
     def test_analyze_all_beta_subset_sums(self, tmp_path, capsys, monkeypatch):
         """On the multiview k=6 multidegree nothing sums subsets or builds a
@@ -800,6 +807,33 @@ def test_one_polymatroid_per_request(argv, extra, tmp_path, capsys, monkeypatch)
     assert code == 0, err
     rank = 1 if argv[0] == "validate-rank" else 0
     assert calls == {"validate": rank, "projections": rank, "profiles": 0}
+
+
+def test_validate_rank_keeps_the_dense_projections(tmp_path, capsys, monkeypatch):
+    """The multiview k=3 multidegree, whose consistency check takes the
+    dense round trip, keeps the projection dimensions it recovered:
+    ``validate-rank`` recovers them once, and validates them once in the
+    round trip and once for its report."""
+    md = multiview_multidegree(3)
+    calls = {"validate": 0, "projections": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        pm, "validate_rank_function", counted("validate", pm.validate_rank_function)
+    )
+    projections = counted("projections", pm.projections_from_support)
+    monkeypatch.setattr(pm, "projections_from_support", projections)
+    monkeypatch.setattr(mdg, "projections_from_support", projections)
+    code, out, err = run_main(["validate-rank", "--input", write(tmp_path, md.to_json())], capsys)
+    assert code == 0, err
+    assert json.loads(out) == {"ok": True, "violations": []}
+    assert calls == {"validate": 2, "projections": 1}
 
 
 @pytest.mark.parametrize(

@@ -299,3 +299,25 @@ class TestJson:
             )
             assert Multidegree.from_json(md.to_json()) == md
             built += 1
+
+
+@pytest.mark.parametrize("source", [*range(2, 9), "random"])
+def test_criterion_forms_match_criterion_form(source):
+    """``criterion_forms``, read by code lookups, gives ``criterion_form`` at
+    every in-range beta with ``|beta| = r + 1``, in lexicographic order: on
+    the multiview multidegrees and on random variety multidegrees."""
+    if source == "random":
+        rng = random.Random(83)
+        mds = []
+        for _ in range(40):
+            sig, delta = random_polymatroid(rng, rng.randint(1, 6))
+            support = support_from_projections(sig, delta)
+            mds.append(Multidegree(sig, {g: rng.randint(1, 9) for g in support}))
+    else:
+        mds = [multiview_multidegree(source)]
+    for md in mds:
+        forms = mdg.criterion_forms(md)
+        betas = list(pm.profiles(md.sig.n, md.sig.r + 1))
+        assert [beta for beta, _ in forms] == betas
+        assert all(form == criterion_form(md, beta) for beta, form in forms)
+

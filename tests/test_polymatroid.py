@@ -22,6 +22,8 @@ from multichow.multiview import multiview_multidegree
 from multichow.polymatroid import Polymatroid, indices_of, mask_of, tight_sets
 
 from helpers import (
+    coded_matches_reference,
+    coded_support,
     consistent_polymatroid,
     count_table_builds,
     enumerate_rank_functions,
@@ -30,7 +32,9 @@ from helpers import (
     planted_symmetric_polymatroid,
     random_polymatroid,
     rank_of,
+    reference_exchange_holds,
     sum_over,
+    swapped,
 )
 
 
@@ -355,21 +359,21 @@ def test_criteria_match_direct_scans_on_every_rank_function(n, functions, checke
 
 
 def detected_orbits(sig, points):
-    """The factor classes ``from_support`` detects and one point per orbit."""
-    classes = pm._factor_classes(sig, points)
-    return classes, pm._orbit_representatives(points, classes, len(points))
+    """The factor classes ``from_support`` detects and one code per orbit."""
+    coded = coded_support(sig, points)
+    classes = pm._factor_classes(sig, coded)
+    return classes, pm._orbit_representatives(sig, coded, classes, len(points))
 
 
 def agrees_with_round_trip(sig, support) -> bool:
     """Checks the exchange test over all pairs and over orbit
-    representatives, and ``Polymatroid.from_support``, against the dense
-    round trip; returns its verdict."""
+    representatives, coded and on tuples, and ``Polymatroid.from_support``,
+    against the dense round trip; returns its verdict."""
     points = frozenset(support)
     reference = consistent_polymatroid(sig, support)
     consistent = reference is not None
-    _, representatives = detected_orbits(sig, points)
-    assert pm._exchange_holds(points, points) == consistent
-    assert pm._exchange_holds(points, representatives) == consistent
+    assert reference_exchange_holds(points, points) == consistent
+    assert coded_matches_reference(sig, points)
     try:
         built = Polymatroid.from_support(sig, support)
     except PreconditionError:
@@ -450,17 +454,17 @@ class TestExchangeAxiom:
                     assert any(set(c) <= set(d) for d in classes) or len(c) == 1
                 for d in classes:
                     for a, b in combinations(d, 2):
-                        assert all(pm._swapped(x, a, b) in points for x in points)
+                        assert all(swapped(x, a, b) in points for x in points)
                 verdicts.append(agrees_with_round_trip(sig, points))
         assert True in verdicts and False in verdicts
 
     def test_multiview_support_is_two_orbits(self):
         for k in range(3, 13):
-            points = frozenset(multiview_multidegree(k).support())
-            classes, representatives = detected_orbits(multiview_sig(k), points)
+            sig, points = multiview_sig(k), multiview_multidegree(k).support()
+            classes, representatives = detected_orbits(sig, points)
             assert classes == [list(range(k))]
             assert len(representatives) == 2
-            assert pm._exchange_holds(points, representatives)
+            assert pm._exchange_holds(sig, coded_support(sig, points), representatives)
 
     def test_both_sides_of_the_selection(self, monkeypatch):
         """The exchange test runs when ``2 * |orbits| * k <= 2**k``, else the
