@@ -14,8 +14,7 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import dataclass
-from typing import Callable
+from collections import namedtuple
 
 from . import multidegree as mdg
 from . import multiview as mv
@@ -238,14 +237,9 @@ def _cmd_sz_test(obj, args):
 # the subcommand table and dispatch
 
 
-@dataclass(frozen=True)
-class Subcommand:
-    """A handler, the library operations it exposes, and the arguments it
-    takes beyond ``--input`` and ``--format`` as (flag, keywords) pairs."""
-
-    handler: Callable
-    operations: tuple[str, ...]
-    arguments: tuple = ()
+#: A handler, the library operations it exposes, and the arguments it takes
+#: beyond ``--input`` and ``--format`` as (flag, keywords) pairs.
+Subcommand = namedtuple("Subcommand", "handler operations arguments", defaults=((),))
 
 
 #: The arguments of the randomized oracles.

@@ -26,10 +26,9 @@ of the incidence form is returned as its coefficient tuple.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable
 from itertools import chain
 from math import prod
-from typing import Iterable, Mapping
 
 from .errors import (
     CycleInputError,
@@ -46,6 +45,7 @@ from .polymatroid import (
     Polymatroid,
     RankFunction,
     SpaceSignature,
+    Value,
     mask_of,
     profiles,
     projections_from_support,
@@ -55,35 +55,32 @@ VARIETY = "variety"
 CYCLE = "cycle"
 
 
-@dataclass(frozen=True)
-class Multidegree:
+class Multidegree(Value):
     """Sparse map gamma -> a_gamma with strictly positive coefficients."""
 
-    sig: SpaceSignature
-    coeffs: Mapping[tuple, int]
-    tag: str = VARIETY
-
-    def __post_init__(self):
-        if self.tag not in (VARIETY, CYCLE):
-            raise PreconditionError(f"unknown tag {self.tag!r}")
-        codim, gammas = self.sig.codim(), list(self.coeffs)
-        values = exact_ints(self.coeffs.values(), "coefficients")
+    def __post_init__(self, sig, coeffs, tag=VARIETY):
+        if tag not in (VARIETY, CYCLE):
+            raise PreconditionError(f"unknown tag {tag!r}")
+        codim, gammas = sig.codim(), list(coeffs)
+        values = exact_ints(coeffs.values(), "coefficients")
         if values and min(values) <= 0:
             first = [a > 0 for a in values].index(False)
-            gamma = self.sig.check_profiles(gammas[:first + 1], codim)[first]
+            gamma = sig.check_profiles(gammas[:first + 1], codim)[first]
             raise PreconditionError(f"coefficient at {gamma} must be positive, got {values[first]}")
-        clean = dict(zip(self.sig.check_profiles(gammas, codim), values))
-        object.__setattr__(self, "coeffs", clean)
-        polymatroid = None
-        if self.tag == VARIETY:
+        self.sig, self.tag = sig, tag
+        self.coeffs = dict(zip(sig.check_profiles(gammas, codim), values))
+        self._polymatroid = None
+        if tag == VARIETY:
             try:
-                polymatroid = Polymatroid.from_support(self.sig, clean)
+                self._polymatroid = Polymatroid.from_support(sig, self.coeffs)
             except PreconditionError:
                 raise PreconditionError(
                     "support fails the polymatroid consistency check; "
                     "construct with tag='cycle' for reducible/cycle-level data"
                 ) from None
-        object.__setattr__(self, "_polymatroid", polymatroid)
+
+    def _key(self):
+        return self.sig, self.coeffs, self.tag
 
     def support(self) -> tuple[tuple, ...]:
         return tuple(sorted(self.coeffs))

@@ -50,7 +50,7 @@ from .errors import (
     DegenerateInputError, PreconditionError, array, decimal, exact_ints, field, ints, rational
 )
 from .multidegree import Multidegree
-from .polymatroid import SpaceSignature
+from .polymatroid import SpaceSignature, Value
 
 MAX_RESAMPLES = 32
 
@@ -106,21 +106,7 @@ def _image(rows, point) -> tuple[int, ...]:
     return tuple(sum(map(mul, row, point)) for row in rows)
 
 
-class _IntegerValue:
-    """A value that stores only integers.  ``__init__`` calls ``__post_init__``,
-    the name the benchmark's tracer wraps; ``==`` compares ``_key()``."""
-
-    def __init__(self, *args, **kwargs):
-        self.__post_init__(*args, **kwargs)
-
-    def _key(self):
-        return tuple(vars(self).values())
-
-    def __eq__(self, other):
-        return self._key() == other._key() if type(other) is type(self) else NotImplemented
-
-
-class CameraConfiguration(_IntegerValue):
+class CameraConfiguration(Value):
     """A tuple of rank-3 projection matrices with exact rational entries.
 
     ``_rows[i]`` and ``_scales[i]`` are camera i as :func:`_as_camera`
@@ -179,7 +165,7 @@ class CameraConfiguration(_IntegerValue):
         }
 
 
-class LinearSpaceTuple(_IntegerValue):
+class LinearSpaceTuple(Value):
     """For each factor, the linear forms cutting out a subspace of P^2.
 
     ``forms[i]`` builds the cutting forms of the i-th space as ``Fraction``
@@ -213,7 +199,7 @@ class LinearSpaceTuple(_IntegerValue):
         )
 
 
-class MultifocalTensor(_IntegerValue):
+class MultifocalTensor(Value):
     """Coefficient tensor of the incidence form.
 
     Slot i contracts with point coordinates when beta_i = 2 (the slicing
@@ -263,9 +249,6 @@ class MultifocalTensor(_IntegerValue):
     def __getitem__(self, index) -> Fraction:
         position = _INDEX_POSITIONS[self.k].get(tuple(index))
         return Fraction(0 if position is None else self._numerators[position], self._denominator)
-
-    def is_zero(self) -> bool:
-        return not any(self._numerators)
 
     @classmethod
     def from_json(cls, obj) -> "MultifocalTensor":

@@ -58,11 +58,10 @@ lookups in the support; :meth:`Polymatroid.betas` reads the profiles off it.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
+from collections.abc import Iterable
 from itertools import accumulate, chain, compress, product, repeat
 from operator import add, itemgetter, mul, sub
-from typing import Iterable
 
 from .errors import PreconditionError, array, exact_ints, field, integer, ints
 
@@ -82,8 +81,25 @@ def indices_of(mask: int) -> tuple[int, ...]:
     return tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
 
 
-@dataclass(frozen=True)
-class SpaceSignature:
+class Value:
+    """A value whose attributes ``__post_init__``, which ``__init__`` calls
+    with its arguments, sets once; nothing changes them after.  ``==`` and
+    ``hash`` read :meth:`_key`."""
+
+    def __init__(self, *args, **kwargs):
+        self.__post_init__(*args, **kwargs)
+
+    def _key(self):
+        return tuple(vars(self).values())
+
+    def __eq__(self, other):
+        return self._key() == other._key() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+
+class SpaceSignature(Value):
     """Ambient product of projective spaces plus the subvariety dimension.
 
     ``n`` lists the factor dimensions; ``r`` is the dimension of the
@@ -91,12 +107,9 @@ class SpaceSignature:
     place values ``w_i`` of the codes of profiles (see the module docstring).
     """
 
-    n: tuple[int, ...]
-    r: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "n", exact_ints(self.n, "factor dimensions"))
-        object.__setattr__(self, "r", exact_ints((self.r,), "dimension r")[0])
+    def __post_init__(self, n, r):
+        self.n = exact_ints(n, "factor dimensions")
+        self.r = exact_ints((r,), "dimension r")[0]
         if not self.n:
             raise PreconditionError("need at least one factor")
         if len(self.n) > MAX_K:
@@ -106,7 +119,10 @@ class SpaceSignature:
         if not 0 <= self.r <= sum(self.n):
             raise PreconditionError("dimension r out of range")
         places = accumulate((n + 1 for n in reversed(self.n[1:])), mul, initial=1)
-        object.__setattr__(self, "places", tuple(places)[::-1])
+        self.places = tuple(places)[::-1]
+
+    def __repr__(self):
+        return f"SpaceSignature(n={self.n}, r={self.r})"
 
     @property
     def k(self) -> int:
@@ -159,20 +175,16 @@ class SpaceSignature:
         return tuple(alpha[:j] + (alpha[j] + 1,) + alpha[j + 1:] for j in range(self.k))
 
 
-@dataclass(frozen=True)
-class RankFunction:
+class RankFunction(Value):
     """Integer set function on subsets of ``{1,...,k}``, stored densely.
 
     ``values[mask]`` is the value on the subset encoded by ``mask``; nothing
     about the axioms is enforced here -- use :func:`validate_rank_function`.
     """
 
-    k: int
-    values: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "k", exact_ints((self.k,), "k")[0])
-        object.__setattr__(self, "values", exact_ints(self.values, "rank function values"))
+    def __post_init__(self, k, values):
+        self.k = exact_ints((k,), "k")[0]
+        self.values = exact_ints(values, "rank function values")
         if not 1 <= self.k <= MAX_K:
             raise PreconditionError(f"k must be in 1..{MAX_K}")
         if len(self.values) != 1 << self.k:
@@ -214,17 +226,11 @@ class RankFunction:
         }
 
 
-@dataclass(frozen=True)
-class Violation:
-    axiom: str
-    subset_i: tuple[int, ...]
-    subset_j: tuple[int, ...] | None = None
+Violation = namedtuple("Violation", "axiom subset_i subset_j", defaults=(None,))
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    violations: tuple[Violation, ...]
+class ValidationReport(namedtuple("ValidationReport", "ok violations")):
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {

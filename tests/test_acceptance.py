@@ -356,7 +356,7 @@ def test_tensor_determinant_identity(report):
     for k, beta in profiles.items():
         config = random_cameras(k, 100 + k)
         tensor = multifocal_tensor(config, beta)
-        ok = ok and not tensor.is_zero()
+        ok = ok and bool(tensor.entries)
         rng = random.Random(f"acceptance-identity:{k}")
         for _ in range(100):
             spaces = LinearSpaceTuple(

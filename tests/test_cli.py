@@ -1,7 +1,6 @@
 """CLI dispatch, canonical output, exit codes and operation coverage."""
 
 import copy
-import dataclasses
 import io
 import itertools
 import json
@@ -434,7 +433,7 @@ def test_error_class_names_its_exit_status(cls, tmp_path, capsys, monkeypatch):
     def handler(obj, args):
         raise cls("raised by the handler")
 
-    support = dataclasses.replace(cli.SUBCOMMANDS["support"], handler=handler)
+    support = cli.SUBCOMMANDS["support"]._replace(handler=handler)
     monkeypatch.setitem(cli.SUBCOMMANDS, "support", support)
     code, out, err = run_main(["support", "--input", write(tmp_path, {})], capsys)
     assert code == cli.EXIT_CODES[cls.status] == ERROR_EXIT_CODES[cls.__name__]
@@ -982,6 +981,25 @@ def test_the_cli_process(name):
     else:
         assert proc.stdout == b""
         assert json.loads(proc.stderr)["error"]["status"] == case["status"]
+
+
+def test_importing_the_cli_loads_no_dataclasses_typing_or_inspect():
+    """The value classes stand on ``polymatroid.Value`` and namedtuples, so a
+    process that imports the CLI, without ``site``, never loads these."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [
+            sys.executable, "-S", "-B", "-c",
+            "import multichow.cli, sys; "
+            "print(sorted({'dataclasses', 'typing', 'inspect'} & set(sys.modules)))",
+        ],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == b"[]\n"
 
 
 EXPECTED_OPERATIONS = {

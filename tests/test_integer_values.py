@@ -128,7 +128,7 @@ def test_tensors_compare_values_not_denominators(k):
     for beta in PROFILES[k]:
         built = multifocal_tensor(config, beta)
         read = MultifocalTensor.from_json(built.to_json())
-        assert read == built and built == read
+        assert read == built and built == read and hash(read) == hash(built)
         differ += read._denominator != built._denominator
         changed = dict(read.entries)
         index = next(iter(changed))

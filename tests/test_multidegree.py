@@ -1,6 +1,7 @@
 """Multidegree construction, criteria, chow degrees, slicing and addition."""
 
 import random
+import re
 from itertools import product
 
 import pytest
@@ -35,6 +36,13 @@ SIG22 = SpaceSignature((2, 2), 2)
 
 
 class TestConstruction:
+    def test_equality_reads_signature_coefficients_and_tag(self):
+        md = multiview_multidegree(4)
+        assert md == multiview_multidegree(4)
+        assert md != Multidegree(md.sig, md.coeffs, tag=CYCLE)
+        with pytest.raises(TypeError):
+            hash(md)
+
     def test_wrong_total_degree_rejected(self):
         with pytest.raises(PreconditionError):
             Multidegree(SIG22, {(1, 0): 1})
@@ -256,7 +264,8 @@ class TestAdd:
         assert chow_form_multidegree(doubled, (2, 2)) == (2, 2)
 
     def test_signature_mismatch_rejected(self):
-        with pytest.raises(PreconditionError):
+        message = "signature mismatch: SpaceSignature(n=(2, 2), r=2) vs SpaceSignature(n=(2, 2), r=3)"
+        with pytest.raises(PreconditionError, match=f"^{re.escape(message)}$"):
             multidegree_add(frobenius_multidegree(), multiview_multidegree(2))
 
 

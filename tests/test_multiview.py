@@ -259,7 +259,7 @@ class TestMultifocalTensor:
 
     def test_trifocal_tensor_nonzero(self):
         tensor = multifocal_tensor(random_cameras(3, 6), (2, 1, 1))
-        assert not tensor.is_zero()
+        assert tensor.entries
 
     def test_five_cameras_rejected(self):
         with pytest.raises(PreconditionError):
@@ -274,7 +274,7 @@ class TestMultifocalTensor:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             tensor = multifocal_tensor(config, (2, 2))
-        assert tensor.is_zero()
+        assert not tensor.entries
         assert tensor == reference_tensor(config, (2, 2))
 
     def test_json_round_trip_omits_zeros(self):
@@ -287,7 +287,7 @@ class TestMultifocalTensor:
         tensor = MultifocalTensor((2, 2), {(1, 1): 0, (2, 3): "3/4"})
         assert tensor.entries == {(2, 3): Fraction(3, 4)}
         assert tensor[(1, 1)] == 0 and tensor[(2, 3)] == Fraction(3, 4)
-        assert MultifocalTensor((1, 1, 2), {(3, 3, 3): 0}).is_zero()
+        assert not MultifocalTensor((1, 1, 2), {(3, 3, 3): 0}).entries
 
     @pytest.mark.parametrize(
         "beta", [(7, -3), (2, 1), (2, 2, 0), (4,), (1, 1, 1, 1, 0), (3, 1), ()]

@@ -75,6 +75,12 @@ class TestValidate:
     def test_report_json_shape(self):
         report = validate_rank_function(SpaceSignature((2, 2), 3), TWO_CAMERA)
         assert report.to_json() == {"ok": True, "violations": []}
+        violation = pm.Violation("rank", (1,))
+        assert violation.subset_j is None
+        assert pm.ValidationReport(False, (violation,)).to_json() == {
+            "ok": False,
+            "violations": [{"axiom": "rank", "I": [1], "J": None}],
+        }
 
 
 class TestSupportFromProjections:
@@ -187,7 +193,7 @@ class TestMinimalTightSet:
         """The criteria read the support kept at construction: no subset
         sums, no packed subset tables and no rank-function values."""
         polymatroid = Polymatroid(sig, delta)
-        object.__setattr__(polymatroid, "delta", None)
+        assert polymatroid.projections is None
         calls = []
         sums = pm.subset_sums
 

@@ -125,6 +125,8 @@ def test_value_constructors_read_whole_floats():
     sig = SpaceSignature((2.0, 2), 3.0)
     assert (sig.n, sig.r) == ((2, 2), 3)
     assert type(sig.r) is int
+    assert sig == SpaceSignature((2, 2), 3) == SpaceSignature([2, 2], 3)
+    assert hash(sig) == hash(SpaceSignature((2, 2), 3)) == hash(SpaceSignature([2, 2], 3))
     assert RankFunction(1, (0, 1.0)).values == (0, 1)
     assert RankFunction(2.0, (0, 1, 1, 2)).k == 2
     assert Multidegree(SpaceSignature((1,), 0), {(1,): 2.0}, CYCLE).coeffs == {(1,): 2}

@@ -3,8 +3,8 @@
 ``perfbench/tracer.py`` is loaded by file path and left as it is; for each
 entry of its ``TARGETS`` the owner (the module, or the class named before
 the dot) must hold the attribute in its own ``__dict__``, which is how
-``Tracer.install`` finds it, and building each multiview value from JSON
-runs the ``__post_init__`` that the tracer wraps.
+``Tracer.install`` finds it, and building each multiview value and a
+``Multidegree`` from JSON runs the ``__post_init__`` that the tracer wraps.
 """
 
 import importlib
@@ -38,22 +38,39 @@ def test_tracer_target_resolves(module_name, dotted):
     assert attr in owner.__dict__, f"{module_name}.{dotted} is gone"
 
 
-# One JSON input per value class the tracer wraps by ``__post_init__``.
+# One JSON input per value class the tracer wraps by ``__post_init__``, with
+# the module that defines the class.
 FROM_JSON = {
-    "CameraConfiguration": {"cameras": [[[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]]},
-    "LinearSpaceTuple": [[[1, 2, 3], ["1/2", 0, 1]], [[0, 1, -1]]],
-    "MultifocalTensor": {"beta": [2, 2], "entries": [{"index": [1, 2], "value": "-3/4"}]},
+    "CameraConfiguration": (
+        "multiview", {"cameras": [[[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]]}
+    ),
+    "LinearSpaceTuple": ("multiview", [[[1, 2, 3], ["1/2", 0, 1]], [[0, 1, -1]]]),
+    "MultifocalTensor": (
+        "multiview", {"beta": [2, 2], "entries": [{"index": [1, 2], "value": "-3/4"}]}
+    ),
+    "Multidegree": (
+        "multidegree",
+        {
+            "n": [2, 2],
+            "r": 3,
+            "coefficients": [{"gamma": [0, 1], "a": 1}, {"gamma": [1, 0], "a": 1}],
+        },
+    ),
 }
 
 
-@pytest.mark.parametrize("name", sorted(FROM_JSON))
-def test_building_from_json_runs_the_traced_post_init(name):
-    module = importlib.import_module("multichow.multiview")
+@pytest.mark.parametrize(
+    "module_name, name, obj",
+    [(module_name, name, obj) for name, (module_name, obj) in sorted(FROM_JSON.items())],
+    ids=sorted(FROM_JSON),
+)
+def test_building_from_json_runs_the_traced_post_init(module_name, name, obj):
+    module = importlib.import_module(f"multichow.{module_name}")
     tracer = _load_tracer().Tracer()
     tracer.install()
     try:
-        getattr(module, name).from_json(FROM_JSON[name])
+        getattr(module, name).from_json(obj)
     finally:
         tracer.uninstall()
     roots = [span[0] for span in tracer.spans if span[3] == -1]
-    assert roots == [f"multiview.{name}.__post_init__"]
+    assert roots == [f"{module_name}.{name}.__post_init__"]
