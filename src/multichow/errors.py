@@ -1,10 +1,14 @@
 """Exception hierarchy shared across the package, plus the one reader of
-input fields, the two readers of JSON numbers, the one integer rule of the
-value constructors and the one writer of decimal strings, which report
-malformed data as :class:`PreconditionError`.  Each
+input fields, the readers of JSON and library numbers, the one integer rule
+of the value constructors and the one writer of decimal strings, which
+report malformed data as :class:`PreconditionError`.  Each
 class's ``status`` names the CLI status (see ``cli.EXIT_CODES``) it ends in."""
 
+import re
+import sys
 from fractions import Fraction
+
+_EXACT = (int, Fraction)
 
 
 class MultichowError(Exception):
@@ -91,11 +95,31 @@ def exact_ints(values, what: str) -> tuple[int, ...]:
 
 def rational(value) -> Fraction:
     """An exact rational from a JSON number or a string such as ``"-2/3"``;
-    a float is read from its decimal text (``0.1`` is 1/10) and a boolean is
-    refused."""
+    a float is read from its decimal text (``0.1`` is 1/10), and a boolean
+    and an exponent past the integer-string digit limit are refused."""
     if isinstance(value, bool):
         raise TypeError("expected a number, got bool")
+    if isinstance(value, str) and (limit := sys.get_int_max_str_digits()):
+        # The exponent as Fraction finds it: e or E, a sign, digits that _ may group.
+        found = re.search(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z", value)
+        if found and abs(int(found[1])) > limit:
+            raise ValueError(f"exponent {found[1]} exceeds the digit limit {limit}")
     return Fraction(str(value) if isinstance(value, float) else value)
+
+
+def exact(x) -> int | Fraction:
+    """The one reader of a library number: an ``int`` or a ``Fraction`` as
+    it is; a string by ``int`` when that reads it, which :func:`rational`
+    would read to the same value; anything else by :func:`rational`."""
+    if type(x) in _EXACT:
+        return x
+    # A "p/q" string skips int, which would refuse it.
+    if type(x) is str and "/" not in x:
+        try:
+            return int(x)
+        except ValueError:
+            pass
+    return rational(x)
 
 
 def decimal(number) -> str:

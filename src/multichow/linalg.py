@@ -4,8 +4,8 @@ Everything in this package works with tiny matrices (a handful of rows and
 columns).  One fraction-free Gauss-Jordan elimination (Bareiss) on integer
 rows serves ``rref``, ``rank``, ``nullspace`` and ``det``: every division in
 it is exact, so no ``Fraction`` arithmetic runs inside the loop.  Matrices
-are sequences of rows; rows are sequences of numbers coercible to
-``Fraction``.  The elimination and these four entry points are references
+are sequences of rows; rows are sequences of numbers, each read by
+``errors.exact``.  The elimination and these four entry points are references
 that no package code calls: :mod:`multiview` has a closed-form kernel for
 each of its jobs, the tests compare those kernels against them, and
 ``perfbench/tracer.py`` wraps their names.
@@ -25,26 +25,27 @@ from fractions import Fraction
 from itertools import combinations
 from math import lcm
 
-
-_EXACT = (int, Fraction)
+from .errors import _EXACT, exact
 
 
 def frac_rows(m) -> list[list[Fraction]]:
-    return [[Fraction(x) for x in row] for row in m]
+    return [[Fraction(exact(x)) for x in row] for row in m]
 
 
 def mat_vec(m, v) -> tuple[Fraction, ...]:
     return tuple(
-        sum((Fraction(a) * Fraction(x) for a, x in zip(row, v)), Fraction(0))
+        sum((exact(a) * exact(x) for a, x in zip(row, v)), Fraction(0))
         for row in m
     )
 
 
 def integer_rows(m) -> tuple[list[list[int]], int]:
     """``(rows, scale)``: the rows of m times ``scale``, the lcm of every
-    denominator in m, as integers.  Entries that are already ``int`` or
-    ``Fraction`` are used as they are; only others are coerced."""
-    rows = [[x if type(x) in _EXACT else Fraction(x) for x in row] for row in m]
+    denominator in m, as integers; rows of ints come back as they are.  Only
+    entries that are not ``int`` or ``Fraction`` are read by ``exact``."""
+    rows = [[x if type(x) in _EXACT else exact(x) for x in row] for row in m]
+    if all(type(x) is int for row in rows for x in row):
+        return rows, 1
     scale = lcm(*{x.denominator for row in rows for x in row})
     return [[x.numerator * (scale // x.denominator) for x in row] for row in rows], scale
 
@@ -123,7 +124,7 @@ def det(m) -> Fraction:
 def cross(u, v) -> tuple:
     """u x v; ``int`` and ``Fraction`` entries are used as they are, so two
     integer vectors have an integer cross product."""
-    a, b = ([x if type(x) in _EXACT else Fraction(x) for x in w] for w in (u, v))
+    a, b = ([x if type(x) in _EXACT else exact(x) for x in w] for w in (u, v))
     return (
         a[1] * b[2] - a[2] * b[1],
         a[2] * b[0] - a[0] * b[2],
@@ -132,7 +133,7 @@ def cross(u, v) -> tuple:
 
 
 def is_zero_vector(v) -> bool:
-    return all(Fraction(x) == 0 for x in v)
+    return all(exact(x) == 0 for x in v)
 
 
 def proportional(u, v) -> bool:

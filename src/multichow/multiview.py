@@ -16,7 +16,7 @@ trial i uses a deterministic substream derived from (seed, i), so per-trial
 results are reproducible regardless of execution order.
 
 The work itself runs on integers, from the input to the answer.  Every
-number is read by :func:`_exact`, so a float is read from its decimal text,
+number is read by ``errors.exact``, so a float is read from its decimal text,
 as on the command line.  The three value classes store only integers and
 scales; ``cameras``, ``forms``, ``entries`` and ``tensor[index]`` build
 ``Fraction`` values when read.  Kernels, ranks, zero tests and
@@ -40,14 +40,15 @@ one Laplace expansion over 2x2 minors (:func:`_laplace`).
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import chain, combinations, permutations, product
 from math import gcd, lcm, prod
 from operator import mul
 
 from . import linalg
 from .errors import (
-    DegenerateInputError, PreconditionError, array, decimal, exact_ints, field, ints, rational
+    DegenerateInputError, PreconditionError, array, decimal, exact, exact_ints, field, ints
 )
 from .multidegree import Multidegree
 from .polymatroid import SpaceSignature, Value
@@ -56,23 +57,6 @@ MAX_RESAMPLES = 32
 
 Vec = tuple[Fraction, ...]
 Camera = tuple[Vec, Vec, Vec]
-
-_EXACT = (int, Fraction)
-
-
-def _exact(x) -> int | Fraction:
-    """The one reader of a number: an ``int`` or a ``Fraction`` as it is; a
-    string by ``int`` when that reads it, which ``errors.rational`` would
-    read to the same value; anything else by ``errors.rational``."""
-    if type(x) in _EXACT:
-        return x
-    # A "p/q" string skips int, which would refuse it.
-    if type(x) is str and "/" not in x:
-        try:
-            return int(x)
-        except ValueError:
-            pass
-    return rational(x)
 
 
 def _over(rows, scale) -> tuple[Vec, ...]:
@@ -83,19 +67,16 @@ def _over(rows, scale) -> tuple[Vec, ...]:
 def _as_camera(rows) -> tuple[tuple, int]:
     """A camera's rows times its scale, the lcm of its 12 denominators, as
     integers, and that scale; a camera of ints is its own rows, scale 1."""
-    exact = tuple(tuple(map(_exact, row)) for row in rows)
-    if len(exact) != 3 or any(len(row) != 4 for row in exact):
+    rows, scale = linalg.integer_rows(rows)
+    if len(rows) != 3 or any(len(row) != 4 for row in rows):
         raise PreconditionError("a camera must be a 3x4 matrix")
-    if all(type(x) is int for row in exact for x in row):
-        return exact, 1
-    rows, scale = linalg.integer_rows(exact)
     return tuple(map(tuple, rows)), scale
 
 
 def parse_vector(entries, length: int) -> tuple[int | Fraction, ...]:
-    """An array of ``length`` exact numbers, each read by :func:`_exact`, so
-    a JSON integer stays an ``int``."""
-    vec = tuple(map(_exact, array(entries)))
+    """An array of ``length`` exact numbers, each read by ``errors.exact``,
+    so a JSON integer stays an ``int``."""
+    vec = tuple(map(exact, array(entries)))
     if len(vec) != length:
         raise PreconditionError(f"expected a vector of length {length}")
     return vec
@@ -175,7 +156,7 @@ class LinearSpaceTuple(Value):
     """
 
     def __post_init__(self, forms):
-        scaled = [linalg.integer_rows([tuple(map(_exact, f)) for f in factor]) for factor in forms]
+        scaled = [linalg.integer_rows(factor) for factor in forms]
         for idx, (factor, _) in enumerate(scaled):
             if any(len(form) != 3 for form in factor):
                 raise PreconditionError(f"factor {idx + 1}: forms must have 3 coefficients")
@@ -217,7 +198,7 @@ class MultifocalTensor(Value):
             # check accept: equal numbers have equal hashes.
             if (position := positions.get(index)) is None:
                 raise PreconditionError(f"bad tensor index {exact_ints(index, 'tensor index')}")
-            values[position] = _exact(value)
+            values[position] = value
         (numerators,), self._denominator = linalg.integer_rows([values])
         self._numerators = tuple(numerators)
 
@@ -258,7 +239,7 @@ class MultifocalTensor(Value):
             index = field(entry, "index", ints)
             if index in entries:
                 raise PreconditionError(f"tensor index {index} appears more than once")
-            entries[index] = field(entry, "value", _exact)
+            entries[index] = field(entry, "value", exact)
         return cls(beta, entries)
 
     def to_json(self) -> dict:
@@ -278,7 +259,7 @@ class MultifocalTensor(Value):
 def project_point(camera, world_point) -> Vec:
     """Apply a camera to a world point; undefined at the camera center."""
     rows, scale = _as_camera(camera)
-    image = _image(rows, tuple(map(_exact, world_point)))
+    image = _image(rows, tuple(map(exact, world_point)))
     if not any(image):
         raise DegenerateInputError("projection undefined: point is the camera center")
     return tuple(Fraction(x, scale) for x in image)
@@ -295,26 +276,17 @@ def multiview_multidegree(k: int) -> Multidegree:
     """Multidegree of the image closure of P^3 in (P^2)^k (generic cameras).
 
     Expands t_1^2...t_k^2 * (sum over i1<i2<i3 of 1/(t_i1 t_i2 t_i3)
-    + sum over ordered pairs i1 != i2 of 1/(t_i1^2 t_i2)); every surviving
-    exponent carries coefficient 1.
+    + sum over ordered pairs i1 != i2 of 1/(t_i1^2 t_i2)); no exponent
+    leaves the box or repeats, so each carries coefficient 1.
     """
     sig = _signature(k)
-    coeffs: dict[tuple, int] = {}
-
-    def add(gamma):
-        if all(g >= 0 for g in gamma):
-            coeffs[gamma] = coeffs.get(gamma, 0) + 1
-
-    for i1, i2, i3 in combinations(range(k), 3):
+    coeffs = {}
+    twice = ((a, a, b) for a, b in permutations(range(k), 2))
+    for lowered in chain(combinations(range(k), 3), twice):
         gamma = [2] * k
-        for i in (i1, i2, i3):
+        for i in lowered:
             gamma[i] -= 1
-        add(tuple(gamma))
-    for i1, i2 in permutations(range(k), 2):
-        gamma = [2] * k
-        gamma[i1] -= 2
-        gamma[i2] -= 1
-        add(tuple(gamma))
+        coeffs[tuple(gamma)] = 1
     return Multidegree(sig, coeffs)
 
 
@@ -324,15 +296,13 @@ def multiview_multidegree(k: int) -> Multidegree:
 
 def _pullback_rows(config: CameraConfiguration, factors):
     """The integer rows l^T P_i, each times the scale of camera i, for every
-    integer cutting form l of factor i, factor order then form order, and
-    the product of those scales; the caller has matched the factors to the
-    cameras."""
-    rows, scale = [], 1
-    for cam, cam_scale, forms in zip(config._rows, config._scales, factors):
+    integer cutting form l of factor i, factor order then form order; the
+    caller has matched the factors to the cameras."""
+    rows = []
+    for cam, forms in zip(config._rows, factors):
         columns = tuple(zip(*cam))
         rows.extend(_image(columns, form) for form in forms)
-        scale *= cam_scale ** len(forms)
-    return rows, scale
+    return rows
 
 
 #: For 2, 3 and 4 cameras, the 3^k tensor indices in product order, and the
@@ -363,8 +333,9 @@ def chow_residual(config: CameraConfiguration, spaces: LinearSpaceTuple) -> Frac
     is the closure of that condition, so this is the form up to scale.
     """
     _tensor_profile(config.k, spaces.beta)
-    (r0, r1, r2, r3), scale = _pullback_rows(config, spaces._forms)
-    scale *= prod(s ** len(forms) for forms, s in zip(spaces._forms, spaces._scales))
+    r0, r1, r2, r3 = _pullback_rows(config, spaces._forms)
+    scales = zip(config._scales, spaces._scales, spaces._forms)
+    scale = prod((cam * space) ** len(forms) for cam, space, forms in scales)
     return Fraction(_laplace(_minors(r0, r1), _minors(r2, r3)), scale)
 
 
@@ -455,11 +426,9 @@ def tensor_contract(tensor: MultifocalTensor, coordinates) -> Fraction:
     from the last: the tensor's integer numerators, in index order, fall
     into consecutive triples that agree in every slot but the last, and
     each triple contracts with that slot's integer coordinates."""
-    coords, scale = linalg.integer_rows([map(_exact, vec) for vec in coordinates])
+    coords, scale = linalg.integer_rows(coordinates)
     if len(coords) != tensor.k or any(len(vec) != 3 for vec in coords):
-        raise PreconditionError(
-            f"need {tensor.k} coordinate vectors of length 3"
-        )
+        raise PreconditionError(f"need {tensor.k} coordinate vectors of length 3")
     values = tensor._numerators
     for x0, x1, x2 in reversed(coords):
         triples = iter(values)
@@ -630,15 +599,14 @@ def has_world_point_preimage(config: CameraConfiguration, candidate) -> bool:
     center.  Points of the image closure with no honest preimage are not
     detected; this is only used to certify *non*-membership.
     """
-    candidate = [parse_vector(vec, 3) for vec in candidate]
+    # A point is defined only up to scale, so one scale serves.
+    candidate, _ = linalg.integer_rows([parse_vector(vec, 3) for vec in candidate])
     if len(candidate) != config.k:
         raise PreconditionError(f"candidate needs {config.k} coordinates")
-    # A point is defined only up to scale, so one scale serves.
-    candidate, _ = linalg.integer_rows(candidate)
     forms = [_forms_vanishing_at(x) for x in candidate]
     # A positive-dimensional solution space counts: a generic element avoids
     # the finitely many centers.
-    return _fiber_size(config, _pullback_rows(config, forms)[0]) != 0
+    return _fiber_size(config, _pullback_rows(config, forms)) != 0
 
 
 # ---------------------------------------------------------------------------
@@ -662,7 +630,7 @@ def intersection_count_oracle(
     results = []
     for rng in _trial_rngs(rng_seed, trials):
         forms = [random_independent_forms(rng, 2 - g) for g in gamma]
-        results.append(_fiber_size(config, _pullback_rows(config, forms)[0]))
+        results.append(_fiber_size(config, _pullback_rows(config, forms)))
     return results
 
 
@@ -670,9 +638,7 @@ def majority_count(counts) -> int | None:
     """Most common per-trial value; ``None`` means non-finite."""
     if not counts:
         raise PreconditionError("no trials")
-    tally: dict = {}
-    for c in counts:
-        tally[c] = tally.get(c, 0) + 1
+    tally = Counter(counts)
     return max(tally, key=lambda c: (tally[c], c is not None))
 
 
@@ -724,7 +690,7 @@ def epsilon_oracle(
         forms = [
             forms_through(rng, image, b) if b else () for image, b in zip(images, beta)
         ]
-        results.append(_fiber_size(config, _pullback_rows(config, forms)[0]))
+        results.append(_fiber_size(config, _pullback_rows(config, forms)))
     return results
 
 
@@ -761,7 +727,7 @@ def sz_membership(
         forms = [
             basis if b == 2 else _forms_spanned_by(rng, basis, 1) for basis, b in zip(bases, beta)
         ]
-        (r0, r1, r2, r3), _ = _pullback_rows(config, forms)
+        r0, r1, r2, r3 = _pullback_rows(config, forms)
         if _laplace(_minors(r0, r1), _minors(r2, r3)):
             return False
     return True

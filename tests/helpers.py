@@ -554,7 +554,7 @@ def reference_has_world_point_preimage(config: CameraConfiguration, candidate) -
     if len(candidate) != config.k:
         raise PreconditionError(f"candidate needs {config.k} coordinates")
     forms = [linalg.nullspace([list(x)], 3) for x in candidate]
-    return reference_fiber_size(config, _pullback_rows(config, forms)[0]) != 0
+    return reference_fiber_size(config, _pullback_rows(config, forms)) != 0
 
 
 def reference_intersection_count_oracle(config: CameraConfiguration, gamma, trials, rng_seed):
@@ -563,7 +563,7 @@ def reference_intersection_count_oracle(config: CameraConfiguration, gamma, tria
     results = []
     for rng in _trial_rngs(rng_seed, trials):
         forms = [reference_random_independent_forms(rng, 2 - g) for g in gamma]
-        results.append(reference_fiber_size(config, _pullback_rows(config, forms)[0]))
+        results.append(reference_fiber_size(config, _pullback_rows(config, forms)))
     return results
 
 
@@ -594,5 +594,5 @@ def reference_epsilon_oracle(config: CameraConfiguration, beta, trials, rng_seed
             reference_forms_through(rng, image, b) if b else ()
             for image, b in zip(images, beta)
         ]
-        results.append(reference_fiber_size(config, _pullback_rows(config, forms)[0]))
+        results.append(reference_fiber_size(config, _pullback_rows(config, forms)))
     return results

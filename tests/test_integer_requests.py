@@ -13,6 +13,7 @@ import io
 import json
 import random
 import sys
+import time
 from decimal import Decimal
 from fractions import Fraction
 from itertools import product
@@ -32,9 +33,9 @@ from multichow import (
     sz_membership,
     tensor_contract,
 )
-from multichow import multiview
-from multichow.errors import PreconditionError, exact_ints, rational
-from multichow.multiview import _image, random_cameras
+from multichow import errors, linalg
+from multichow.errors import PreconditionError, exact, exact_ints, rational
+from multichow.multiview import _image, forms_through, random_cameras, trial_rng
 
 from helpers import rational_cameras, reference_contract, reference_sz_membership, reference_tensor
 
@@ -92,6 +93,35 @@ def test_library_refuses_a_boolean_as_the_cli_does():
         LinearSpaceTuple((((True, 0, 1),),))
 
 
+#: The public readers outside the value classes, each applied to an input in
+#: which ``x`` is the one entry that is not an ``int``.
+PUBLIC_READERS = {
+    "forms_through": lambda x: forms_through(trial_rng(0, 0), (x, 2, 1), 1),
+    "integer_rows": lambda x: linalg.integer_rows([[x, 1], [1, 10]]),
+    "cross": lambda x: linalg.cross((x, 1, 2), (3, 4, 5)),
+    "proportional": lambda x: linalg.proportional((x, 1, 0), (1, 10, 0)),
+    "det": lambda x: linalg.det([[x, 1], [1, 10]]),
+    "rref": lambda x: linalg.rref([[x, 1], [1, 10]]),
+    "frac_rows": lambda x: linalg.frac_rows([[x, 1]]),
+    "mat_vec": lambda x: linalg.mat_vec([[x, 1]], (10, -1)),
+    "is_zero_vector": lambda x: linalg.is_zero_vector((x, 0)),
+}
+
+
+@pytest.mark.parametrize("name", list(PUBLIC_READERS))
+def test_every_public_reader_reads_a_float_from_its_decimal_text(name):
+    read = PUBLIC_READERS[name]
+    assert read(0.1) == read(Fraction(1, 10))
+    with pytest.raises(TypeError, match="got bool"):
+        read(True)
+
+
+def test_a_float_tenth_gives_the_exact_answers():
+    assert forms_through(trial_rng(0, 0), (0.1, 0.2, 1), 1) == ((-96, 8, 8),)
+    assert linalg.proportional((0.1, 1, 0), (1, 10, 0))
+    assert linalg.det([[0.1, 1], [1, 10]]) == 0
+
+
 def read_outcome(read, text):
     """``read(text)`` with its type, or the type and message of the refusal."""
     try:
@@ -116,7 +146,7 @@ READER_STRINGS = {
 
 @pytest.mark.parametrize("text", list(READER_STRINGS), ids=lambda t: repr(t)[:24])
 def test_int_first_reader_reads_what_rational_reads(text):
-    got, expected = read_outcome(multiview._exact, text), read_outcome(rational, text)
+    got, expected = read_outcome(exact, text), read_outcome(rational, text)
     if expected[0] == "ok":
         assert got[:2] == expected[:2] == ("ok", READER_STRINGS[text])
         assert got[2] is (int if read_outcome(int, text)[0] == "ok" else Fraction)
@@ -132,10 +162,72 @@ def test_int_first_reader_reads_what_rational_reads(text):
     )
 )
 def test_int_first_reader_agrees_with_rational_on_random_strings(text):
-    got, expected = read_outcome(multiview._exact, text), read_outcome(rational, text)
+    got, expected = read_outcome(exact, text), read_outcome(rational, text)
     assert got[:2] == expected[:2]
     if got[0] == "ok":
         assert got[2] is (int if read_outcome(int, text)[0] == "ok" else Fraction)
+
+
+def exponent_requests(text):
+    """A request per place a number is read from JSON, with ``text`` there."""
+    tensor = {"beta": [2, 2], "entries": [{"index": [1, 1], "value": "1"}]}
+    cameras = [[[text, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]], [[0, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0]]]
+    return {
+        "camera entry": ("tensor", {"cameras": cameras, "beta": [2, 2]}),
+        "contract coordinate": ("contract", {"tensor": tensor, "coordinates": [[text, 0, 0], [1, 0, 0]]}),
+        "tensor value": (
+            "contract",
+            {
+                "tensor": {**tensor, "entries": [{"index": [1, 1], "value": text}]},
+                "coordinates": [[1, 0, 0], [1, 0, 0]],
+            },
+        ),
+    }
+
+
+def run_request(monkeypatch, capsys, command, obj):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(obj)))
+    status = cli.main([command])
+    return status, capsys.readouterr()
+
+
+@pytest.mark.parametrize("where", ["camera entry", "contract coordinate", "tensor value"])
+@pytest.mark.parametrize("text", ["1e100000000", "-1.5E-100000000"])
+def test_a_huge_exponent_exits_2_at_once(text, where, monkeypatch, capsys):
+    """``Fraction`` would build a number with that many digits first."""
+    start = time.perf_counter()
+    status, out = run_request(monkeypatch, capsys, *exponent_requests(text)[where])
+    assert time.perf_counter() - start < 1
+    assert status == 2
+    assert "exceeds the digit limit" in json.loads(out.err)["error"]["message"]
+
+
+@pytest.mark.parametrize("where", ["camera entry", "contract coordinate", "tensor value"])
+@pytest.mark.parametrize("text, value", [("1e3", "1000"), ("1E-2", "1/100"), ("1e4000", "1" + "0" * 4000)])
+def test_an_exponent_within_the_digit_limit_still_reads(text, value, where, monkeypatch, capsys):
+    given, spelled = (
+        run_request(monkeypatch, capsys, *exponent_requests(entry)[where]) for entry in (text, value)
+    )
+    assert given[0] == spelled[0] == 0
+    assert given[1].out == spelled[1].out
+
+
+def test_the_exponent_guard_follows_the_digit_limit():
+    """Underscores and Unicode digits count as ``Fraction`` counts them, and a
+    limit of 0 is no limit, as for ``int``."""
+    limit = sys.get_int_max_str_digits()
+    try:
+        for text in ("1e1_000_000_000", "1E+" + "\u0669" * 9, " 2.5e-99999999 "):
+            with pytest.raises(ValueError, match="exceeds the digit limit"):
+                rational(text)
+        sys.set_int_max_str_digits(640)
+        assert exact("1e640") == 10**640
+        with pytest.raises(ValueError, match="exceeds the digit limit 640"):
+            exact("-1e-641")
+        sys.set_int_max_str_digits(0)
+        assert rational("1e5000") == 10**5000
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 # ---------------------------------------------------------------------------
@@ -390,13 +482,13 @@ def test_sz_test_reads_each_number_once(monkeypatch, capsys):
     cameras = [[[int(x) for x in row] for row in cam] for cam in config.cameras]
     obj = {"cameras": cameras, "beta": [2, 1, 1], "candidate": candidate}
     read = []
-    rational = multiview.rational
+    rational = errors.rational
 
     def counted(value):
         read.append(value)
         return rational(value)
 
-    monkeypatch.setattr(multiview, "rational", counted)
+    monkeypatch.setattr(errors, "rational", counted)
     monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(obj)))
     assert cli.main(["sz-test", "--trials", "3"]) == 0
     assert json.loads(capsys.readouterr().out) == {"member": True}

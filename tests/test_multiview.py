@@ -23,6 +23,7 @@ from multichow import (
 )
 from multichow import linalg
 from multichow.errors import DegenerateInputError, PreconditionError
+from multichow.polymatroid import profiles
 from multichow.multiview import (
     contraction_coordinates,
     forms_through,
@@ -202,6 +203,11 @@ class TestMultiviewMultidegree:
     def test_single_camera_rejected(self):
         with pytest.raises(PreconditionError):
             multiview_multidegree(1)
+
+    @pytest.mark.parametrize("k", range(2, 25))
+    def test_every_exponent_of_degree_2k_minus_3_in_the_box(self, k):
+        box = profiles((2,) * k, 2 * k - 3)
+        assert dict(multiview_multidegree(k).coeffs) == dict.fromkeys(box, 1)
 
 
 class TestChowResidual:
