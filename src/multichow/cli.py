@@ -10,11 +10,12 @@ failure or malformed input, 3 degenerate input, 4 inapplicable criterion.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
+import re
 import sys
 from collections import namedtuple
+from types import SimpleNamespace
 
 from . import multidegree as mdg
 from . import multiview as mv
@@ -287,30 +288,74 @@ SUBCOMMANDS = {
 }
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise PreconditionError(message)
+#: The arguments every subcommand takes, and the help option.
+COMMON = (("--input", {}), ("--format", {"choices": ("pretty", "compact"), "default": "compact"}))
+_HELP = ("--help", {"action": "help"})
+#: A token that can name an option: ``-`` and more, but no negative number.
+_OPTION = re.compile(r"-(?!\d+$|\d*\.\d+$).", re.S)
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="multichow",
-        description="Multidegree criteria and multifocal tensors, exactly.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, command in SUBCOMMANDS.items():
-        p = sub.add_parser(name)
-        p.add_argument("--input", help="path to the JSON input (default: stdin)")
-        p.add_argument(
-            "--format",
-            choices=("pretty", "compact"),
-            default="compact",
-            help="whitespace style of the JSON output",
-        )
-        for flag, keywords in command.arguments:
-            p.add_argument(flag, **keywords)
-    return parser
+def _usage(name) -> str:
+    """The usage of subcommand ``name``, or of every subcommand for None."""
+    lines = []
+    for sub in SUBCOMMANDS if name is None else (name,):
+        words = [f"multichow {sub}"]
+        for flag, kw in (*COMMON, *SUBCOMMANDS[sub].arguments):
+            value = "{%s}" % ",".join(kw["choices"]) if "choices" in kw else flag[2:].upper()
+            word = flag if "action" in kw else f"{flag} {value}"
+            words.append(word if kw.get("required") else f"[{word}]")
+        lines.append(" ".join(words))
+    return "usage: " + "\n       ".join(lines) + "\n"
+
+
+def read_argv(argv) -> SimpleNamespace:
+    """``argv`` read from :data:`SUBCOMMANDS` as argparse reads it (see the
+    README): a :class:`PreconditionError` refuses it, and ``-h`` or
+    ``--help`` prints the usage and exits 0."""
+    name, options, values, unknown = None, (_HELP,), {}, []
+    tokens = iter(argv)
+    for token in tokens:
+        if token == "--":  # what follows reads as positionals, which no subcommand takes
+            unknown += [token, *tokens]
+            break
+        if name is None and not _OPTION.match(token):
+            if token not in SUBCOMMANDS:
+                raise PreconditionError(f"argument command: invalid choice: {token!r}")
+            name, options = token, (_HELP, *COMMON, *SUBCOMMANDS[token].arguments)
+            values = {f: False if "action" in kw else kw.get("default") for f, kw in options[1:]}
+            continue
+        flag, eq, given = token.partition("=")
+        flag = "--help" if flag == "-h" else flag
+        found = [o for o in options if o[0] == flag]
+        found = found or [o for o in options if o[0].startswith(flag)]
+        if not _OPTION.match(token) or len(found) != 1:
+            unknown.append(token)
+            continue
+        flag, kw = found[0]
+        if "action" in kw:  # help and store_true take no value
+            if eq:
+                raise PreconditionError(f"argument {flag}: ignored explicit argument {given!r}")
+            if kw["action"] == "help":
+                sys.stdout.write(_usage(name))
+                raise SystemExit(0)
+            values[flag] = True
+            continue
+        if not eq and _OPTION.match(given := next(tokens, "--")):  # none left reads as "--"
+            raise PreconditionError(f"argument {flag}: expected one argument")
+        try:
+            values[flag] = kw.get("type", str)(given)
+        except ValueError:
+            raise PreconditionError(f"argument {flag}: invalid value: {given!r}")
+        if values[flag] not in kw.get("choices", (values[flag],)):
+            raise PreconditionError(f"argument {flag}: invalid choice: {given!r}")
+    if name is None:
+        raise PreconditionError("the following arguments are required: command")
+    missing = [flag for flag, kw in options if kw.get("required") and values[flag] is None]
+    if missing:
+        raise PreconditionError(f"the following arguments are required: {', '.join(missing)}")
+    if unknown:
+        raise PreconditionError(f"unrecognized arguments: {' '.join(unknown)}")
+    return SimpleNamespace(command=name, **{f[2:].replace("-", "_"): v for f, v in values.items()})
 
 
 def run(argv) -> tuple[str, object, str]:
@@ -318,7 +363,7 @@ def run(argv) -> tuple[str, object, str]:
     a failure gives its exception's status and message."""
     fmt = "compact"
     try:
-        args = _parser().parse_args(argv)
+        args = read_argv(argv)
         fmt = args.format
         return "ok", SUBCOMMANDS[args.command].handler(_load_input(args), args), fmt
     except MultichowError as exc:

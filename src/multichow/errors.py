@@ -93,33 +93,46 @@ def exact_ints(values, what: str) -> tuple[int, ...]:
     return exact
 
 
-def rational(value) -> Fraction:
-    """An exact rational from a JSON number or a string such as ``"-2/3"``;
-    a float is read from its decimal text (``0.1`` is 1/10), and a boolean
-    and an exponent past the integer-string digit limit are refused."""
-    if isinstance(value, bool):
-        raise TypeError("expected a number, got bool")
-    if isinstance(value, str) and (limit := sys.get_int_max_str_digits()):
+def text_number(text: str) -> int | Fraction:
+    """A number string, read alike on every Python version: an integer and
+    each side of ``"p/q"`` by ``int``, with no space or sign around ``/``; a
+    decimal or an exponent, with ``_`` only between digits, by ``Fraction``,
+    if the exponent is within the integer-string digit limit."""
+    num, slash, den = text.partition("/")
+    if slash:
+        if num[-1:].isdecimal() and den[:1].isdecimal():
+            # strip, not int, drops the whitespace \x1c-\x1f that Fraction allows
+            try:
+                return Fraction(int(num.lstrip()), int(den.rstrip()))
+            except ValueError as exc:
+                if "invalid literal" not in str(exc):
+                    raise  # a side past the integer-string digit limit
+        raise ValueError(f"Invalid literal for Fraction: {text!r}")
+    try:
+        return int(text)
+    except ValueError:
+        pass
+    if limit := sys.get_int_max_str_digits():
         # The exponent as Fraction finds it: e or E, a sign, digits that _ may group.
-        found = re.search(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z", value)
+        found = re.search(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z", text)
         if found and abs(int(found[1])) > limit:
             raise ValueError(f"exponent {found[1]} exceeds the digit limit {limit}")
-    return Fraction(str(value) if isinstance(value, float) else value)
+    if re.search(r"(?<!\d)_|_(?!\d)", text):  # 3.10's Fraction reads no _ at all
+        raise ValueError(f"Invalid literal for Fraction: {text!r}")
+    return Fraction(text.replace("_", ""))
 
 
 def exact(x) -> int | Fraction:
     """The one reader of a library number: an ``int`` or a ``Fraction`` as
-    it is; a string by ``int`` when that reads it, which :func:`rational`
-    would read to the same value; anything else by :func:`rational`."""
+    it is; a string, or a float by its decimal text (``0.1`` is 1/10), by
+    :func:`text_number`; a boolean refused; anything else by ``Fraction``."""
     if type(x) in _EXACT:
         return x
-    # A "p/q" string skips int, which would refuse it.
-    if type(x) is str and "/" not in x:
-        try:
-            return int(x)
-        except ValueError:
-            pass
-    return rational(x)
+    if isinstance(x, bool):
+        raise TypeError("expected a number, got bool")
+    if isinstance(x, (str, float)):
+        return text_number(str(x))
+    return Fraction(x)
 
 
 def decimal(number) -> str:

@@ -91,7 +91,8 @@ class CameraConfiguration(Value):
     """A tuple of rank-3 projection matrices with exact rational entries.
 
     ``_rows[i]`` and ``_scales[i]`` are camera i as :func:`_as_camera`
-    reads it, and ``_int_centers[i]`` is a nonzero integer multiple of its
+    reads it, ``_columns[i]`` are the columns of ``_rows[i]``, and
+    ``_int_centers[i]`` is a nonzero integer multiple of its
     center, the signed 3x3 minors of those rows (Hartley and Zisserman,
     *Multiple View Geometry*, 2nd ed., section 6.2.4), so building one needs
     no elimination.  ``cameras`` builds the ``Fraction`` matrices.
@@ -102,6 +103,7 @@ class CameraConfiguration(Value):
         if not read:
             raise PreconditionError("need at least one camera")
         self._rows, self._scales = zip(*read)
+        self._columns = tuple(tuple(zip(*cam)) for cam in self._rows)
         self._int_centers = tuple(_kernel3(*cam) for cam in self._rows)
         for idx, center in enumerate(self._int_centers):
             if not any(center):
@@ -298,11 +300,7 @@ def _pullback_rows(config: CameraConfiguration, factors):
     """The integer rows l^T P_i, each times the scale of camera i, for every
     integer cutting form l of factor i, factor order then form order; the
     caller has matched the factors to the cameras."""
-    rows = []
-    for cam, forms in zip(config._rows, factors):
-        columns = tuple(zip(*cam))
-        rows.extend(_image(columns, form) for form in forms)
-    return rows
+    return [_image(cols, form) for cols, forms in zip(config._columns, factors) for form in forms]
 
 
 #: For 2, 3 and 4 cameras, the 3^k tensor indices in product order, and the

@@ -5,12 +5,17 @@ batches over a prime field, so validity is guaranteed by construction and the
 tests exercise genuinely varied polymatroids rather than hand-picked ones.
 """
 
+import argparse
+import contextlib
+import io
 import random
+import re
+import sys
 from fractions import Fraction
 from itertools import product
 from operator import le
 
-from multichow import CameraConfiguration, Multidegree, MultifocalTensor, linalg
+from multichow import CameraConfiguration, Multidegree, MultifocalTensor, cli, linalg
 from multichow.errors import (
     DegenerateInputError,
     PreconditionError,
@@ -596,3 +601,130 @@ def reference_epsilon_oracle(config: CameraConfiguration, beta, trials, rng_seed
         ]
         results.append(reference_fiber_size(config, _pullback_rows(config, forms)))
     return results
+
+
+# ---------------------------------------------------------------------------
+# number strings
+
+
+#: ``fractions.Fraction``'s string grammar on Python 3.11, which
+#: ``errors.text_number`` keeps on every version.
+_FRACTION_311 = re.compile(
+    r"""\A\s*(?P<sign>[-+]?)(?=\d|\.\d)(?P<num>\d*|\d+(_\d+)*)
+    (?:(?:/(?P<denom>\d+(_\d+)*))?
+    |(?:\.(?P<decimal>d*|\d+(_\d+)*))?(?:E(?P<exp>[-+]?\d+(_\d+)*))?)\s*\Z""",
+    re.VERBOSE | re.IGNORECASE,
+)
+
+
+def reference_text_number(text: str) -> Fraction:
+    """The reference for ``errors.text_number``: ``Fraction(text)`` as Python
+    3.11 reads it, by its regex and arithmetic, with the package's refusal
+    of an exponent past the integer-string digit limit."""
+    m = _FRACTION_311.match(text)
+    if m is None:
+        raise ValueError(f"Invalid literal for Fraction: {text!r}")
+    numerator, denominator = int(m["num"] or "0"), int(m["denom"] or "1")
+    if m["decimal"]:
+        scale = 10 ** len(m["decimal"].replace("_", ""))
+        numerator, denominator = numerator * scale + int(m["decimal"]), scale
+    if m["exp"]:
+        exp = int(m["exp"])
+        if abs(exp) > sys.get_int_max_str_digits() > 0:
+            raise ValueError(f"exponent {exp} exceeds the digit limit")
+        if exp >= 0:
+            numerator *= 10**exp
+        else:
+            denominator *= 10**-exp
+    return Fraction(-numerator if m["sign"] == "-" else numerator, denominator)
+
+
+# ---------------------------------------------------------------------------
+# argv
+
+
+class _ReferenceParser(argparse.ArgumentParser):
+    def error(self, message):
+        raise PreconditionError(message)
+
+
+def reference_argv_parser() -> argparse.ArgumentParser:
+    """The argparse parser that ``cli.read_argv`` stands in for, built from
+    the same ``cli.COMMON`` and ``cli.SUBCOMMANDS`` tables; it refuses with
+    ``PreconditionError``."""
+    parser = _ReferenceParser(prog="multichow")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, command in cli.SUBCOMMANDS.items():
+        p = sub.add_parser(name)
+        for flag, keywords in (*cli.COMMON, *command.arguments):
+            p.add_argument(flag, **keywords)
+    return parser
+
+
+def argv_outcome(read, argv) -> tuple:
+    """``read(argv)`` as its values, a refusal, or help with its exit code;
+    what it prints is dropped."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        try:
+            return "values", vars(read(argv))
+        except PreconditionError:
+            return "refused", None
+        except SystemExit as exc:
+            return "help", exc.code
+
+
+def argv_vocabulary() -> dict:
+    """Tokens for argv sequences, by kind: every subcommand name and two
+    that are not; every option flag, each unique prefix of it, ``=`` forms
+    and the help spellings; values that start with ``-``, that ``int``
+    reads with whitespace, a sign or ``_``, and that no option accepts."""
+    options = dict(cli.COMMON)
+    for sub in cli.SUBCOMMANDS.values():
+        options.update(sub.arguments)
+    prefixes = [
+        flag[:n]
+        for flag in options
+        for n in range(3, len(flag) + 1)
+        if sum(f.startswith(flag[:n]) for f in (*options, "--help")) == 1
+    ]
+    choices = [c for keywords in options.values() for c in keywords.get("choices", ())]
+    equals = [f"{flag}={value}" for flag in options for value in ("7", "-1", "", choices[0])]
+    equals += [
+        f"{flag[:3]}={value}"
+        for flag, keywords in options.items()
+        for value in keywords.get("choices", ("7",))
+    ]
+    return {
+        "names": [*cli.SUBCOMMANDS, "frobnicate", ""],
+        "options": prefixes + equals + ["-h", "-h=x", "--help", "--he"],
+        "values": ["-1", "-.5", "-5x", "-", " 7", "+7", "1_0", "7", "x", "yaml", "sideways", "--x"]
+        + choices,
+    }
+
+
+def argv_samples(count: int, seed: int):
+    """Every argv of at most two vocabulary tokens, then ``count`` seeded
+    random ones of three to six, most led by a subcommand name and built
+    mostly of option-value pairs, half of them with options of the lead."""
+    kinds = argv_vocabulary()
+    vocabulary = [token for tokens in kinds.values() for token in tokens]
+    yield []
+    for first in vocabulary:
+        yield [first]
+        for second in vocabulary:
+            yield [first, second]
+    rng = random.Random(seed)
+    for _ in range(count):
+        length = rng.randint(3, 6)
+        lead = rng.choice(list(cli.SUBCOMMANDS)) if rng.random() < 0.75 else None
+        options = kinds["options"]
+        if lead and rng.random() < 0.5:
+            flags = [flag for flag, _ in (*cli.COMMON, *cli.SUBCOMMANDS[lead].arguments)]
+            options = [t for t in options if any(f.startswith(t.partition("=")[0]) for f in flags)]
+        argv = [lead] if lead else []
+        while len(argv) < length:
+            if rng.random() < 0.85:
+                argv += [rng.choice(options), rng.choice(kinds["values"])]
+            else:
+                argv.append(rng.choice(vocabulary))
+        yield argv[:length]

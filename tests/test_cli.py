@@ -1,5 +1,6 @@
 """CLI dispatch, canonical output, exit codes and operation coverage."""
 
+import collections
 import copy
 import io
 import itertools
@@ -18,14 +19,17 @@ import multichow
 from multichow import cli, errors, linalg
 from multichow import multidegree as mdg
 from multichow import polymatroid as pm
-from multichow.errors import DegenerateInputError, InapplicableError, integer, rational
+from multichow.errors import DegenerateInputError, InapplicableError, exact, integer
 from multichow.multiview import multiview_multidegree, random_cameras
 
 from helpers import (
+    argv_outcome,
+    argv_samples,
     count_table_builds,
     frobenius_multidegree,
     product_of_curves_multidegree,
     random_polymatroid,
+    reference_argv_parser,
 )
 
 
@@ -643,12 +647,12 @@ def test_number_readers():
             integer(value)
     with pytest.raises(ValueError):
         integer("2.5")
-    assert rational(0.1) == Fraction(1, 10)
-    assert rational("-2/3") == Fraction(-2, 3) and rational(5) == 5
+    assert exact(0.1) == Fraction(1, 10)
+    assert exact("-2/3") == Fraction(-2, 3) and exact(5) == 5
     with pytest.raises(TypeError):
-        rational(False)
+        exact(False)
     with pytest.raises(ValueError):
-        rational(float("inf"))
+        exact(float("inf"))
 
 
 NINES = "9" * 4300  # the most digits Python converts to or from a string by default
@@ -958,6 +962,20 @@ class TestDeterminism:
 GOLDEN_CASES = json.loads((Path(__file__).parent / "golden" / "cli.json").read_text())["cases"]
 
 
+def python_process(*args, stdin=b""):
+    """``python -B *args`` in a process of its own, with the package's
+    source first on its path."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-B", *args],
+        input=stdin,
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=60,
+    )
+
+
 @pytest.mark.parametrize(
     "name", ["analyze-all-beta-multiview-k3-compact", "error-unknown-subcommand"]
 )
@@ -966,15 +984,7 @@ def test_the_cli_process(name):
     ``sys.exit`` and the real streams: the exit code and stdout bytes of a
     golden case, nothing on stderr on success, one JSON error on failure."""
     case = next(case for case in GOLDEN_CASES if case["name"] == name)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-B", "-m", "multichow.cli", *case["argv"]],
-        input=case["stdin"].encode(),
-        capture_output=True,
-        env={**os.environ, "PYTHONPATH": path},
-        timeout=60,
-    )
+    proc = python_process("-m", "multichow.cli", *case["argv"], stdin=case["stdin"].encode())
     assert proc.returncode == case["exit"]
     if case["exit"] == 0:
         assert (proc.stdout, proc.stderr) == (case["stdout"].encode(), b"")
@@ -986,20 +996,76 @@ def test_the_cli_process(name):
 def test_importing_the_cli_loads_no_dataclasses_typing_or_inspect():
     """The value classes stand on ``polymatroid.Value`` and namedtuples, so a
     process that imports the CLI, without ``site``, never loads these."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [
-            sys.executable, "-S", "-B", "-c",
-            "import multichow.cli, sys; "
-            "print(sorted({'dataclasses', 'typing', 'inspect'} & set(sys.modules)))",
-        ],
-        capture_output=True,
-        env={**os.environ, "PYTHONPATH": path},
-        timeout=60,
+    proc = python_process(
+        "-S", "-c",
+        "import multichow.cli, sys; "
+        "print(sorted({'dataclasses', 'typing', 'inspect'} & set(sys.modules)))",
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == b"[]\n"
+
+
+def test_importing_the_cli_loads_no_argparse():
+    """argv is read from the subcommand table."""
+    proc = python_process("-c", "import multichow.cli, sys; print('argparse' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == b"False\n"
+
+
+# ---------------------------------------------------------------------------
+# argv
+
+
+def test_read_argv_agrees_with_argparse():
+    """On every argv of up to two vocabulary tokens and 10,000 seeded random
+    ones of up to six, the reader gives what argparse, built from the same
+    table, gives: the same values, a refusal, or help with exit 0."""
+    reference = reference_argv_parser()
+    seen = collections.Counter()
+    for argv in argv_samples(10_000, 0):
+        got = argv_outcome(cli.read_argv, argv)
+        assert got == argv_outcome(reference.parse_args, argv), argv
+        seen[got[0]] += 1
+    assert min(seen["values"], seen["refused"], seen["help"]) > 400, seen
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["-h"], ["--help"], ["--he", "x"], ["--x", "-h"], ["betas", "-h"],
+        ["sz-test", "--trials", "3", "--help"],
+    ],
+)
+def test_help_prints_the_usage_and_exits_0(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(argv)
+    out, err = capsys.readouterr()
+    assert (exit_info.value.code, err) == (0, "")
+    names = list(cli.SUBCOMMANDS) if argv[0] not in cli.SUBCOMMANDS else [argv[0]]
+    assert out.startswith("usage: ")
+    for name in names:
+        assert f"multichow {name} " in out
+        assert all(flag in out for flag, _ in (*cli.COMMON, *cli.SUBCOMMANDS[name].arguments))
+
+
+def test_help_process_exits_0_with_empty_stderr():
+    proc = python_process("-m", "multichow.cli", "sz-test", "--help")
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout.startswith(b"usage: multichow sz-test ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["sz-test", "--trials"], ["sz-test", "--trials", "-5x"], ["betas"], ["support", "--x"],
+     ["support", "--format=yaml"], ["analyze", "--all-beta=1"], ["support", "--", "-h"]],
+)
+def test_argv_refusals_exit_2_in_compact_form(argv, capsys):
+    """A ``--format pretty`` after the fault leaves the error compact,
+    whether or not the scan reached it before refusing."""
+    code, out, err = run_main([*argv, "--format", "pretty"], capsys)
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"]["status"] == "precondition-failed"
 
 
 EXPECTED_OPERATIONS = {

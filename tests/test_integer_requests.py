@@ -12,6 +12,7 @@ check, the brute-force contraction and the tensor contraction per trial.
 import io
 import json
 import random
+import re
 import sys
 import time
 from decimal import Decimal
@@ -34,10 +35,16 @@ from multichow import (
     tensor_contract,
 )
 from multichow import errors, linalg
-from multichow.errors import PreconditionError, exact, exact_ints, rational
+from multichow.errors import PreconditionError, exact, exact_ints
 from multichow.multiview import _image, forms_through, random_cameras, trial_rng
 
-from helpers import rational_cameras, reference_contract, reference_sz_membership, reference_tensor
+from helpers import (
+    rational_cameras,
+    reference_contract,
+    reference_sz_membership,
+    reference_tensor,
+    reference_text_number,
+)
 
 PROFILES = {
     k: [beta for beta in product((1, 2), repeat=k) if sum(beta) == 4] for k in (2, 3, 4)
@@ -131,8 +138,10 @@ def read_outcome(read, text):
     return "ok", value, type(value)
 
 
-# Strings at the edges of what ``int`` and ``errors.rational`` read, each
-# with the outcome both readers must give: a value or a refusal.
+# Strings at the edges of what ``int`` and ``Fraction`` read, each with the
+# outcome ``exact`` must give on every Python version: a value, or None for
+# a refusal with the message ``Invalid literal for Fraction: 'text'`` unless
+# REFUSALS gives another.
 READER_STRINGS = {
     "7": 7, " 7 ": 7, "\t-7\n": -7, "\u00a07\u2003": 7, "+7": 7, "-0": 0, "007": 7,
     "1_000": 1000, "٣": 3, "١٢": 12, "3/4": Fraction(3, 4), " -3/4 ": Fraction(-3, 4),
@@ -141,17 +150,31 @@ READER_STRINGS = {
     "": None, " ": None, "+": None, "-": None, "+-1": None, "- 1": None, "1 2": None,
     "1__000": None, "_1": None, "1_": None, "0x10": None, "0b1": None, "1/0": None,
     "3 / 4": None, "x": None, "inf": None, "7" * 4301: None, "1/" + "7" * 4301: None,
+    "1 /2": None, "1/ 2": None, "1/+2": None, "1/-2": None, "1_0/2": 5, "--1/2": None,
+    "1.5/2": None, "x1/2": None, "1 2/3": None, "1/2.5": None,
+}
+#: The refusals of READER_STRINGS with another message, as a pattern: the
+#: integer-string digit limit reads "(4300)" on 3.10, "(4300 digits)" later.
+REFUSALS = {
+    "1/0": r"Fraction\(1, 0\)\Z",
+    "7" * 4301: r"Exceeds the limit \(4300( digits)?\) for integer string conversion",
+    "1/" + "7" * 4301: r"Exceeds the limit \(4300( digits)?\) for integer string conversion",
 }
 
 
 @pytest.mark.parametrize("text", list(READER_STRINGS), ids=lambda t: repr(t)[:24])
-def test_int_first_reader_reads_what_rational_reads(text):
-    got, expected = read_outcome(exact, text), read_outcome(rational, text)
-    if expected[0] == "ok":
-        assert got[:2] == expected[:2] == ("ok", READER_STRINGS[text])
+def test_exact_reads_each_listed_string(text):
+    """The outcome and refusal type of ``Fraction``'s 3.11 grammar, rebuilt in
+    the test helpers, and the pinned value or refusal message."""
+    got, expected = read_outcome(exact, text), read_outcome(reference_text_number, text)
+    assert got[:2] == expected[:2]
+    if got[0] == "ok":
+        assert got[1] == READER_STRINGS[text]
         assert got[2] is (int if read_outcome(int, text)[0] == "ok" else Fraction)
     else:
-        assert got == expected and READER_STRINGS[text] is None
+        assert READER_STRINGS[text] is None
+        message = REFUSALS.get(text, re.escape(f"Invalid literal for Fraction: {text!r}") + r"\Z")
+        assert re.match(message, got[2]), got[2]
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=400)
@@ -161,8 +184,10 @@ def test_int_first_reader_reads_what_rational_reads(text):
         st.from_regex(r"\s*[+-]?[0-9٣]+(_[0-9]+)*\s*(/\s*[1-9][0-9]*)?\s*", fullmatch=True),
     )
 )
-def test_int_first_reader_agrees_with_rational_on_random_strings(text):
-    got, expected = read_outcome(exact, text), read_outcome(rational, text)
+def test_exact_agrees_with_the_3_11_grammar_on_random_strings(text):
+    """Against ``Fraction``'s 3.11 grammar, rebuilt in the test helpers, so
+    the same on every Python version."""
+    got, expected = read_outcome(exact, text), read_outcome(reference_text_number, text)
     assert got[:2] == expected[:2]
     if got[0] == "ok":
         assert got[2] is (int if read_outcome(int, text)[0] == "ok" else Fraction)
@@ -219,13 +244,13 @@ def test_the_exponent_guard_follows_the_digit_limit():
     try:
         for text in ("1e1_000_000_000", "1E+" + "\u0669" * 9, " 2.5e-99999999 "):
             with pytest.raises(ValueError, match="exceeds the digit limit"):
-                rational(text)
+                exact(text)
         sys.set_int_max_str_digits(640)
         assert exact("1e640") == 10**640
         with pytest.raises(ValueError, match="exceeds the digit limit 640"):
             exact("-1e-641")
         sys.set_int_max_str_digits(0)
-        assert rational("1e5000") == 10**5000
+        assert exact("1e5000") == 10**5000
     finally:
         sys.set_int_max_str_digits(limit)
 
@@ -475,20 +500,20 @@ def test_membership_checks_keep_their_order():
 
 
 def test_sz_test_reads_each_number_once(monkeypatch, capsys):
-    """JSON integer cameras never reach ``errors.rational``, and each
-    candidate string is read once."""
+    """JSON integer cameras never reach the string reader
+    ``errors.text_number``, and each candidate string is read once."""
     config = random_cameras(3, 71)
     candidate = [[f"{a}/3" for a in _image(cam, (1, 2, 3, 4))] for cam in config._rows]
     cameras = [[[int(x) for x in row] for row in cam] for cam in config.cameras]
     obj = {"cameras": cameras, "beta": [2, 1, 1], "candidate": candidate}
     read = []
-    rational = errors.rational
+    text_number = errors.text_number
 
-    def counted(value):
-        read.append(value)
-        return rational(value)
+    def counted(text):
+        read.append(text)
+        return text_number(text)
 
-    monkeypatch.setattr(errors, "rational", counted)
+    monkeypatch.setattr(errors, "text_number", counted)
     monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(obj)))
     assert cli.main(["sz-test", "--trials", "3"]) == 0
     assert json.loads(capsys.readouterr().out) == {"member": True}
