@@ -58,14 +58,10 @@ def _load_input(args) -> dict:
     return obj
 
 
-def _sig_and_delta(obj) -> tuple[pm.SpaceSignature, pm.RankFunction]:
-    """An explicit ``"rank_function"``, or else the projection dimensions of
-    a multidegree in any shape :func:`_parse_multidegree` reads; unvalidated."""
-    if "rank_function" in obj:
-        sig = pm.SpaceSignature(field(obj, "n", ints), field(obj, "r", integer))
-        return sig, field(obj, "rank_function", pm.RankFunction.from_json)
-    md = _parse_multidegree(obj)
-    return md.sig, md.rank_function()
+def _rank_function(obj) -> tuple[pm.SpaceSignature, pm.RankFunction]:
+    """The signature and the explicit ``"rank_function"``, unvalidated."""
+    sig = pm.SpaceSignature(field(obj, "n", ints), field(obj, "r", integer))
+    return sig, field(obj, "rank_function", pm.RankFunction.from_json)
 
 
 def _polymatroid(obj) -> pm.Polymatroid:
@@ -73,7 +69,7 @@ def _polymatroid(obj) -> pm.Polymatroid:
     variety multidegree's, kept from its consistency check; a cycle is
     refused."""
     if "rank_function" in obj:
-        return pm.Polymatroid(*_sig_and_delta(obj))
+        return pm.Polymatroid(*_rank_function(obj))
     return _parse_multidegree(obj).polymatroid()
 
 
@@ -101,8 +97,14 @@ def _parse_multidegree(obj) -> mdg.Multidegree:
 
 
 def _cmd_validate_rank(obj, args):
-    sig, delta = _sig_and_delta(obj)
-    return pm.validate_rank_function(sig, delta).to_json()
+    """An explicit rank function or a multidegree's projection dimensions,
+    validated; those its consistency check kept passed the check there."""
+    if "rank_function" in obj:
+        return pm.validate_rank_function(*_rank_function(obj)).to_json()
+    md = _parse_multidegree(obj)
+    if md.tag == mdg.VARIETY and md.polymatroid().projections:
+        return pm.ValidationReport(True, ()).to_json()
+    return pm.validate_rank_function(md.sig, md.rank_function()).to_json()
 
 
 def _cmd_support(obj, args):

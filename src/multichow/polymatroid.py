@@ -49,11 +49,13 @@ Subsets of ``{1, ..., k}`` are encoded as bitmasks (bit ``i-1`` for element
 ``mask``.  The subset sums of ``x`` are k steps
 ``sums |= (sums + x_j * ones_j) << (width << j)``, ``ones_j`` having 1 in each
 of the first ``2**j`` fields, and a fieldwise ``a >= b`` is one subtraction,
-``((a | high) - b) & high``.  So validating a rank function, enumerating its
-support and recovering the projections from a support cost a few big-int
-operations per factor pair, candidate or support point; the exchange test
-builds no table, and the hard cap is ``k <= 24``.  Each criterion is k
-lookups in the support; :meth:`Polymatroid.betas` reads the profiles off it.
+``((a | high) - b) & high``.  So validating a rank function and recovering
+the projections from a support cost a few big-int operations per factor
+pair or support point.  :func:`profiles` enumerates the support level by
+level, one shift-or and one compare per prefix of a candidate, dropping a
+prefix at its first subset past the ceiling; the exchange test builds no
+table, and the hard cap is ``k <= 24``.  Each criterion is k lookups in the
+support; :meth:`Polymatroid.betas` reads the profiles off it.
 """
 
 from __future__ import annotations
@@ -79,6 +81,14 @@ def mask_of(indices: Iterable[int], k: int) -> int:
 
 def indices_of(mask: int) -> tuple[int, ...]:
     return tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def subset_lists(k: int) -> list[list[int]]:
+    """``subsets[mask]`` = the 1-based index list of ``mask``, for every mask."""
+    subsets = [[]]
+    for i in range(1, k + 1):
+        subsets += [subset + [i] for subset in subsets]
+    return subsets
 
 
 class Value:
@@ -198,13 +208,22 @@ class RankFunction(Value):
         """Parse ``{"k": int, "values": [{"subset": [...], "delta": int}]}``.
 
         Subsets are 1-based index lists; each of the ``2**k`` subsets must
-        appear exactly once.
+        appear exactly once.  Entries in the order of :meth:`to_json`, with
+        JSON integers throughout, are read in one pass; any other list entry
+        by entry, which names its first fault.
         """
         k = field(obj, "k", integer)
         if not 1 <= k <= MAX_K:
             raise PreconditionError(f"k must be in 1..{MAX_K}")
+        entries = field(obj, "values", array)
+        if len(entries) == 1 << k and {*map(type, entries)} <= {dict}:
+            subsets = [entry.get("subset") for entry in entries]
+            deltas = [entry.get("delta") for entry in entries]
+            # The types too: [1.0] == [1] and [True] == [1].
+            if subsets == subset_lists(k) and {*map(type, chain(deltas, *subsets))} <= {int}:
+                return cls(k, tuple(deltas))
         values: list = [None] * (1 << k)
-        for entry in field(obj, "values", array):
+        for entry in entries:
             mask = field(entry, "subset", lambda subset: mask_of(ints(subset), k))
             if values[mask] is not None:
                 raise PreconditionError(f"subset {list(indices_of(mask))} appears more than once")
@@ -220,8 +239,8 @@ class RankFunction(Value):
         return {
             "k": self.k,
             "values": [
-                {"subset": list(indices_of(mask)), "delta": self.values[mask]}
-                for mask in range(1 << self.k)
+                {"subset": subset, "delta": value}
+                for subset, value in zip(subset_lists(self.k), self.values)
             ],
         }
 
@@ -287,25 +306,34 @@ def validate_rank_function(sig: SpaceSignature, delta: RankFunction) -> Validati
     return ValidationReport(not violations, tuple(violations))
 
 
-def profiles(bounds, total: int):
-    """Integer vectors x with 0 <= x_i <= bounds[i] and sum(x) = total, in
-    lexicographic order; coordinates are assigned left to right, and only
-    values that leave the remaining total reachable are tried."""
+def profiles(bounds, total: int, ceiling=None) -> list[tuple[int, ...]]:
+    """Integer vectors x with ``0 <= x_i <= bounds[i]`` and ``sum(x) = total``,
+    in lexicographic order: a list of prefixes grows one coordinate at a
+    time, by the values that leave the rest of the total reachable.  With
+    ``ceiling``, a :class:`_Packed` table and a table packed in it, only the
+    x whose subset sums of ``bounds - x`` are at most it are kept: a prefix
+    carries the sums of its i entries in the low ``2**i`` fields, and each
+    step costs one shift-or and one fieldwise compare, which drops the
+    prefix at its first subset past the ceiling."""
     bounds = tuple(bounds)
-    room = [sum(bounds[i:]) for i in range(len(bounds) + 1)]
-    prefix: list[int] = []
-
-    def extend(i: int, left: int):
-        if i == len(bounds):
-            yield tuple(prefix)
-            return
-        for x in range(max(0, left - room[i + 1]), min(bounds[i], left) + 1):
-            prefix.append(x)
-            yield from extend(i + 1, left - x)
-            prefix.pop()
-
-    if 0 <= total <= room[0]:
-        yield from extend(0, total)
+    room = [*accumulate(reversed(bounds), initial=0)][::-1]
+    level = [((), total, 0)] if 0 <= total <= room[0] else []
+    shift = bar = top = ones = 0
+    for i, b in enumerate(bounds):
+        if ceiling is not None:
+            table, values = ceiling
+            shift = table.width << i
+            low = (1 << shift) - 1
+            top = table.high & low
+            ones = top >> table.width - 1
+            bar = values >> shift & low | top
+        level = [
+            (prefix + (x,), left - x, sums | new << shift)
+            for prefix, left, sums in level
+            for x in range(max(0, left - room[i + 1]), min(b, left) + 1)
+            if (bar - (new := sums + (b - x) * ones)) & top == top
+        ]
+    return [prefix for prefix, _, _ in level]
 
 
 def subset_sums(vec) -> list[int]:
@@ -332,6 +360,8 @@ class _Packed:
         return int.from_bytes((run * (1 << self.k >> i))[: self.size << self.k], "little")
 
     def pack(self, values: Iterable[int]) -> int:
+        if self.size == 1:
+            return int.from_bytes(bytes(values), "little")
         return int.from_bytes(b"".join(v.to_bytes(self.size, "little") for v in values), "little")
 
     def sums(self, vec) -> int:
@@ -353,6 +383,8 @@ class _Packed:
 
     def values(self, table: int) -> list[int]:
         data = table.to_bytes(self.size << self.k, "little")
+        if self.size == 1:
+            return list(data)
         return [int.from_bytes(data[p:p + self.size], "little") for p in range(0, len(data), self.size)]
 
     def masks(self, flags: int) -> list[int]:
@@ -396,16 +428,17 @@ def _factor_classes(sig: SpaceSignature, coded: dict) -> list[list[int]]:
 def _orbit_representatives(sig: SpaceSignature, coded: dict, classes, limit: int) -> set | None:
     """One code per orbit of the support ``coded`` under the permutations of
     each class, the largest, whose entries on a class decrease; ``None``
-    when there are more than ``limit`` orbits."""
-    representatives = list(coded)
-    for members in classes:
-        weights = [sig.places[i] for i in members]
-        representatives = [
-            c + sum(map(mul, sorted(x, reverse=True), weights)) - sum(map(mul, x, weights))
-            for c, x in zip(representatives, map(itemgetter(*members), coded.values()))
-        ]
-    representatives = set(representatives)
-    return representatives if len(representatives) <= limit else None
+    when there are more than ``limit`` orbits.  A point's key, the sorted
+    entries of each class and its other entries, names its orbit; a dict
+    from the keys to the codes, filled in increasing code order, keeps the
+    last code of each orbit."""
+    points = coded.values()
+    fixed = sorted(set(range(sig.k)).difference(*classes))
+    keys = [map(tuple, map(sorted, map(itemgetter(*members), points))) for members in classes]
+    if fixed:
+        keys.append(map(itemgetter(*fixed), points))
+    orbits = dict(zip(zip(*keys), coded))
+    return set(orbits.values()) if len(orbits) <= limit else None
 
 
 def _exchange_holds(sig: SpaceSignature, coded: dict, representatives) -> bool:
@@ -542,8 +575,9 @@ def support_from_projections(
 ) -> tuple[tuple[int, ...], ...]:
     """The exponents gamma with 0 <= gamma_i <= n_i and
     sum_{i in I}(n_i - gamma_i) <= delta(I) for every I, with equality on the
-    full set, in lexicographic order; raises the first violation that
-    :func:`validate_rank_function` finds in ``delta``."""
+    full set, in lexicographic order: :func:`profiles` under the ceiling
+    ``delta``, whose full-set value ``r`` makes the equality hold.  Raises the
+    first violation that :func:`validate_rank_function` finds in ``delta``."""
     report = validate_rank_function(sig, delta)
     if not report.ok:
         first = report.violations[0]
@@ -552,14 +586,8 @@ def support_from_projections(
             f"I={list(first.subset_i)}"
             + (f", J={list(first.subset_j)}" if first.subset_j is not None else "")
         )
-    n = sig.n
-    table = _Packed(sig.k, sum(n))
-    ceiling = table.pack(delta.values)
-    return tuple(
-        gamma
-        for gamma in profiles(n, sig.codim())
-        if table.at_least(ceiling, table.sums([a - g for a, g in zip(n, gamma)])) == table.high
-    )
+    table = _Packed(sig.k, sum(sig.n))
+    return tuple(profiles(sig.n, sig.codim(), (table, table.pack(delta.values))))
 
 
 def projections_from_support(sig: SpaceSignature, support: Iterable) -> RankFunction:

@@ -408,6 +408,24 @@ def reference_multidegree_from_json(obj) -> Multidegree:
     return Multidegree(sig, clean, tag)
 
 
+def reference_rank_function_from_json(obj) -> RankFunction:
+    """The reference for ``RankFunction.from_json``: the entries read one by
+    one, each subset and value checked in turn."""
+    k = field(obj, "k", integer)
+    if not 1 <= k <= pm.MAX_K:
+        raise PreconditionError(f"k must be in 1..{pm.MAX_K}")
+    values: list = [None] * (1 << k)
+    for entry in field(obj, "values", array):
+        mask = field(entry, "subset", lambda subset: mask_of(ints(subset), k))
+        if values[mask] is not None:
+            raise PreconditionError(f"subset {list(indices_of(mask))} appears more than once")
+        values[mask] = field(entry, "delta", integer)
+    missing = [mask for mask, v in enumerate(values) if v is None]
+    if missing:
+        raise PreconditionError(f"subset {list(indices_of(missing[0]))} missing from rank function")
+    return RankFunction(k, tuple(values))
+
+
 # ---------------------------------------------------------------------------
 # the exchange test on exponent tuples, as references for the coded helpers
 # of ``Polymatroid.from_support``

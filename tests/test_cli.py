@@ -815,8 +815,8 @@ def test_one_polymatroid_per_request(argv, extra, tmp_path, capsys, monkeypatch)
 def test_validate_rank_keeps_the_dense_projections(tmp_path, capsys, monkeypatch):
     """The multiview k=3 multidegree, whose consistency check takes the
     dense round trip, keeps the projection dimensions it recovered:
-    ``validate-rank`` recovers them once, and validates them once in the
-    round trip and once for its report."""
+    ``validate-rank`` recovers them once and validates them once, in the
+    round trip, whose check its report repeats."""
     md = multiview_multidegree(3)
     calls = {"validate": 0, "projections": 0}
 
@@ -836,7 +836,7 @@ def test_validate_rank_keeps_the_dense_projections(tmp_path, capsys, monkeypatch
     code, out, err = run_main(["validate-rank", "--input", write(tmp_path, md.to_json())], capsys)
     assert code == 0, err
     assert json.loads(out) == {"ok": True, "violations": []}
-    assert calls == {"validate": 2, "projections": 1}
+    assert calls == {"validate": 1, "projections": 1}
 
 
 @pytest.mark.parametrize(
