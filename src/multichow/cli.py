@@ -97,12 +97,15 @@ def _parse_multidegree(obj) -> mdg.Multidegree:
 
 
 def _cmd_validate_rank(obj, args):
-    """An explicit rank function or a multidegree's projection dimensions,
-    validated; those its consistency check kept passed the check there."""
+    """An explicit rank function or a cycle's projection dimensions,
+    validated.  A variety passed its consistency check, so its support is
+    M-convex, and the projection dimensions of an M-convex support are a
+    polymatroid rank function with ``delta(full) = r`` (Murota, *Discrete
+    Convex Analysis*, SIAM 2003, ch. 4): its report is empty."""
     if "rank_function" in obj:
         return pm.validate_rank_function(*_rank_function(obj)).to_json()
     md = _parse_multidegree(obj)
-    if md.tag == mdg.VARIETY and md.polymatroid().projections:
+    if md.tag == mdg.VARIETY:
         return pm.ValidationReport(True, ()).to_json()
     return pm.validate_rank_function(md.sig, md.rank_function()).to_json()
 

@@ -90,10 +90,8 @@ class Multidegree(Value):
         return self.coeffs.get(tuple(gamma), 0)
 
     def rank_function(self) -> RankFunction:
-        """Projection dimensions read off the support (``2**k`` values), or
-        kept from a consistency check that recovered them."""
-        kept = self._polymatroid and self._polymatroid.projections
-        return kept or projections_from_support(self.sig, self.support())
+        """Projection dimensions read off the support (``2**k`` values)."""
+        return projections_from_support(self.sig, self.support())
 
     def polymatroid(self) -> Polymatroid:
         """The polymatroid the consistency check built, whose support is this

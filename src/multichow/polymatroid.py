@@ -222,18 +222,16 @@ class RankFunction(Value):
             # The types too: [1.0] == [1] and [True] == [1].
             if subsets == subset_lists(k) and {*map(type, chain(deltas, *subsets))} <= {int}:
                 return cls(k, tuple(deltas))
-        values: list = [None] * (1 << k)
+        values = {}
         for entry in entries:
             mask = field(entry, "subset", lambda subset: mask_of(ints(subset), k))
-            if values[mask] is not None:
+            if mask in values:
                 raise PreconditionError(f"subset {list(indices_of(mask))} appears more than once")
             values[mask] = field(entry, "delta", integer)
-        missing = [mask for mask, v in enumerate(values) if v is None]
-        if missing:
-            raise PreconditionError(
-                f"subset {list(indices_of(missing[0]))} missing from rank function"
-            )
-        return cls(k, tuple(values))
+        if len(values) < 1 << k:
+            missing = next(mask for mask in range(1 << k) if mask not in values)
+            raise PreconditionError(f"subset {list(indices_of(missing))} missing from rank function")
+        return cls(k, tuple(values[mask] for mask in range(1 << k)))
 
     def to_json(self) -> dict:
         return {
@@ -473,14 +471,15 @@ class Polymatroid:
     ``Polymatroid(sig, delta)`` keeps the support of an explicit rank
     function from :func:`support_from_projections`, which validates it
     first.  :meth:`from_support` checks a support instead (see the module
-    docstring).  Only a rank function its dense round trip recovered is kept,
-    as ``projections`` (else ``None``); :func:`projections_from_support`
-    recovers one.  The criteria and enumerations below read only the support
-    and check only their own arguments.
+    docstring).  Either way only the support is kept, as a dict from the
+    codes of its points to the points in increasing code order, which the
+    criteria and enumerations below read; they check only their own
+    arguments.  :func:`projections_from_support` recovers the rank function.
     """
 
     def __init__(self, sig: SpaceSignature, delta: RankFunction):
-        self._keep(sig, support_from_projections(sig, delta), None)
+        support = support_from_projections(sig, delta)
+        self.sig, self._coded = sig, dict(zip(sig.encode(support), support))
 
     @classmethod
     def from_support(cls, sig: SpaceSignature, support) -> "Polymatroid":
@@ -497,29 +496,25 @@ class Polymatroid:
         coded = dict(sorted(zip(sig.encode(support), support)))
         if not coded:
             raise PreconditionError("empty support")
-        support, delta = tuple(coded.values()), None
         limit = (1 << sig.k) // (2 * sig.k)
         representatives = _orbit_representatives(sig, coded, _factor_classes(sig, coded), limit)
         if representatives is None:
+            support = tuple(coded.values())
             delta = projections_from_support(sig, support)
             if support_from_projections(sig, delta) != support:
                 raise PreconditionError("support differs from the support of its projections")
         elif not _exchange_holds(sig, coded, representatives):
             raise PreconditionError("support fails the exchange axiom")
         polymatroid = object.__new__(cls)
-        polymatroid._keep(sig, support, delta)
+        polymatroid.sig, polymatroid._coded = sig, coded
         return polymatroid
-
-    def _keep(self, sig: SpaceSignature, support: tuple, delta: RankFunction | None) -> None:
-        self.sig = sig
-        self._support = support
-        self._support_set = frozenset(support)
-        self.projections = delta
 
     def _tight(self, beta) -> list[bool]:
         """Whether each criterion exponent ``alpha + e_j`` of ``beta`` is in
-        the support, that is, whether j is in the minimal tight set."""
-        return [gamma in self._support_set for gamma in self.sig.criterion_exponents(beta)]
+        the support, that is, whether j is in the minimal tight set; one
+        outside the box may share a point's code, but never equals it."""
+        exponents = self.sig.criterion_exponents(beta)
+        return [self._coded.get(c) == g for c, g in zip(self.sig.encode(exponents), exponents)]
 
     def is_one_deficient(self, beta) -> bool:
         """|beta_I| <= delta(I) + 1 for every subset I.
@@ -550,7 +545,7 @@ class Polymatroid:
     def support(self) -> tuple[tuple[int, ...], ...]:
         """The exponent vectors of :func:`support_from_projections`, in
         lexicographic order; kept at construction."""
-        return self._support
+        return tuple(self._coded.values())
 
     def betas(self, criterion: str) -> tuple[tuple[int, ...], ...]:
         """All in-range beta with |beta| = r+1 passing the chosen criterion,
@@ -561,11 +556,11 @@ class Polymatroid:
         reached = {"hypersurface": 1, "determining": self.sig.k}
         if criterion not in reached:
             raise PreconditionError(f"unknown criterion {criterion!r}")
-        places, codes = self.sig.places, self.sig.encode(self._support)
+        places, coded = self.sig.places, self._coded
         top = sum(map(mul, self.sig.n, places))
         counts = Counter()
-        for w, column in zip(places, zip(*self._support)):
-            counts.update(map((top + w).__sub__, compress(codes, column)))
+        for w, column in zip(places, zip(*coded.values())):
+            counts.update(map((top + w).__sub__, compress(coded, column)))
         kept = sorted(code for code, c in counts.items() if c >= reached[criterion])
         return tuple(self.sig.decode(kept))
 

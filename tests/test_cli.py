@@ -787,8 +787,9 @@ class TestWorkDoneOnce:
 )
 def test_one_polymatroid_per_request(argv, extra, tmp_path, capsys, monkeypatch):
     """A multiview k=6 multidegree is checked by the exchange axiom alone:
-    no support candidate or profile is enumerated, and only
-    ``validate-rank`` recovers and validates its rank function, once."""
+    no support candidate or profile is enumerated, and no rank function is
+    recovered or validated, not even by ``validate-rank``, which reads its
+    verdict off that check."""
     path = write(tmp_path, dict(multiview_multidegree(6).to_json(), **extra))
     calls = {"validate": 0, "projections": 0, "profiles": 0}
 
@@ -808,15 +809,14 @@ def test_one_polymatroid_per_request(argv, extra, tmp_path, capsys, monkeypatch)
     monkeypatch.setattr(pm, "profiles", counted("profiles", pm.profiles))
     code, _, err = run_main([*argv, "--input", path], capsys)
     assert code == 0, err
-    rank = 1 if argv[0] == "validate-rank" else 0
-    assert calls == {"validate": rank, "projections": rank, "profiles": 0}
+    assert calls == {"validate": 0, "projections": 0, "profiles": 0}
 
 
-def test_validate_rank_keeps_the_dense_projections(tmp_path, capsys, monkeypatch):
-    """The multiview k=3 multidegree, whose consistency check takes the
-    dense round trip, keeps the projection dimensions it recovered:
-    ``validate-rank`` recovers them once and validates them once, in the
-    round trip, whose check its report repeats."""
+def test_validate_rank_reads_the_dense_gate(tmp_path, capsys, monkeypatch):
+    """The consistency check of the multiview k=3 multidegree takes the
+    dense round trip, which recovers its projection dimensions once and
+    validates them once; ``validate-rank`` reads its verdict off that check
+    and recovers and validates nothing more."""
     md = multiview_multidegree(3)
     calls = {"validate": 0, "projections": 0}
 

@@ -14,8 +14,10 @@ give the same (exit code, stdout, stderr) from both trees, or the script
 exits 1 naming the first request that differs.
 
 One line per round gives both trees' time for the blocks and the speedup,
-the base time over the new time; the last line gives the median speedup
-and the number of rounds the new tree won.  Alternating in one process
+the base time over the new time; then one line per subcommand gives the
+median over the rounds of its own speedup, so a change to one subcommand
+shows apart from the others; the last line gives the median speedup and
+the number of rounds the new tree won.  Alternating in one process
 puts both trees under the same host load, which separate processes on a
 shared machine do not see.  Only the standard library is used.
 """
@@ -49,15 +51,17 @@ def load_cli(src: str, name: str):
     return importlib.import_module(f"{name}.cli")
 
 
-def run_blocks(runner: InProcess, blocks) -> tuple[float, list]:
-    """The summed request time of ``blocks`` and every request's outcome."""
-    total, outcomes = 0.0, []
+def run_blocks(runner: InProcess, blocks) -> tuple[dict, list]:
+    """The summed request time of ``blocks`` for each subcommand and every
+    request's outcome."""
+    seconds, outcomes = {}, []
     for block in blocks:
         for request in block:
             code, out, err, elapsed = runner.call(request["argv"], request["stdin"])
-            total += elapsed
+            command = request["argv"][0]
+            seconds[command] = seconds.get(command, 0.0) + elapsed
             outcomes.append((code, out, err))
-    return total, outcomes
+    return seconds, outcomes
 
 
 def first_difference(blocks, base: list, new: list) -> str | None:
@@ -97,7 +101,7 @@ def main(argv=None) -> int:
         print(f"outputs differ: {difference}")
         return 1
     print(f"{args.workload}, seed {args.seed}: {args.blocks} blocks, {requests} requests a round")
-    speedups = []
+    speedups, by_command = [], {}
     for index in range(args.rounds):
         order = ("base", "new") if index % 2 == 0 else ("new", "base")
         seconds = {}
@@ -106,11 +110,16 @@ def main(argv=None) -> int:
             if outcomes != base:
                 print(f"outputs differ: {first_difference(blocks, base, outcomes)}")
                 return 1
-        speedups.append(seconds["base"] / seconds["new"])
+        for command, spent in seconds["base"].items():
+            by_command.setdefault(command, []).append(spent / seconds["new"][command])
+        totals = {side: sum(seconds[side].values()) for side in seconds}
+        speedups.append(totals["base"] / totals["new"])
         print(
-            f"round {index + 1:2d}: base {seconds['base']:.3f} s, new {seconds['new']:.3f} s, "
+            f"round {index + 1:2d}: base {totals['base']:.3f} s, new {totals['new']:.3f} s, "
             f"speedup {speedups[-1]:.3f}"
         )
+    for command, ratios in sorted(by_command.items()):
+        print(f"  {command}: median speedup {statistics.median(ratios):.3f}")
     wins = sum(s > 1 for s in speedups)
     print(
         f"median speedup {statistics.median(speedups):.3f}, "
