@@ -12,6 +12,7 @@ from .multidegree import (
     Multidegree,
     chow_form_multidegree,
     criterion_form,
+    criterion_forms,
     determines_variety,
     is_hypersurface,
     multidegree_add,

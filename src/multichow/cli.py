@@ -243,7 +243,7 @@ def _cmd_sz_test(obj, args):
 # the subcommand table and dispatch
 
 
-#: A handler, the library operations it exposes, and the arguments it takes
+#: A handler, the library operations it calls, and the arguments it takes
 #: beyond ``--input`` and ``--format`` as (flag, keywords) pairs.
 Subcommand = namedtuple("Subcommand", "handler operations arguments", defaults=((),))
 
@@ -251,27 +251,20 @@ Subcommand = namedtuple("Subcommand", "handler operations arguments", defaults=(
 #: The arguments of the randomized oracles.
 SEEDED = (("--trials", {"type": int, "default": 20}), ("--seed", {"type": int, "default": 0}))
 
-#: Every public operation appears in exactly one subcommand; the coverage
-#: test in the test suite enforces this.
+#: Each operation, a package name or ``Class.method``, appears in one
+#: subcommand only; the coverage test reaches each from the golden cases.
 SUBCOMMANDS = {
     "validate-rank": Subcommand(_cmd_validate_rank, ("validate_rank_function",)),
     "support": Subcommand(_cmd_support, ("support_from_projections",)),
     "projections": Subcommand(_cmd_projections, ("projections_from_support",)),
     "betas": Subcommand(
         _cmd_betas,
-        ("enumerate_beta",),
+        ("Polymatroid.betas",),
         (("--criterion", {"choices": ("hypersurface", "determining"), "required": True}),),
     ),
     "analyze": Subcommand(
         _cmd_analyze,
-        (
-            "is_one_deficient",
-            "minimal_tight_set",
-            "is_circuit",
-            "criterion_form",
-            "is_hypersurface",
-            "determines_variety",
-        ),
+        ("criterion_form", "criterion_forms"),
         (("--all-beta", {"action": "store_true"}),),
     ),
     "chow-degree": Subcommand(
@@ -286,9 +279,7 @@ SUBCOMMANDS = {
         ("intersection_count_oracle", "multiview_multidegree"),
         SEEDED,
     ),
-    "oracle-epsilon": Subcommand(
-        _cmd_oracle_epsilon, ("epsilon_oracle", "project_point"), SEEDED
-    ),
+    "oracle-epsilon": Subcommand(_cmd_oracle_epsilon, ("epsilon_oracle",), SEEDED),
     "sz-test": Subcommand(_cmd_sz_test, ("sz_membership",), SEEDED),
 }
 

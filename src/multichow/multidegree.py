@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from itertools import chain
-from math import prod
 
 from .errors import (
     CycleInputError,
@@ -150,23 +149,22 @@ def criterion_forms(md: Multidegree) -> list[tuple[tuple[int, ...], tuple[int, .
     """``(beta, criterion_form(md, beta))`` for every in-range beta with
     ``|beta| = r + 1``, in lexicographic order, by code lookups: the code of
     ``alpha + e_j`` is ``top - code(beta) + w_j``, in the box iff ``beta_j > 0``."""
-    sig, betas = md.sig, list(profiles(md.sig.n, md.sig.r + 1))
-    places, top = sig.places, prod(n + 1 for n in sig.n) - 1
+    sig, top, betas = md.sig, md.sig.top, list(profiles(md.sig.n, md.sig.r + 1))
     coded = dict(zip(sig.encode(md.coeffs), md.coeffs.values()))
     return [
-        (beta, tuple(coded.get(top - code + w, 0) if b else 0 for b, w in zip(beta, places)))
+        (beta, tuple(coded.get(top - code + w, 0) if b else 0 for b, w in zip(beta, sig.places)))
         for beta, code in zip(betas, sig.encode(betas))
     ]
 
 
 def is_hypersurface(md: Multidegree, beta) -> bool:
     """True iff some coefficient a_{alpha+e_j} is nonzero."""
-    return md.polymatroid().is_one_deficient(beta)
+    return bool(md.polymatroid().tight_set(beta))
 
 
 def determines_variety(md: Multidegree, beta) -> bool:
     """True iff every coefficient a_{alpha+e_j} is nonzero."""
-    return md.polymatroid().is_circuit(beta)
+    return len(md.polymatroid().tight_set(beta)) == md.sig.k
 
 
 def chow_form_multidegree(md: Multidegree, beta) -> tuple[int, ...]:

@@ -5,10 +5,10 @@ A subvariety of a product of projective spaces induces the function
 functions are normalized (``delta(empty) = 0``), monotone and submodular,
 i.e. they are discrete polymatroid rank functions.  This module validates
 those axioms, converts between rank functions and multidegree supports, and
-classifies slicing-codimension profiles ``beta`` (1-deficient / circuit /
-determining).  A :class:`Polymatroid` holds only the support; the criteria
-and enumerations live on it, and the module-level functions of the same
-names build one from a rank function per call.
+classifies slicing-codimension profiles ``beta`` by their minimal tight set,
+empty unless beta is 1-deficient.  A :class:`Polymatroid` holds only the
+support, which :meth:`Polymatroid.tight_set` and the enumerations read; the
+module-level criteria build one from a rank function per call.
 
 A nonempty set S of exponents in the box ``0 <= gamma <= n`` with equal sum
 is the support of a rank function exactly when it is M-convex, the point set
@@ -54,8 +54,8 @@ the projections from a support cost a few big-int operations per factor
 pair or support point.  :func:`profiles` enumerates the support level by
 level, one shift-or and one compare per prefix of a candidate, dropping a
 prefix at its first subset past the ceiling; the exchange test builds no
-table, and the hard cap is ``k <= 24``.  Each criterion is k lookups in the
-support; :meth:`Polymatroid.betas` reads the profiles off it.
+table, and the hard cap is ``k <= 24``.  :meth:`Polymatroid.tight_set` is
+k lookups in the support; :meth:`Polymatroid.betas` reads the profiles off it.
 """
 
 from __future__ import annotations
@@ -113,8 +113,8 @@ class SpaceSignature(Value):
     """Ambient product of projective spaces plus the subvariety dimension.
 
     ``n`` lists the factor dimensions; ``r`` is the dimension of the
-    subvariety (or cycle) living inside the product.  ``places`` holds the
-    place values ``w_i`` of the codes of profiles (see the module docstring).
+    subvariety (or cycle) inside the product.  ``places`` holds the place
+    values ``w_i`` of profile codes (module docstring), ``top`` the code of n.
     """
 
     def __post_init__(self, n, r):
@@ -128,8 +128,8 @@ class SpaceSignature(Value):
             raise PreconditionError("factor dimensions must be non-negative")
         if not 0 <= self.r <= sum(self.n):
             raise PreconditionError("dimension r out of range")
-        places = accumulate((n + 1 for n in reversed(self.n[1:])), mul, initial=1)
-        self.places = tuple(places)[::-1]
+        *places, size = accumulate((n + 1 for n in reversed(self.n)), mul, initial=1)
+        self.places, self.top = tuple(places[::-1]), size - 1
 
     def __repr__(self):
         return f"SpaceSignature(n={self.n}, r={self.r})"
@@ -472,9 +472,10 @@ class Polymatroid:
     function from :func:`support_from_projections`, which validates it
     first.  :meth:`from_support` checks a support instead (see the module
     docstring).  Either way only the support is kept, as a dict from the
-    codes of its points to the points in increasing code order, which the
-    criteria and enumerations below read; they check only their own
-    arguments.  :func:`projections_from_support` recovers the rank function.
+    codes of its points to the points in increasing code order, which
+    :meth:`tight_set`, the one criterion, and :meth:`betas` read, checking
+    only their own arguments.  :func:`projections_from_support` recovers
+    the rank function.
     """
 
     def __init__(self, sig: SpaceSignature, delta: RankFunction):
@@ -509,38 +510,13 @@ class Polymatroid:
         polymatroid.sig, polymatroid._coded = sig, coded
         return polymatroid
 
-    def _tight(self, beta) -> list[bool]:
-        """Whether each criterion exponent ``alpha + e_j`` of ``beta`` is in
-        the support, that is, whether j is in the minimal tight set; one
-        outside the box may share a point's code, but never equals it."""
+    def tight_set(self, beta) -> tuple[int, ...]:
+        """The minimal tight set of ``beta``, empty unless beta is 1-deficient:
+        the j whose ``alpha + e_j`` is in the support (module docstring); an
+        exponent outside the box may share a point's code, never equal it."""
         exponents = self.sig.criterion_exponents(beta)
-        return [self._coded.get(c) == g for c, g in zip(self.sig.encode(exponents), exponents)]
-
-    def is_one_deficient(self, beta) -> bool:
-        """|beta_I| <= delta(I) + 1 for every subset I.
-
-        Exactly the condition for the incidence locus cut by spaces of
-        codimension profile beta to be a hypersurface.
-        """
-        return any(self._tight(beta))
-
-    def minimal_tight_set(self, beta) -> tuple[int, ...]:
-        """The unique nonempty J with |beta_I| = delta(I)+1 iff I contains J:
-        the intersection of all tight subsets (see the module docstring)."""
-        tight = self._tight(beta)
-        if not any(tight):
-            raise PreconditionError("beta is not 1-deficient")
-        return tuple(j + 1 for j, t in enumerate(tight) if t)
-
-    def is_circuit(self, beta) -> bool:
-        """True iff beta is positive, 1-deficient, and only the full set is
-        tight.
-
-        Since the full set is tight, this says |beta_I| <= delta(I) for every
-        proper nonempty subset (plus positivity), which is the condition for
-        the incidence hypersurface to determine the variety.
-        """
-        return all(self._tight(beta))
+        pairs = zip(self.sig.encode(exponents), exponents)
+        return tuple(j for j, (c, g) in enumerate(pairs, 1) if self._coded.get(c) == g)
 
     def support(self) -> tuple[tuple[int, ...], ...]:
         """The exponent vectors of :func:`support_from_projections`, in
@@ -556,8 +532,7 @@ class Polymatroid:
         reached = {"hypersurface": 1, "determining": self.sig.k}
         if criterion not in reached:
             raise PreconditionError(f"unknown criterion {criterion!r}")
-        places, coded = self.sig.places, self._coded
-        top = sum(map(mul, self.sig.n, places))
+        places, top, coded = self.sig.places, self.sig.top, self._coded
         counts = Counter()
         for w, column in zip(places, zip(*coded.values())):
             counts.update(map((top + w).__sub__, compress(coded, column)))
@@ -603,8 +578,10 @@ def projections_from_support(sig: SpaceSignature, support: Iterable) -> RankFunc
 
 
 def is_one_deficient(sig: SpaceSignature, delta: RankFunction, beta) -> bool:
-    """See :meth:`Polymatroid.is_one_deficient`."""
-    return Polymatroid(sig, delta).is_one_deficient(beta)
+    """|beta_I| <= delta(I) + 1 for every subset I, i.e. a nonempty
+    :meth:`Polymatroid.tight_set`: the condition for the incidence locus cut
+    by spaces of codimension profile beta to be a hypersurface."""
+    return bool(Polymatroid(sig, delta).tight_set(beta))
 
 
 def tight_sets(sig: SpaceSignature, delta: RankFunction, beta) -> tuple[int, ...]:
@@ -614,13 +591,20 @@ def tight_sets(sig: SpaceSignature, delta: RankFunction, beta) -> tuple[int, ...
 
 
 def minimal_tight_set(sig: SpaceSignature, delta: RankFunction, beta) -> tuple[int, ...]:
-    """See :meth:`Polymatroid.minimal_tight_set`."""
-    return Polymatroid(sig, delta).minimal_tight_set(beta)
+    """The unique nonempty J with |beta_I| = delta(I)+1 iff I contains J,
+    the intersection of all tight subsets (:meth:`Polymatroid.tight_set`);
+    raises when beta is not 1-deficient."""
+    if not (tight := Polymatroid(sig, delta).tight_set(beta)):
+        raise PreconditionError("beta is not 1-deficient")
+    return tight
 
 
 def is_circuit(sig: SpaceSignature, delta: RankFunction, beta) -> bool:
-    """See :meth:`Polymatroid.is_circuit`."""
-    return Polymatroid(sig, delta).is_circuit(beta)
+    """True iff beta is positive, 1-deficient, and only the full set is
+    tight, i.e. :meth:`Polymatroid.tight_set` is every factor: |beta_I| <=
+    delta(I) on every proper nonempty I, the condition for the incidence
+    hypersurface to determine the variety."""
+    return len(Polymatroid(sig, delta).tight_set(beta)) == sig.k
 
 
 def enumerate_beta(

@@ -139,11 +139,13 @@ def consistent_polymatroid(sig: SpaceSignature, support) -> Polymatroid | None:
 def scanned_betas(polymatroid: Polymatroid, criterion: str) -> tuple:
     """The reference for ``Polymatroid.betas``: the profiles of the box
     ``0 <= beta <= n`` with ``|beta| = r + 1``, in lexicographic order, each
-    kept when ``is_one_deficient`` (``"hypersurface"``) or ``is_circuit``
-    (``"determining"``) accepts it."""
-    keep = {"hypersurface": polymatroid.is_one_deficient, "determining": polymatroid.is_circuit}
+    kept when its ``tight_set`` is nonempty (``"hypersurface"``) or every
+    factor (``"determining"``)."""
     sig = polymatroid.sig
-    return tuple(beta for beta in profiles(sig.n, sig.r + 1) if keep[criterion](beta))
+    least = {"hypersurface": 1, "determining": sig.k}[criterion]
+    return tuple(
+        beta for beta in profiles(sig.n, sig.r + 1) if len(polymatroid.tight_set(beta)) >= least
+    )
 
 
 def enumerate_rank_functions(n):

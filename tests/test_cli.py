@@ -1072,17 +1072,12 @@ EXPECTED_OPERATIONS = {
     "validate_rank_function",
     "support_from_projections",
     "projections_from_support",
-    "is_one_deficient",
-    "minimal_tight_set",
-    "is_circuit",
-    "enumerate_beta",
+    "Polymatroid.betas",
     "criterion_form",
-    "is_hypersurface",
-    "determines_variety",
+    "criterion_forms",
     "chow_form_multidegree",
     "slice_multidegree",
     "multidegree_add",
-    "project_point",
     "multiview_multidegree",
     "chow_residual",
     "multifocal_tensor",
@@ -1092,6 +1087,18 @@ EXPECTED_OPERATIONS = {
     "sz_membership",
 }
 
+GOLDEN_CASES = json.loads((Path(__file__).parent / "golden" / "cli.json").read_text())["cases"]
+
+
+def operation_owner(op):
+    """The module or class whose attribute the handlers look ``op`` up in:
+    the class named before the dot, or the module that defines the package
+    name ``op``; and the attribute."""
+    owner, _, attr = op.rpartition(".")
+    if owner:
+        return getattr(multichow, owner), attr
+    return sys.modules[getattr(multichow, attr).__module__], attr
+
 
 class TestCoverage:
     def test_every_operation_reachable_from_exactly_one_subcommand(self):
@@ -1099,7 +1106,29 @@ class TestCoverage:
         listed = [op for sub in cli.SUBCOMMANDS.values() for op in sub.operations]
         assert len(listed) == len(set(listed))
         assert set(listed) == EXPECTED_OPERATIONS
-        assert all(callable(getattr(multichow, op, None)) for op in listed)
+        assert all(callable(getattr(*operation_owner(op))) for op in listed)
+
+    @pytest.mark.parametrize("name", sorted(cli.SUBCOMMANDS))
+    def test_golden_cases_reach_every_listed_operation(self, name, monkeypatch, capsys):
+        """Each operation a subcommand lists is called while its golden
+        cases run, with their frozen exit codes."""
+        reached = set()
+        for op in cli.SUBCOMMANDS[name].operations:
+            owner, attr = operation_owner(op)
+            original = getattr(owner, attr)
+
+            def spy(*args, _op=op, _original=original, **kwargs):
+                reached.add(_op)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, attr, spy)
+        cases = [case for case in GOLDEN_CASES if case["argv"][:1] == [name]]
+        assert cases
+        for case in cases:
+            monkeypatch.setattr(sys, "stdin", io.StringIO(case["stdin"]))
+            assert cli.main(case["argv"]) == case["exit"], case["name"]
+        capsys.readouterr()
+        assert reached == set(cli.SUBCOMMANDS[name].operations)
 
     def test_exit_code_table(self):
         assert cli.EXIT_CODES == {

@@ -310,23 +310,48 @@ class TestJson:
             built += 1
 
 
-@pytest.mark.parametrize("source", [*range(2, 9), "random"])
+def variety_fixtures(source):
+    """The multiview multidegree at k = ``source``, Frobenius, the product of
+    curves, or 40 random variety multidegrees on random-polymatroid supports."""
+    if source == "frobenius":
+        return [frobenius_multidegree(2)]
+    if source == "product-of-curves":
+        return [product_of_curves_multidegree(2, 3)]
+    if source != "random":
+        return [multiview_multidegree(source)]
+    rng, mds = random.Random(83), []
+    for _ in range(40):
+        sig, delta = random_polymatroid(rng, rng.randint(1, 6))
+        support = support_from_projections(sig, delta)
+        mds.append(Multidegree(sig, {g: rng.randint(1, 9) for g in support}))
+    return mds
+
+
+VARIETY_SOURCES = [*range(2, 9), "frobenius", "product-of-curves", "random"]
+
+
+@pytest.mark.parametrize("source", VARIETY_SOURCES)
 def test_criterion_forms_match_criterion_form(source):
     """``criterion_forms``, read by code lookups, gives ``criterion_form`` at
-    every in-range beta with ``|beta| = r + 1``, in lexicographic order: on
-    the multiview multidegrees and on random variety multidegrees."""
-    if source == "random":
-        rng = random.Random(83)
-        mds = []
-        for _ in range(40):
-            sig, delta = random_polymatroid(rng, rng.randint(1, 6))
-            support = support_from_projections(sig, delta)
-            mds.append(Multidegree(sig, {g: rng.randint(1, 9) for g in support}))
-    else:
-        mds = [multiview_multidegree(source)]
-    for md in mds:
+    every in-range beta with ``|beta| = r + 1``, in lexicographic order, on
+    every variety fixture."""
+    for md in variety_fixtures(source):
         forms = mdg.criterion_forms(md)
         betas = list(pm.profiles(md.sig.n, md.sig.r + 1))
         assert [beta for beta, _ in forms] == betas
         assert all(form == criterion_form(md, beta) for beta, form in forms)
 
+
+@pytest.mark.parametrize("source", VARIETY_SOURCES)
+def test_tight_set_is_where_the_criterion_form_is_nonzero(source):
+    """The gather side (``Polymatroid.tight_set``, k lookups of one beta's
+    criterion exponents) and the scatter side (``criterion_forms``, one code
+    lookup per beta and factor) agree on every variety fixture: the tight set
+    is the 1-based nonzero positions of the form, and ``betas`` keeps the
+    profiles whose form is nonzero or has no zero entry."""
+    for md in variety_fixtures(source):
+        polymatroid, forms = md.polymatroid(), mdg.criterion_forms(md)
+        for beta, form in forms:
+            assert polymatroid.tight_set(beta) == tuple(j for j, c in enumerate(form, 1) if c)
+        assert polymatroid.betas("hypersurface") == tuple(b for b, form in forms if any(form))
+        assert polymatroid.betas("determining") == tuple(b for b, form in forms if all(form))

@@ -190,8 +190,8 @@ class TestMinimalTightSet:
         ids=["multiview-2110", "multiview-2200", "not-one-deficient"],
     )
     def test_no_subset_scan_after_construction(self, sig, delta, beta, tight, monkeypatch):
-        """The criteria read the support kept at construction: no subset
-        sums, no packed subset tables and no rank-function values."""
+        """The tight set is read off the support kept at construction: no
+        subset sums, no packed subset tables and no rank-function values."""
         polymatroid = Polymatroid(sig, delta)
         assert not hasattr(polymatroid, "projections")
         calls = []
@@ -202,19 +202,16 @@ class TestMinimalTightSet:
             return sums(vec)
 
         def refused(*args):
-            raise AssertionError("minimal_tight_set called tight_sets")
+            raise AssertionError("tight_set called tight_sets")
 
         monkeypatch.setattr(pm, "subset_sums", counted)
         count_table_builds(monkeypatch, calls)
         monkeypatch.setattr(pm, "tight_sets", refused)
+        assert polymatroid.tight_set(beta) == (tight or ())
+        assert len(calls) == 0
         if tight is None:
             with pytest.raises(PreconditionError, match="not 1-deficient"):
-                polymatroid.minimal_tight_set(beta)
-        else:
-            assert polymatroid.minimal_tight_set(beta) == tight
-        assert polymatroid.is_one_deficient(beta) == (tight is not None)
-        assert polymatroid.is_circuit(beta) == (tight == tuple(range(1, sig.k + 1)))
-        assert len(calls) == 0
+                minimal_tight_set(sig, delta, beta)
 
     def test_minimal_element_of_tight_family(self):
         # Brute-force oracle: the result is itself tight, nonempty, and
@@ -343,17 +340,17 @@ def test_criteria_match_direct_scans_on_every_rank_function(n, functions, checke
             circuit = all(b > 0 for b in beta) and all(
                 sums[mask] <= delta.values[mask] for mask in range(1, full)
             )
-            assert polymatroid.is_one_deficient(beta) == one_deficient
+            found = polymatroid.tight_set(beta)
+            assert bool(found) == one_deficient
             if one_deficient:
                 tight = full
                 for mask, (s, d) in enumerate(zip(sums, delta.values)):
                     if s == d + 1:
                         tight &= mask
-                assert polymatroid.minimal_tight_set(beta) == indices_of(tight)
+                assert found == indices_of(tight)
             else:
-                with pytest.raises(PreconditionError, match="not 1-deficient"):
-                    polymatroid.minimal_tight_set(beta)
-            assert polymatroid.is_circuit(beta) == circuit
+                assert found == ()
+            assert (len(found) == sig.k) == circuit
             if one_deficient:
                 table["hypersurface"].append(beta)
             if circuit:

@@ -62,9 +62,7 @@ ENTRY_POINTS = {
     "determines_variety": ("beta", lambda b: determines_variety(MD, b)),
     "chow_form_multidegree": ("beta", lambda b: chow_form_multidegree(MD, b)),
     "slice_multidegree": ("beta", lambda b: slice_multidegree(MD, [1], b)),
-    "Polymatroid.is_one_deficient": ("beta", POLYMATROID.is_one_deficient),
-    "Polymatroid.minimal_tight_set": ("beta", POLYMATROID.minimal_tight_set),
-    "Polymatroid.is_circuit": ("beta", POLYMATROID.is_circuit),
+    "Polymatroid.tight_set": ("beta", POLYMATROID.tight_set),
     "is_one_deficient": ("beta", lambda b: is_one_deficient(SIG, DELTA, b)),
     "minimal_tight_set": ("beta", lambda b: minimal_tight_set(SIG, DELTA, b)),
     "is_circuit": ("beta", lambda b: is_circuit(SIG, DELTA, b)),
