@@ -27,7 +27,7 @@ of the incidence form is returned as its coefficient tuple.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from itertools import chain
+from operator import is_
 
 from .errors import (
     CycleInputError,
@@ -57,21 +57,23 @@ CYCLE = "cycle"
 class Multidegree(Value):
     """Sparse map gamma -> a_gamma with strictly positive coefficients."""
 
-    def __post_init__(self, sig, coeffs, tag=VARIETY):
+    def __post_init__(self, sig, coeffs, tag=VARIETY, *, _checked=False):
+        """``_checked``: ``coeffs`` already maps in-range int tuples to positive ints."""
         if tag not in (VARIETY, CYCLE):
             raise PreconditionError(f"unknown tag {tag!r}")
-        codim, gammas = sig.codim(), list(coeffs)
-        values = exact_ints(coeffs.values(), "coefficients")
-        if values and min(values) <= 0:
-            first = [a > 0 for a in values].index(False)
-            gamma = sig.check_profiles(gammas[:first + 1], codim)[first]
-            raise PreconditionError(f"coefficient at {gamma} must be positive, got {values[first]}")
-        self.sig, self.tag = sig, tag
-        self.coeffs = dict(zip(sig.check_profiles(gammas, codim), values))
+        if not _checked:
+            codim, gammas = sig.codim(), list(coeffs)
+            values = exact_ints(coeffs.values(), "coefficients")
+            if values and min(values) <= 0:
+                first, a = next((i, a) for i, a in enumerate(values) if a <= 0)
+                gamma = sig.check_profiles(gammas[:first + 1], codim)[first]
+                raise PreconditionError(f"coefficient at {gamma} must be positive, got {a}")
+            coeffs = dict(zip(sig.check_profiles(gammas, codim), values))
+        self.sig, self.tag, self.coeffs = sig, tag, coeffs
         self._polymatroid = None
         if tag == VARIETY:
             try:
-                self._polymatroid = Polymatroid.from_support(sig, self.coeffs)
+                self._polymatroid = Polymatroid.from_support(sig, coeffs)
             except PreconditionError:
                 raise PreconditionError(
                     "support fails the polymatroid consistency check; "
@@ -102,26 +104,30 @@ class Multidegree(Value):
 
     @classmethod
     def from_json(cls, obj) -> "Multidegree":
-        """Read in one pass when each gamma is an array of ints and each ``a``
-        an int or a decimal string, no gamma repeated; else entry by entry."""
+        """Read in one pass when each gamma is an array of ints in range and
+        each ``a`` an int or a decimal string, no gamma repeated, checking the
+        type of each entry once: gamma's in :meth:`SpaceSignature.check_profiles`,
+        which returns int tuples as they are; else entry by entry."""
         sig = SpaceSignature(field(obj, "n", ints), field(obj, "r", integer))
         entries = field(obj, "coefficients", array)
         try:
             gammas = [entry["gamma"] for entry in entries]
             values = [entry["a"] for entry in entries]
             plain = {*map(type, gammas)} <= {list} and {*map(type, values)} <= {int, str}
-            plain = plain and {*map(type, chain.from_iterable(gammas))} <= {int}
             coeffs = dict(zip(map(tuple, gammas), map(int, values))) if plain else {}
-        except (KeyError, TypeError, ValueError):
+            plain, gammas = plain and len(coeffs) == len(entries), list(coeffs)
+            plain = plain and all(map(is_, sig.check_profiles(gammas, sig.codim()), gammas))
+        except (KeyError, TypeError, ValueError, PreconditionError):
             plain = False
-        if not plain or len(coeffs) != len(entries):
+        if not plain:
             coeffs = {}
             for entry in entries:
                 gamma = field(entry, "gamma", ints)
                 if gamma in coeffs:
                     raise PreconditionError(f"gamma {gamma} appears more than once")
                 coeffs[gamma] = field(entry, "a", integer)
-        return cls(sig, coeffs, obj.get("tag", VARIETY))
+        checked = plain and min(coeffs.values(), default=1) > 0
+        return cls(sig, coeffs, obj.get("tag", VARIETY), _checked=checked)
 
     def to_json(self) -> dict:
         return {
@@ -175,9 +181,7 @@ def chow_form_multidegree(md: Multidegree, beta) -> tuple[int, ...]:
     """
     form = criterion_form(md, beta)
     if all(c == 0 for c in form):
-        raise InapplicableError(
-            "incidence locus is not a hypersurface for this beta"
-        )
+        raise InapplicableError("incidence locus is not a hypersurface for this beta")
     return form
 
 
@@ -208,16 +212,14 @@ def slice_multidegree(md: Multidegree, subset: Iterable[int], beta) -> Multidegr
     for gamma, a in md.coeffs.items():
         if all(gamma[i] == md.sig.n[i] - beta[i] for i in sliced):
             coeffs[tuple(gamma[i] for i in kept)] = a
-    return Multidegree(new_sig, coeffs, CYCLE)
+    return Multidegree(new_sig, coeffs, CYCLE, _checked=True)
 
 
 def multidegree_add(md1: Multidegree, md2: Multidegree) -> Multidegree:
     """Coefficient-wise sum; models taking the union as a cycle."""
     if md1.sig != md2.sig:
-        raise PreconditionError(
-            f"signature mismatch: {md1.sig} vs {md2.sig}"
-        )
+        raise PreconditionError(f"signature mismatch: {md1.sig} vs {md2.sig}")
     coeffs = dict(md1.coeffs)
     for gamma, a in md2.coeffs.items():
         coeffs[gamma] = coeffs.get(gamma, 0) + a
-    return Multidegree(md1.sig, coeffs, CYCLE)
+    return Multidegree(md1.sig, coeffs, CYCLE, _checked=True)

@@ -22,8 +22,8 @@ Analysis*, SIAM 2003, ch. 4).  The rank function is then
 support is S again; ``gamma -> n - gamma`` preserves the axiom.  So
 :meth:`Polymatroid.from_support` checks a support with no rank-function
 table, running x over one point per orbit of the factor permutations that
-fix S when there are at most ``2**k / (2k)`` orbits, and through the dense
-round trip otherwise.
+fix S, and y over the orbits ranked at or below x's, when there are at most
+``2**k / (2k)`` orbits, and through the dense round trip otherwise.
 
 The criteria read the support at the k exponents ``alpha + e_j``, where
 ``alpha = n - beta``: j lies in the minimal tight set of beta exactly when
@@ -63,6 +63,7 @@ from __future__ import annotations
 from collections import Counter, namedtuple
 from collections.abc import Iterable
 from itertools import accumulate, chain, compress, product, repeat
+from math import factorial, prod
 from operator import add, itemgetter, mul, sub
 
 from .errors import PreconditionError, array, exact_ints, field, integer, ints
@@ -395,21 +396,23 @@ class _Packed:
         return found
 
 
+def _groups(sig: SpaceSignature) -> list[list[int]]:
+    """The groups of factors with equal ``n_i``, in order of their first member."""
+    return [[i for i, m in enumerate(sig.n) if m == n] for n in dict.fromkeys(sig.n)]
+
+
 def _factor_classes(sig: SpaceSignature, coded: dict) -> list[list[int]]:
     """Classes of factors that permute freely without changing the support
-    ``coded``, a dict from the codes of its points to the points.  Only
-    factors with equal ``n_i`` can be exchanged.  Within each group of them,
-    the transposition of consecutive members a < b, which moves the code c of
-    x to ``c + (x_b - x_a)(w_a - w_b)``, is tested on every point; a run of
+    ``coded``, a dict from the codes of its points to the points.  Only the
+    factors of a group of :func:`_groups` can be exchanged.  Within each, the
+    transposition of consecutive members a < b, which moves the code c of x
+    to ``c + (x_b - x_a)(w_a - w_b)``, is tested on every point; a run of
     members joined by symmetries is a class, since connected transpositions
     generate the full symmetric group on it.  Symmetries this misses cost
     time in the exchange test, never its answer."""
     columns = list(zip(*coded.values()))
-    groups: dict[int, list[int]] = {}
-    for i, n in enumerate(sig.n):
-        groups.setdefault(n, []).append(i)
     classes = []
-    for members in groups.values():
+    for members in _groups(sig):
         run = [members[0]]
         for a, b in zip(members, members[1:]):
             shift = repeat(sig.places[a] - sig.places[b])
@@ -423,36 +426,62 @@ def _factor_classes(sig: SpaceSignature, coded: dict) -> list[list[int]]:
     return [run for run in classes if len(run) > 1]
 
 
-def _orbit_representatives(sig: SpaceSignature, coded: dict, classes, limit: int) -> set | None:
-    """One code per orbit of the support ``coded`` under the permutations of
-    each class, the largest, whose entries on a class decrease; ``None``
-    when there are more than ``limit`` orbits.  A point's key, the sorted
-    entries of each class and its other entries, names its orbit; a dict
-    from the keys to the codes, filled in increasing code order, keeps the
-    last code of each orbit."""
+def _orbits(sig: SpaceSignature, coded: dict, classes) -> tuple[list, dict]:
+    """The key of each point of the support ``coded``, in its order, and a
+    dict from the keys to the codes, filled in increasing code order, which
+    keeps the largest code of each orbit under the permutations of each
+    class.  A key, the sorted entries of each class and the others, names an orbit."""
     points = coded.values()
     fixed = sorted(set(range(sig.k)).difference(*classes))
     keys = [map(tuple, map(sorted, map(itemgetter(*members), points))) for members in classes]
     if fixed:
         keys.append(map(itemgetter(*fixed), points))
-    orbits = dict(zip(zip(*keys), coded))
+    keys = list(zip(*keys))
+    return keys, dict(zip(keys, coded))
+
+
+def _orbit_representatives(sig: SpaceSignature, coded: dict, classes, limit: int) -> set | None:
+    """The largest code of each orbit of :func:`_orbits`, whose entries on a
+    class decrease; ``None`` when there are more than ``limit`` orbits."""
+    orbits = _orbits(sig, coded, classes)[1]
     return set(orbits.values()) if len(orbits) <= limit else None
 
 
-def _exchange_holds(sig: SpaceSignature, coded: dict, representatives) -> bool:
+def _symmetric_orbits(sig: SpaceSignature, coded: dict) -> tuple[list, dict]:
+    """:func:`_orbits` under the classes of :func:`_factor_classes`.  Keyed by
+    every group at once, the orbit of a key holds the product of multinomials
+    of its group entries; when these add up to ``|S|`` the support holds each
+    orbit it meets, so each group is a class.  Else the scan finds them."""
+    classes = [members for members in _groups(sig) if len(members) > 1]
+    keys, orbits = _orbits(sig, coded, classes)
+    spare = len(coded) - len(orbits)
+    for key in orbits:
+        parts = key[:len(classes)]
+        size = prod([factorial(len(p)) // prod(map(factorial, map(p.count, set(p)))) for p in parts])
+        spare -= size - 1
+        if spare < 0:
+            return _orbits(sig, coded, _factor_classes(sig, coded))
+    return keys, orbits
+
+
+def _exchange_holds(sig: SpaceSignature, coded: dict, representatives, tops=None) -> bool:
     """The weak exchange axiom on the support ``coded`` for x among the codes
     ``representatives``: for every y != x in it there are i, j with
     ``x_i > y_i`` and ``x_j < y_j`` such that ``x - e_i + e_j`` and
-    ``y + e_i - e_j`` are both in it.  With the representatives of every
-    orbit of a symmetry group of the support this is the whole axiom, since
-    a symmetry carries the witnesses of x to those of its image.  The moves
-    ``c - w_i + w_j`` of x are listed once; the guards ``x_i > 0`` and
-    ``x_j < n_j``, and the comparisons for y, keep every code in the box.
-    Each move in turn drops the points y it serves, until none is left."""
+    ``y + e_i - e_j`` are both in it.  With the largest code of every orbit
+    of a symmetry group of the support this is the whole axiom, since a
+    symmetry carries the witnesses of x to those of its image, and as
+    ``(j, i)`` serves ``(y, x)`` when ``(i, j)`` serves ``(x, y)``, y runs
+    over the orbits whose largest code, ``tops`` in the order of ``coded``
+    (by default the codes), is at most x's.  The moves ``c - w_i + w_j`` of
+    x are listed once; the guards ``x_i > 0`` and ``x_j < n_j``, and the
+    comparisons for y, keep every code in the box.  Each move in turn drops
+    the points y it serves, until none is left."""
     places, n, k = sig.places, sig.n, sig.k
+    tops = list(coded if tops is None else tops)
     for c in representatives:
         x = coded[c]
-        left = [point for point in coded.items() if point[0] != c]
+        left = [point for point, top in zip(coded.items(), tops) if top <= c and point[0] != c]
         for i, j in product(range(k), repeat=2):
             if left and x[i] and x[j] < n[j] and j != i and c - places[i] + places[j] in coded:
                 xi, xj, shift = x[i], x[j], places[i] - places[j]
@@ -488,23 +517,22 @@ class Polymatroid:
         exponents already checked against ``sig``; raises
         :class:`PreconditionError` when no rank function has it as support.
 
-        Two checks give the same answer: the weak exchange axiom over the
-        orbits of the detected factor symmetries, at most ``k**2`` code
-        lookups per orbit and support point, or the dense round trip through
-        :func:`projections_from_support`, about k operations on tables of
-        ``2**k`` fields per support point and candidate.  The exchange test
-        runs when ``2 * |orbits| * k <= 2**k``."""
+        Two checks give the same answer: the weak exchange axiom over each
+        pair of orbits of :func:`_symmetric_orbits` once, at most ``k**2``
+        code lookups per orbit and point of an orbit ranked at or below it,
+        or the dense round trip through :func:`projections_from_support`,
+        about k operations on tables of ``2**k`` fields per support point
+        and candidate.  The exchange test runs when ``2|orbits|k <= 2**k``."""
         coded = dict(sorted(zip(sig.encode(support), support)))
         if not coded:
             raise PreconditionError("empty support")
-        limit = (1 << sig.k) // (2 * sig.k)
-        representatives = _orbit_representatives(sig, coded, _factor_classes(sig, coded), limit)
-        if representatives is None:
+        keys, orbits = _symmetric_orbits(sig, coded)
+        if 2 * len(orbits) * sig.k > 1 << sig.k:
             support = tuple(coded.values())
             delta = projections_from_support(sig, support)
             if support_from_projections(sig, delta) != support:
                 raise PreconditionError("support differs from the support of its projections")
-        elif not _exchange_holds(sig, coded, representatives):
+        elif not _exchange_holds(sig, coded, orbits.values(), map(orbits.get, keys)):
             raise PreconditionError("support fails the exchange axiom")
         polymatroid = object.__new__(cls)
         polymatroid.sig, polymatroid._coded = sig, coded

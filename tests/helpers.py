@@ -121,6 +121,23 @@ def planted_symmetric_polymatroid(rng: random.Random, k: int):
     return sig, RankFunction(k, tuple(values)), [c for c in classes if c]
 
 
+def split_group_polymatroid(rng: random.Random, k: int):
+    """A (signature, rank function, classes) triple as in
+    :func:`planted_symmetric_polymatroid`, but with one ``n`` for every
+    factor: each class has its own steps, so a permutation within a class
+    fixes the rank function and one across classes need not."""
+    n = rng.randint(1, 3)
+    labels = [rng.randrange(rng.randint(2, k)) for _ in range(k)]
+    classes = [members for c in range(k) if (members := [i for i in range(k) if labels[i] == c])]
+    steps = [sorted((rng.randint(0, n) for _ in members), reverse=True) for members in classes]
+    r = rng.randint(0, sum(map(sum, steps)))
+    values = []
+    for mask in range(1 << k):
+        counts = [sum(mask >> i & 1 for i in members) for members in classes]
+        values.append(min(r, sum(sum(s[:m]) for s, m in zip(steps, counts))))
+    return SpaceSignature((n,) * k, r), RankFunction(k, tuple(values)), classes
+
+
 def consistent_polymatroid(sig: SpaceSignature, support) -> Polymatroid | None:
     """The dense reference for ``Polymatroid.from_support``: the round trip
     of a support -> projection dimensions -> validated polymatroid ->

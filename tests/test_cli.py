@@ -774,6 +774,56 @@ class TestWorkDoneOnce:
         assert len(json.loads(out)["results"]) == 90
         assert calls == []
 
+    def spy_profile_checks(self, monkeypatch) -> tuple[list, list]:
+        """The profiles checked one by one and the sizes of the bulk checks,
+        filled in as requests run."""
+        single, bulk = [], []
+        check_profile = pm.SpaceSignature.check_profile
+        check_profiles = pm.SpaceSignature.check_profiles
+
+        def counted(self, vec, total):
+            single.append(tuple(vec))
+            return check_profile(self, vec, total)
+
+        def counted_bulk(self, vecs, total):
+            vecs = list(vecs)
+            bulk.append(len(vecs))
+            return check_profiles(self, vecs, total)
+
+        monkeypatch.setattr(pm.SpaceSignature, "check_profile", counted)
+        monkeypatch.setattr(pm.SpaceSignature, "check_profiles", counted_bulk)
+        return single, bulk
+
+    def test_chow_degree_checks_each_part_once(self, tmp_path, capsys, monkeypatch):
+        """``chow-degree`` on two variety-tagged multiview k=5 parts checks the
+        30 exponents of each part in one bulk check, and not those of their
+        sum, which is built from checked exponents; beta is checked alone."""
+        md = multiview_multidegree(5)
+        beta = md.polymatroid().betas("hypersurface")[0]
+        parts = [md.to_json(), dict(md.to_json(), coefficients=[
+            {"gamma": list(gamma), "a": 3} for gamma in md.support()
+        ])]
+        path = write(tmp_path, {"multidegrees": parts, "beta": list(beta)})
+        degree = [str(4 * a) for a in mdg.criterion_form(md, beta)]
+        single, bulk = self.spy_profile_checks(monkeypatch)
+        code, out, err = run_main(["chow-degree", "--input", path], capsys)
+        assert code == 0, err
+        assert json.loads(out)["chow_degree"] == degree
+        assert (single, bulk) == ([beta], [30, 30])
+
+    def test_slice_checks_its_input_once(self, tmp_path, capsys, monkeypatch):
+        """``slice`` of the multiview k=5 multidegree checks its 30 exponents
+        in one bulk check and beta alone; the slice, cut from checked
+        exponents, is not checked again."""
+        md = multiview_multidegree(5)
+        beta = (1, 1, 1, 1, 0)
+        path = write(tmp_path, dict(md.to_json(), beta=list(beta), subset=[1, 2]))
+        single, bulk = self.spy_profile_checks(monkeypatch)
+        code, out, err = run_main(["slice", "--input", path], capsys)
+        assert code == 0, err
+        assert json.loads(out)["coefficients"]
+        assert (single, bulk) == ([beta], [30])
+
 
 @pytest.mark.parametrize(
     "argv,extra",

@@ -33,6 +33,7 @@ from helpers import (
     random_polymatroid,
     rank_of,
     reference_exchange_holds,
+    split_group_polymatroid,
     sum_over,
     swapped,
 )
@@ -497,6 +498,90 @@ class TestExchangeAxiom:
             assert agrees_with_round_trip(sig, support)
             sides[exchange] += 1
         assert sides[True] and sides[False]
+
+    def test_selection_side_per_multiview_k(self, monkeypatch):
+        """Pins the side of the selection each multiview support takes: the
+        dense round trip at k = 3, the exchange test at every other k.  The
+        k = 3 side keeps an assertion outside tier-1 true:
+        ``perfbench/test_smoke.py`` asserts ``set(calls["polymatroid"]) ==
+        {"oracle-multidegree"}``, so geometry's ``oracle-multidegree``, which
+        builds the multiview multidegree for k = 2..5, must reach the traced
+        polymatroid functions, and only the k = 3 build does."""
+        sides = []
+        projections, exchange = pm.projections_from_support, pm._exchange_holds
+
+        def dense(sig, support):
+            sides.append((sig.k, "dense"))
+            return projections(sig, support)
+
+        def exchanged(sig, *args):
+            sides.append((sig.k, "exchange"))
+            return exchange(sig, *args)
+
+        monkeypatch.setattr(pm, "projections_from_support", dense)
+        monkeypatch.setattr(pm, "_exchange_holds", exchanged)
+        for k in range(2, 9):
+            multiview_multidegree(k)
+        assert sides == [(k, "dense" if k == 3 else "exchange") for k in range(2, 9)]
+
+    def test_multiview_classes_need_no_scan(self, monkeypatch):
+        """The multiview support is symmetric under every permutation of the
+        factors, so its orbit sizes add up and the transposition scan never
+        runs."""
+
+        def refused(*args):
+            raise AssertionError("_factor_classes called")
+
+        monkeypatch.setattr(pm, "_factor_classes", refused)
+        for k in range(2, 13):
+            assert Polymatroid.from_support(multiview_sig(k), multiview_multidegree(k).support())
+
+    def test_certified_classes_against_the_round_trip(self, monkeypatch):
+        """On planted symmetric supports, on them less one orbit of their
+        classes, and on supports symmetric under only part of a group of
+        equal ``n_i``, ``from_support`` agrees with the dense round trip, its
+        orbits are those of the scanned classes, and it runs the scan
+        (``_factor_classes``) exactly where the orbit sizes under the groups
+        do not add up, that is where a permutation within a group moves the
+        support."""
+        factor_classes, scans = pm._factor_classes, []
+
+        def counted(sig, coded):
+            scans.append(sig)
+            return factor_classes(sig, coded)
+
+        monkeypatch.setattr(pm, "_factor_classes", counted)
+        rng = random.Random(79)
+        seen = set()
+        for index in range(160):
+            make = split_group_polymatroid if index % 2 else planted_symmetric_polymatroid
+            sig, delta, planted = make(rng, rng.randint(2, 7))
+            support = set(Polymatroid(sig, delta).support())
+            gamma = rng.choice(sorted(support))
+            key = [sorted(gamma[i] for i in c) for c in planted]
+            orbit = {g for g in support if [sorted(g[i] for i in c) for c in planted] == key}
+            for points in map(frozenset, (support, support - orbit)):
+                if not points:
+                    continue
+                groups = [[i for i in range(sig.k) if sig.n[i] == n] for n in set(sig.n)]
+                symmetric = all(
+                    swapped(x, a, b) in points
+                    for members in groups
+                    for a, b in combinations(members, 2)
+                    for x in points
+                )
+                scans.clear()
+                try:
+                    built = Polymatroid.from_support(sig, points) is not None
+                except PreconditionError:
+                    built = False
+                assert built == (consistent_polymatroid(sig, points) is not None)
+                assert len(scans) == (0 if symmetric else 1)
+                coded = coded_support(sig, points)
+                orbits = pm._orbits(sig, coded, factor_classes(sig, coded))
+                assert pm._symmetric_orbits(sig, coded) == orbits
+                seen.add((index % 2, symmetric, built))
+        assert {(1, False, True), (1, False, False), (0, True, True), (0, True, False)} <= seen
 
 
 class TestJson:

@@ -16,8 +16,11 @@ exits 1 naming the first request that differs.
 One line per round gives both trees' time for the blocks and the speedup,
 the base time over the new time; then one line per subcommand gives the
 median over the rounds of its own speedup, so a change to one subcommand
-shows apart from the others; the last line gives the median speedup and
-the number of rounds the new tree won.  Alternating in one process
+shows apart from the others; one line per tree gives the request-latency
+p50 and p90 of a round, computed as the benchmark computes them, as the
+median over the rounds, so a tail claim can be sized in one process; the
+last line gives the median speedup and the number of rounds the new tree
+won.  Alternating in one process
 puts both trees under the same host load, which separate processes on a
 shared machine do not see.  Only the standard library is used.
 """
@@ -51,17 +54,24 @@ def load_cli(src: str, name: str):
     return importlib.import_module(f"{name}.cli")
 
 
-def run_blocks(runner: InProcess, blocks) -> tuple[dict, list]:
-    """The summed request time of ``blocks`` for each subcommand and every
-    request's outcome."""
-    seconds, outcomes = {}, []
+def run_blocks(runner: InProcess, blocks) -> tuple[dict, list, list]:
+    """The summed request time of ``blocks`` for each subcommand, every
+    request's outcome and every request's latency in seconds."""
+    seconds, outcomes, latencies = {}, [], []
     for block in blocks:
         for request in block:
             code, out, err, elapsed = runner.call(request["argv"], request["stdin"])
             command = request["argv"][0]
             seconds[command] = seconds.get(command, 0.0) + elapsed
             outcomes.append((code, out, err))
-    return seconds, outcomes
+            latencies.append(elapsed)
+    return seconds, outcomes, latencies
+
+
+def percentile_ms(latencies, p: int) -> float:
+    """The ``p``-th percentile of ``latencies`` in ms, computed as the
+    benchmark computes ``latency_p50_ms`` and ``latency_p90_ms``."""
+    return 1000 * statistics.quantiles(latencies, n=100, method="inclusive")[p - 1]
 
 
 def first_difference(blocks, base: list, new: list) -> str | None:
@@ -95,21 +105,24 @@ def main(argv=None) -> int:
     sys.set_int_max_str_digits(limit)
     requests = sum(map(len, blocks))
     # One untimed pass each fills the caches and checks the outputs.
-    _, base = run_blocks(runners["base"], blocks)
-    _, new = run_blocks(runners["new"], blocks)
+    _, base, _ = run_blocks(runners["base"], blocks)
+    _, new, _ = run_blocks(runners["new"], blocks)
     if (difference := first_difference(blocks, base, new)) is not None:
         print(f"outputs differ: {difference}")
         return 1
     print(f"{args.workload}, seed {args.seed}: {args.blocks} blocks, {requests} requests a round")
     speedups, by_command = [], {}
+    tails = {side: {50: [], 90: []} for side in runners}
     for index in range(args.rounds):
         order = ("base", "new") if index % 2 == 0 else ("new", "base")
         seconds = {}
         for side in order:
-            seconds[side], outcomes = run_blocks(runners[side], blocks)
+            seconds[side], outcomes, latencies = run_blocks(runners[side], blocks)
             if outcomes != base:
                 print(f"outputs differ: {first_difference(blocks, base, outcomes)}")
                 return 1
+            for p, values in tails[side].items():
+                values.append(percentile_ms(latencies, p))
         for command, spent in seconds["base"].items():
             by_command.setdefault(command, []).append(spent / seconds["new"][command])
         totals = {side: sum(seconds[side].values()) for side in seconds}
@@ -120,6 +133,9 @@ def main(argv=None) -> int:
         )
     for command, ratios in sorted(by_command.items()):
         print(f"  {command}: median speedup {statistics.median(ratios):.3f}")
+    for side, values in tails.items():
+        p50, p90 = (statistics.median(values[p]) for p in (50, 90))
+        print(f"{side} latency: p50 {p50:.3f} ms, p90 {p90:.3f} ms (median over rounds)")
     wins = sum(s > 1 for s in speedups)
     print(
         f"median speedup {statistics.median(speedups):.3f}, "
