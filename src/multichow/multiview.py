@@ -10,10 +10,10 @@ membership in the locus of k-tuples all of whose slicing spaces meet the
 variety.
 
 All arithmetic is exact rational.  "Random" always means integer numerators
-and denominators drawn from a seeded generator in [-10, 10], with
-genericity checks and bounded resampling (32 retries) on degeneracy.  Oracle
-trial i uses a deterministic substream derived from (seed, i), so per-trial
-results are reproducible regardless of execution order.
+in [-10, 10] and denominators in [1, 10], drawn by :func:`_randint` from a
+seeded generator, with genericity checks and bounded resampling (32 retries)
+on degeneracy.  Oracle trial i uses a deterministic substream derived from
+(seed, i), so per-trial results are reproducible regardless of execution order.
 
 The work itself runs on integers, from the input to the answer.  Every
 number is read by ``errors.exact``, so a float is read from its decimal text,
@@ -44,7 +44,6 @@ from collections import Counter
 from fractions import Fraction
 from itertools import chain, combinations, permutations, product
 from math import gcd, lcm, prod
-from operator import mul
 
 from . import linalg
 from .errors import (
@@ -83,8 +82,9 @@ def parse_vector(entries, length: int) -> tuple[int | Fraction, ...]:
 
 
 def _image(rows, point) -> tuple[int, ...]:
-    """Integer rows applied to an integer point."""
-    return tuple(sum(map(mul, row, point)) for row in rows)
+    """Integer rows of length 4 applied to an integer point."""
+    x0, x1, x2, x3 = point
+    return tuple([a * x0 + b * x1 + c * x2 + d * x3 for a, b, c, d in rows])
 
 
 class CameraConfiguration(Value):
@@ -261,7 +261,7 @@ class MultifocalTensor(Value):
 def project_point(camera, world_point) -> Vec:
     """Apply a camera to a world point; undefined at the camera center."""
     rows, scale = _as_camera(camera)
-    image = _image(rows, tuple(map(exact, world_point)))
+    image = _image(rows, parse_vector(world_point, 4))
     if not any(image):
         raise DegenerateInputError("projection undefined: point is the camera center")
     return tuple(Fraction(x, scale) for x in image)
@@ -279,7 +279,8 @@ def multiview_multidegree(k: int) -> Multidegree:
 
     Expands t_1^2...t_k^2 * (sum over i1<i2<i3 of 1/(t_i1 t_i2 t_i3)
     + sum over ordered pairs i1 != i2 of 1/(t_i1^2 t_i2)); no exponent
-    leaves the box or repeats, so each carries coefficient 1.
+    leaves the box or repeats, so each carries coefficient 1.  They are not
+    checked again, but the support passes the polymatroid consistency check.
     """
     sig = _signature(k)
     coeffs = {}
@@ -289,7 +290,7 @@ def multiview_multidegree(k: int) -> Multidegree:
         for i in lowered:
             gamma[i] -= 1
         coeffs[tuple(gamma)] = 1
-    return Multidegree(sig, coeffs)
+    return Multidegree(sig, coeffs, _checked=True)
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +301,13 @@ def _pullback_rows(config: CameraConfiguration, factors):
     """The integer rows l^T P_i, each times the scale of camera i, for every
     integer cutting form l of factor i, factor order then form order; the
     caller has matched the factors to the cameras."""
-    return [_image(cols, form) for cols, forms in zip(config._columns, factors) for form in forms]
+    rows = []
+    for cols, forms in zip(config._columns, factors):
+        (a0, b0, c0), (a1, b1, c1), (a2, b2, c2), (a3, b3, c3) = cols
+        for x, y, z in forms:
+            rows.append((a0 * x + b0 * y + c0 * z, a1 * x + b1 * y + c1 * z,
+                         a2 * x + b2 * y + c2 * z, a3 * x + b3 * y + c3 * z))
+    return rows
 
 
 #: For 2, 3 and 4 cameras, the 3^k tensor indices in product order, and the
@@ -466,12 +473,24 @@ def _trial_rngs(seed: int, trials: int):
         yield trial_rng(seed, trial)
 
 
+def _randint(rng: random.Random, low: int, high: int) -> int:
+    """``random.Random.randint(low, high)`` as Python 3.10-3.13 draws it, so
+    with its values and generator state: ``rng.getrandbits`` of the width's
+    bit length, redrawn while it is not below the width."""
+    width = high - low + 1
+    bits = width.bit_length()
+    value = rng.getrandbits(bits)
+    while value >= width:
+        value = rng.getrandbits(bits)
+    return low + value
+
+
 def _random_vector(rng: random.Random, length: int) -> tuple[int, ...]:
     """``length`` rationals ``randint(-10, 10) / randint(1, 10)``, numerator
     first, times the lcm of their denominators."""
-    pairs = [(rng.randint(-10, 10), rng.randint(1, 10)) for _ in range(length)]
-    scale = lcm(*(d for _, d in pairs))
-    return tuple(n * (scale // d) for n, d in pairs)
+    pairs = [(_randint(rng, -10, 10), _randint(rng, 1, 10)) for _ in range(length)]
+    scale = lcm(*[d for _, d in pairs])
+    return tuple([n * (scale // d) for n, d in pairs])
 
 
 def _sample(rng, draw, good, what: str):
@@ -493,7 +512,14 @@ def _independent(forms) -> bool:
     codimension in P^2 is at most 2."""
     if len(forms) > 2:
         raise PreconditionError(f"at most 2 independent forms cut P^2, not {len(forms)}")
-    return all(map(any, forms)) and (len(forms) < 2 or any(linalg.cross(*forms)))
+    return all(map(any, forms)) and (len(forms) < 2 or any(_cross(*forms)))
+
+
+def _cross(u, v) -> tuple[int, int, int]:
+    """u x v for integer 3-vectors, as ``linalg.cross`` gives it."""
+    u0, u1, u2 = u
+    v0, v1, v2 = v
+    return (u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0)
 
 
 def _independent_forms(rng, draw, count: int, what: str) -> tuple[tuple[int, ...], ...]:
@@ -515,13 +541,14 @@ def _forms_vanishing_at(x) -> list[tuple[int, ...]]:
     ``x[c] * e_f - x[f] * e_c``, where c is the first nonzero entry of x and
     f runs over the other two columns in order, which is the kernel basis of
     x times x[c].  All three unit forms when x is zero."""
-    c = next((i for i, a in enumerate(x) if a), None)
-    if c is None:
-        return [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-    return [
-        tuple(x[c] if j == f else -x[f] if j == c else 0 for j in range(3))
-        for f in range(3) if f != c
-    ]
+    a, b, c = x
+    if a:
+        return [(-b, a, 0), (-c, 0, a)]
+    if b:
+        return [(b, 0, 0), (0, -c, b)]
+    if c:
+        return [(c, 0, 0), (0, c, 0)]
+    return [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
 
 
 def forms_through(rng: random.Random, point, count: int) -> tuple[tuple[int, ...], ...]:
@@ -539,11 +566,11 @@ def forms_through(rng: random.Random, point, count: int) -> tuple[tuple[int, ...
 def _forms_spanned_by(rng: random.Random, basis, count: int) -> tuple[tuple[int, ...], ...]:
     """``count`` independent forms ``u * b_0 + v * b_1`` for random integers
     u, v, over the two integer forms of ``basis``."""
-    b0, b1 = basis
+    (a0, a1, a2), (b0, b1, b2) = basis
 
     def draw(r):
-        u, v = r.randint(-10, 10), r.randint(-10, 10)
-        return tuple(u * a + v * b for a, b in zip(b0, b1))
+        u, v = _randint(r, -10, 10), _randint(r, -10, 10)
+        return (u * a0 + v * b0, u * a1 + v * b1, u * a2 + v * b2)
 
     return _independent_forms(rng, draw, count, "form through a point")
 
@@ -552,7 +579,7 @@ def random_cameras(k: int, seed: int) -> CameraConfiguration:
     """A seeded generic configuration of k integer cameras."""
 
     def draw_camera(r):
-        return [[r.randint(-10, 10) for _ in range(4)] for _ in range(3)]
+        return [[_randint(r, -10, 10) for _ in range(4)] for _ in range(3)]
 
     def draw(r):
         return CameraConfiguration(
@@ -653,7 +680,7 @@ def _random_world_images(config: CameraConfiguration, center_images, rng: random
         # Avoid points whose image coincides with the image of another
         # camera's center: those sit on special lines through two centers.
         return all(
-            any(img) and all(any(linalg.cross(img, c)) for c in others)
+            any(img) and all(any(_cross(img, c)) for c in others)
             for img, others in zip(images, center_images)
         )
 
@@ -708,8 +735,19 @@ def sz_membership(
     residual of those spaces: a codimension-2 slot pulls back the two forms
     of :func:`_forms_vanishing_at`, whose cross product is a nonzero multiple
     of the coordinate, so the determinant is a nonzero multiple of the
-    multifocal tensor contracted with the coordinates and the lines.  True
-    answers hold up to sampling confidence; False answers are exact.
+    multifocal tensor contracted with the coordinates and the lines.
+
+    False answers are exact; a non-member is called a member with
+    probability at most ``(m * 20/440)^t``, for m slots with beta_i = 1 and t
+    trials, taking the seeded draws as uniform and independent (with m = 0 a
+    trial draws nothing, so the answer is exact).  Such a slot's line is
+    ``u * b0 + v * b1`` over the basis of :func:`_forms_vanishing_at`, with
+    (u, v) uniform on the 440 nonzero pairs of [-10, 10]^2, as
+    :func:`_forms_spanned_by` redraws only (0, 0).  Off the locus the
+    residual is a nonzero polynomial, linear in each pair, and a nonzero
+    ``a * u + b * v`` vanishes on at most 20 of the 440 pairs, those on one
+    line through the origin.  The Schwartz-Zippel lemma (Schwartz, J. ACM
+    1980), taken one pair at a time, bounds a trial's miss by ``m * 20/440``.
     """
     beta = _tensor_profile(config.k, beta)
     # A point is defined only up to scale, so one scale serves.

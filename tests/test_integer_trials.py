@@ -21,6 +21,7 @@ from multichow.multiview import (
     LinearSpaceTuple,
     _fiber_size,
     _image,
+    _randint,
     epsilon_oracle,
     forms_through,
     has_world_point_preimage,
@@ -50,11 +51,47 @@ from helpers import (
 
 
 class NarrowRandom(random.Random):
-    """Draws ``randint`` from at most [-1, 1], so zero vectors and dependent
-    forms come up often enough to exercise every resample decision."""
+    """Narrows ``getrandbits``, through which ``randint`` draws too: a 5-bit
+    draw, for [-10, 10], is 9..11, which is -1..1, and a 4-bit draw, for
+    [1, 10], is 0, which is 1.  So zero vectors and dependent forms come up
+    often enough to exercise every resample decision."""
 
-    def randint(self, a, b):
-        return super().randint(max(a, -1), min(b, 1))
+    def getrandbits(self, k):
+        if k == 5:
+            return 9 + self.randrange(3)
+        if k == 4:
+            return 0
+        return super().getrandbits(k)
+
+
+class PermutedBits(random.Random):
+    """Overrides ``getrandbits`` with a permutation of each k-bit draw."""
+
+    def getrandbits(self, k):
+        return (5 * super().getrandbits(k) + 3) % (1 << k)
+
+
+@pytest.mark.parametrize("rng_class", [random.Random, PermutedBits, NarrowRandom])
+def test_randint_draws_as_the_stdlib(rng_class):
+    ranges = [(-10, 10), (1, 10), (0, 0), (7, 7), (-1, 1), (0, 1), (-3, 12), (0, 15), (0, 16)]
+    ranges.append((-(10**20), 10**20))
+    for seed in range(1000):
+        ours, theirs = rng_class(seed), rng_class(seed)
+        for low, high in ranges:
+            assert _randint(ours, low, high) == theirs.randint(low, high)
+            assert ours.getstate() == theirs.getstate()
+
+
+def test_trials_never_call_randint(monkeypatch):
+    def refused(self, a, b):
+        raise AssertionError("randint in package code")
+
+    config = random_cameras(3, 9)
+    monkeypatch.setattr(random.Random, "randint", refused)
+    assert random_cameras(3, 9) == config
+    assert intersection_count_oracle(config, (1, 1, 1), 3, 0) == [1] * 3
+    assert epsilon_oracle(config, (2, 1, 1), 3, 0) == [1] * 3
+    assert not sz_membership(config, (2, 1, 1), [(1, 2, 3), (-4, 5, 1), (2, 2, 7)], 3, 0)
 
 
 def outcome(fn, *args):

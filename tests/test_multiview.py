@@ -22,9 +22,14 @@ from multichow import (
     tensor_contract,
 )
 from multichow import linalg
+from multichow import multidegree as multidegree_module
 from multichow.errors import DegenerateInputError, PreconditionError
+from multichow.multidegree import Multidegree
 from multichow.polymatroid import profiles
 from multichow.multiview import (
+    _forms_spanned_by,
+    _forms_vanishing_at,
+    _pullback_rows,
     contraction_coordinates,
     forms_through,
     has_world_point_preimage,
@@ -41,6 +46,20 @@ from helpers import (
     reference_tensor,
     translated_camera,
 )
+
+
+#: The pairs (u, v) a codimension-1 line of ``sz_membership`` is drawn from.
+NONZERO_PAIRS = [pair for pair in product(range(-10, 11), repeat=2) if pair != (0, 0)]
+
+
+class ScriptedBits:
+    """A generator whose ``getrandbits`` gives the listed values in order."""
+
+    def __init__(self, values):
+        self.values = iter(values)
+
+    def getrandbits(self, k):
+        return next(self.values)
 
 
 def pair_config():
@@ -177,6 +196,11 @@ class TestProjectPoint:
         with pytest.raises(DegenerateInputError):
             project_point(IDENTITY_CAMERA, (0, 0, 0, 1))
 
+    def test_world_point_of_wrong_length_rejected(self):
+        for point in ((1, 2, 3), (1, 2, 3, 4, 5)):
+            with pytest.raises(PreconditionError, match="length 4"):
+                project_point(IDENTITY_CAMERA, point)
+
     def test_translated_camera(self):
         assert project_point(translated_camera((1, 0, 0)), (0, 0, 0, 1)) == (1, 0, 0)
 
@@ -203,6 +227,23 @@ class TestMultiviewMultidegree:
     def test_single_camera_rejected(self):
         with pytest.raises(PreconditionError):
             multiview_multidegree(1)
+
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_equals_the_fully_checked_build(self, k, monkeypatch):
+        """The exponents are not checked again, but the support still passes
+        the consistency check, once."""
+        calls = []
+
+        def spy(owner, name):
+            fn = getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda *args: calls.append(name) or fn(*args))
+
+        spy(multidegree_module.Polymatroid, "from_support")
+        spy(multidegree_module, "exact_ints")
+        md = multiview_multidegree(k)
+        assert calls == ["from_support"]
+        full = Multidegree(md.sig, dict(md.coeffs))
+        assert md == full and md.polymatroid()._coded == full.polymatroid()._coded
 
     @pytest.mark.parametrize("k", range(2, 25))
     def test_every_exponent_of_degree_2k_minus_3_in_the_box(self, k):
@@ -512,3 +553,40 @@ class TestSzMembership:
         config = random_cameras(3, 24)
         with pytest.raises(PreconditionError):
             sz_membership(config, (2, 1, 1), [(0, 0, 0), (1, 1, 1), (1, 1, 1)], 2, 0)
+
+    def test_sampled_lines_redraw_only_the_zero_pair(self):
+        """A codimension-1 slot's line is ``u * b0 + v * b1`` for the first
+        drawn pair (u, v) other than (0, 0)."""
+        for point in ((1, 2, 3), (0, -3, 4), (0, 0, 5)):
+            b0, b1 = basis = _forms_vanishing_at(point)
+            for u, v in product(range(-10, 11), repeat=2):
+                # Draws of [-10, 10] are 5-bit values plus -10; (1, 0) follows.
+                (form,) = _forms_spanned_by(ScriptedBits([u + 10, v + 10, 11, 10]), basis, 1)
+                line = tuple(u * a + v * b for a, b in zip(b0, b1))
+                assert form == (b0 if (u, v) == (0, 0) else line)
+                assert not sum(a * x for a, x in zip(form, point))
+
+    def test_a_nonzero_form_vanishes_on_at_most_20_of_the_440_pairs(self):
+        # a * u + b * v = 0 is a line through the origin, and one that holds a
+        # pair (u0, v0) is cut out by (-v0, u0), itself a pair: these
+        # coefficients give every line that holds any pair.
+        counts = [sum(a * u + b * v == 0 for u, v in NONZERO_PAIRS) for a, b in NONZERO_PAIRS]
+        assert len(NONZERO_PAIRS) == 440 and max(counts) == 20
+
+    def test_a_non_member_trial_passes_within_the_bound(self):
+        """With m = 2 lines, a trial of a non-member passes on at most
+        2 * 20/440 of the 440^2 pairs of draws."""
+        config = random_cameras(3, 24)
+        point, (a0, a1), (b0, b1) = map(_forms_vanishing_at, [(1, 2, 3), (-4, 5, 1), (2, 2, 7)])
+        # The residual is linear in each line, so in each pair.
+        d = [
+            [linalg.det(_pullback_rows(config, [point, [f], [g]])) for g in (b0, b1)]
+            for f in (a0, a1)
+        ]
+        assert any(map(any, d))
+        passes = sum(
+            u * (x * d[0][0] + y * d[0][1]) + v * (x * d[1][0] + y * d[1][1]) == 0
+            for u, v in NONZERO_PAIRS
+            for x, y in NONZERO_PAIRS
+        )
+        assert passes <= 2 * 20 * 440
