@@ -29,6 +29,7 @@ from .errors import (
     field,
     integer,
     ints,
+    vector,
 )
 
 EXIT_CODES = {
@@ -74,7 +75,7 @@ def _polymatroid(obj) -> pm.Polymatroid:
 
 
 def _parse_vectors(obj, key) -> list:
-    return field(obj, key, lambda vecs: [mv.parse_vector(v, 3) for v in array(vecs)])
+    return field(obj, key, lambda vecs: [vector(v, 3) for v in array(vecs)])
 
 
 def _parse_multidegree(obj) -> mdg.Multidegree:

@@ -1,12 +1,13 @@
 """Exception hierarchy shared across the package, plus the one reader of
-input fields, the readers of JSON and library numbers, the one integer rule
-of the value constructors and the one writer of decimal strings, which
-report malformed data as :class:`PreconditionError`.  Each
-class's ``status`` names the CLI status (see ``cli.EXIT_CODES``) it ends in."""
+input fields, the readers of JSON and library numbers, of number arrays and
+integer rows, the one integer rule of the value constructors and the one writer of
+decimal strings, which report malformed data as :class:`PreconditionError`.
+Each class's ``status`` names the CLI status (see ``cli.EXIT_CODES``) it ends in."""
 
 import re
 import sys
 from fractions import Fraction
+from math import lcm
 
 _EXACT = (int, Fraction)
 
@@ -133,6 +134,25 @@ def exact(x) -> int | Fraction:
     if isinstance(x, (str, float)):
         return text_number(str(x))
     return Fraction(x)
+
+
+def vector(entries, width: int) -> tuple[int | Fraction, ...]:
+    """A JSON array of ``width`` numbers, each read by :func:`exact` (an
+    ``int`` or a ``Fraction`` kept without the call, so a second read is cheap)."""
+    vec = tuple([x if type(x) in _EXACT else exact(x) for x in array(entries)])
+    if len(vec) != width:
+        raise PreconditionError(f"expected a vector of length {width}")
+    return vec
+
+
+def integer_rows(m, width: int) -> tuple[list[tuple[int, ...]], int]:
+    """``(rows, scale)``: each row of m read by :func:`vector` and times
+    ``scale``, the lcm of all denominators, as integers; ints stay as read."""
+    rows = [vector(row, width) for row in m]
+    if all(type(x) is int for row in rows for x in row):
+        return rows, 1
+    scale = lcm(*{x.denominator for row in rows for x in row})
+    return [tuple([x.numerator * (scale // x.denominator) for x in row]) for row in rows], scale
 
 
 def decimal(number) -> str:

@@ -1,31 +1,24 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals, kept as references.
 
 Everything in this package works with tiny matrices (a handful of rows and
 columns).  One fraction-free Gauss-Jordan elimination (Bareiss) on integer
 rows serves ``rref``, ``rank``, ``nullspace`` and ``det``: every division in
 it is exact, so no ``Fraction`` arithmetic runs inside the loop.  Matrices
-are sequences of rows; rows are sequences of numbers, each read by
-``errors.exact``.  The elimination and these four entry points are references
-that no package code calls: :mod:`multiview` has a closed-form kernel for
-each of its jobs, the tests compare those kernels against them, and
-``perfbench/tracer.py`` wraps their names.
-
-:func:`integer_rows` is the one integer-scaling helper: it turns a matrix
-into integer rows times one common scale, the lcm of all its denominators.
-The elimination and the camera, form and tensor code of :mod:`multiview`
-start from it, and an ``int`` or ``Fraction`` entry passes through it
-without a new ``Fraction`` being built, so integer rows cost no conversion
-at all.  ``proportional`` compares the 2x2 minors of the two
-integer-scaled vectors, and ``cross`` keeps integer vectors integral.
+are sequences of rows, read by ``errors.integer_rows``, the package's one
+reader of number arrays into integer rows times the lcm of their
+denominators.  No package code imports this module: :mod:`multiview` has a
+closed-form kernel for each of its jobs, the tests compare those kernels
+against these references, and ``perfbench/tracer.py`` wraps their names.
+``proportional`` compares the 2x2 minors of the two integer-scaled vectors,
+and ``cross`` keeps integer vectors integral.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
 
-from .errors import _EXACT, exact
+from .errors import _EXACT, exact, integer_rows
 
 
 def frac_rows(m) -> list[list[Fraction]]:
@@ -39,21 +32,10 @@ def mat_vec(m, v) -> tuple[Fraction, ...]:
     )
 
 
-def integer_rows(m) -> tuple[list[list[int]], int]:
-    """``(rows, scale)``: the rows of m times ``scale``, the lcm of every
-    denominator in m, as integers; rows of ints come back as they are.  Only
-    entries that are not ``int`` or ``Fraction`` are read by ``exact``."""
-    rows = [[x if type(x) in _EXACT else exact(x) for x in row] for row in m]
-    if all(type(x) is int for row in rows for x in row):
-        return rows, 1
-    scale = lcm(*{x.denominator for row in rows for x in row})
-    return [[x.numerator * (scale // x.denominator) for x in row] for row in rows], scale
-
-
 def _eliminate(m):
     """Fraction-free Gauss-Jordan elimination of m.
 
-    The rows are scaled to integers by :func:`integer_rows`, which keeps
+    The rows are scaled to integers by ``errors.integer_rows``, which keeps
     rank and kernel and multiplies the determinant by ``scale ** len(m)``.
     Pivot p turns every other row into ``(p * row - row[col] * pivot_row) //
     last``, last being the previous pivot, and every division is exact.  At
@@ -61,7 +43,7 @@ def _eliminate(m):
     echelon form.  Returns (rows, pivot columns, last, permutation sign,
     scale).
     """
-    rows, scale = integer_rows(m)
+    rows, scale = integer_rows(m, len(m[0]) if m else 0)
     pivots: list[int] = []
     last, sign = 1, 1
     for col in range(len(rows[0]) if rows else 0):
@@ -138,7 +120,7 @@ def is_zero_vector(v) -> bool:
 
 def proportional(u, v) -> bool:
     """True iff u and v are nonzero and represent the same projective point."""
-    (u, v), _ = integer_rows([u, v])
+    (u, v), _ = integer_rows([u, v], len(u))
     return any(u) and any(v) and all(
         u[i] * v[j] == u[j] * v[i] for i, j in combinations(range(len(u)), 2)
     )

@@ -15,15 +15,15 @@ seeded generator, with genericity checks and bounded resampling (32 retries)
 on degeneracy.  Oracle trial i uses a deterministic substream derived from
 (seed, i), so per-trial results are reproducible regardless of execution order.
 
-The work itself runs on integers, from the input to the answer.  Every
-number is read by ``errors.exact``, so a float is read from its decimal text,
-as on the command line.  The three value classes store only integers and
-scales; ``cameras``, ``forms``, ``entries`` and ``tensor[index]`` build
-``Fraction`` values when read.  Kernels, ranks, zero tests and
-proportionality do not see a scale, so random forms and world points,
-images and pulled-back systems are integer vectors.  A value that does
-depend on the scale, the residual or a tensor entry, is an integer
-determinant divided by the product of the scales of the rows it used.
+The work itself runs on integers, from the input to the answer: cameras,
+forms, points, coordinates and tensor entries are read by
+``errors.integer_rows`` into integer rows and one scale, each number by
+``errors.exact`` (a float from its decimal text, as on the command line).
+The three value classes store only integers and scales; ``cameras``,
+``forms``, ``entries`` and ``tensor[index]`` build ``Fraction`` values when
+read.  Kernels and zero tests do not see a scale, so random forms and world
+points, images and pulled-back systems are integer vectors.  The residual
+and a tensor entry are integer determinants over the scales of their rows.
 
 No geometry computation runs an elimination; each job has one closed-form
 kernel.  One or two forms on P^2 are independent when they are nonzero and,
@@ -45,9 +45,9 @@ from fractions import Fraction
 from itertools import chain, combinations, permutations, product
 from math import gcd, lcm, prod
 
-from . import linalg
 from .errors import (
-    DegenerateInputError, PreconditionError, array, decimal, exact, exact_ints, field, ints
+    DegenerateInputError, PreconditionError, array, decimal, exact, exact_ints, field, integer_rows,
+    ints, vector,
 )
 from .multidegree import Multidegree
 from .polymatroid import SpaceSignature, Value
@@ -65,20 +65,12 @@ def _over(rows, scale) -> tuple[Vec, ...]:
 
 def _as_camera(rows) -> tuple[tuple, int]:
     """A camera's rows times its scale, the lcm of its 12 denominators, as
-    integers, and that scale; a camera of ints is its own rows, scale 1."""
-    rows, scale = linalg.integer_rows(rows)
-    if len(rows) != 3 or any(len(row) != 4 for row in rows):
+    integers, and that scale; a camera of ints is its own rows, scale 1.
+    Its rows are read as vectors of length 4, then counted."""
+    rows, scale = integer_rows(rows, 4)
+    if len(rows) != 3:
         raise PreconditionError("a camera must be a 3x4 matrix")
-    return tuple(map(tuple, rows)), scale
-
-
-def parse_vector(entries, length: int) -> tuple[int | Fraction, ...]:
-    """An array of ``length`` exact numbers, each read by ``errors.exact``,
-    so a JSON integer stays an ``int``."""
-    vec = tuple(map(exact, array(entries)))
-    if len(vec) != length:
-        raise PreconditionError(f"expected a vector of length {length}")
-    return vec
+    return tuple(rows), scale
 
 
 def _image(rows, point) -> tuple[int, ...]:
@@ -136,7 +128,7 @@ class CameraConfiguration(Value):
     @classmethod
     def from_json(cls, obj) -> "CameraConfiguration":
         def cameras(cams):
-            return tuple(tuple(parse_vector(row, 4) for row in array(c)) for c in array(cams))
+            return tuple(tuple(vector(row, 4) for row in array(c)) for c in array(cams))
 
         return cls(field(obj, "cameras", cameras))
 
@@ -158,13 +150,11 @@ class LinearSpaceTuple(Value):
     """
 
     def __post_init__(self, forms):
-        scaled = [linalg.integer_rows(factor) for factor in forms]
+        scaled = [integer_rows(factor, 3) for factor in forms]
         for idx, (factor, _) in enumerate(scaled):
-            if any(len(form) != 3 for form in factor):
-                raise PreconditionError(f"factor {idx + 1}: forms must have 3 coefficients")
             if not _independent(factor):
                 raise PreconditionError(f"factor {idx + 1}: cutting forms are linearly dependent")
-        self._forms = tuple(tuple(map(tuple, rows)) for rows, _ in scaled)
+        self._forms = tuple(tuple(rows) for rows, _ in scaled)
         self._scales = tuple(scale for _, scale in scaled)
 
     @property
@@ -178,7 +168,7 @@ class LinearSpaceTuple(Value):
     @classmethod
     def from_json(cls, obj) -> "LinearSpaceTuple":
         return cls(
-            tuple(tuple(parse_vector(f, 3) for f in array(factor)) for factor in array(obj))
+            tuple(tuple(vector(f, 3) for f in array(factor)) for factor in array(obj))
         )
 
 
@@ -194,15 +184,10 @@ class MultifocalTensor(Value):
 
     def __post_init__(self, beta, entries):
         self.beta = beta = _tensor_profile(len(beta), beta)
-        positions, values = _INDEX_POSITIONS[len(beta)], [0] * 3 ** len(beta)
+        values = [0] * 3 ** len(beta)
         for index, value in entries.items():
-            # One lookup accepts exactly what exact_ints and the range
-            # check accept: equal numbers have equal hashes.
-            if (position := positions.get(index)) is None:
-                raise PreconditionError(f"bad tensor index {exact_ints(index, 'tensor index')}")
-            values[position] = value
-        (numerators,), self._denominator = linalg.integer_rows([values])
-        self._numerators = tuple(numerators)
+            values[_position(len(beta), index)] = value
+        (self._numerators,), self._denominator = integer_rows([values], len(values))
 
     @classmethod
     def _of_numerators(cls, beta, numerators, denominator) -> "MultifocalTensor":
@@ -230,8 +215,8 @@ class MultifocalTensor(Value):
         return {index: Fraction(n, self._denominator) for index, n in self._nonzero()}
 
     def __getitem__(self, index) -> Fraction:
-        position = _INDEX_POSITIONS[self.k].get(tuple(index))
-        return Fraction(0 if position is None else self._numerators[position], self._denominator)
+        position = _position(self.k, tuple(index) if isinstance(index, list) else index)
+        return Fraction(self._numerators[position], self._denominator)
 
     @classmethod
     def from_json(cls, obj) -> "MultifocalTensor":
@@ -261,10 +246,11 @@ class MultifocalTensor(Value):
 def project_point(camera, world_point) -> Vec:
     """Apply a camera to a world point; undefined at the camera center."""
     rows, scale = _as_camera(camera)
-    image = _image(rows, parse_vector(world_point, 4))
+    (point,), point_scale = integer_rows([world_point], 4)
+    image = _image(rows, point)  # times both scales
     if not any(image):
         raise DegenerateInputError("projection undefined: point is the camera center")
-    return tuple(Fraction(x, scale) for x in image)
+    return tuple(Fraction(x, scale * point_scale) for x in image)
 
 
 def _signature(k: int) -> SpaceSignature:
@@ -317,6 +303,14 @@ _INDEX_POSITIONS = {
     k: {index: position for position, index in enumerate(indices)}
     for k, indices in _TENSOR_INDICES.items()
 }
+
+
+def _position(k: int, index) -> int:
+    """The position of a tensor index for k cameras: one lookup accepts what
+    exact_ints and the range check accept, as equal numbers hash alike."""
+    if (position := _INDEX_POSITIONS[k].get(index)) is None:
+        raise PreconditionError(f"bad tensor index {exact_ints(index, 'tensor index')}")
+    return position
 
 
 def _tensor_profile(k: int, beta) -> tuple[int, ...]:
@@ -431,8 +425,8 @@ def tensor_contract(tensor: MultifocalTensor, coordinates) -> Fraction:
     from the last: the tensor's integer numerators, in index order, fall
     into consecutive triples that agree in every slot but the last, and
     each triple contracts with that slot's integer coordinates."""
-    coords, scale = linalg.integer_rows(coordinates)
-    if len(coords) != tensor.k or any(len(vec) != 3 for vec in coords):
+    coords, scale = integer_rows(coordinates, 3)
+    if len(coords) != tensor.k:
         raise PreconditionError(f"need {tensor.k} coordinate vectors of length 3")
     values = tensor._numerators
     for x0, x1, x2 in reversed(coords):
@@ -448,7 +442,7 @@ def contraction_coordinates(spaces: LinearSpaceTuple) -> list[Vec]:
     coords = []
     for factor in spaces.forms:
         if len(factor) == 2:
-            coords.append(linalg.cross(factor[0], factor[1]))
+            coords.append(_cross(factor[0], factor[1]))
         elif len(factor) == 1:
             coords.append(factor[0])
         else:
@@ -516,7 +510,8 @@ def _independent(forms) -> bool:
 
 
 def _cross(u, v) -> tuple[int, int, int]:
-    """u x v for integer 3-vectors, as ``linalg.cross`` gives it."""
+    """u x v for 3-vectors, as ``linalg.cross`` gives it; integer vectors
+    have an integer cross product."""
     u0, u1, u2 = u
     v0, v1, v2 = v
     return (u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0)
@@ -556,7 +551,7 @@ def forms_through(rng: random.Random, point, count: int) -> tuple[tuple[int, ...
     integer vectors: each is ``u * b_0 + v * b_1`` for random integers u, v,
     over the basis :func:`_forms_vanishing_at` of the point."""
     if not all(type(a) is int for a in point):
-        (point,), _ = linalg.integer_rows([point])
+        (point,), _ = integer_rows([point], 3)
     basis = _forms_vanishing_at(point)
     if len(basis) != 2:
         raise DegenerateInputError("candidate coordinate is the zero vector")
@@ -625,7 +620,7 @@ def has_world_point_preimage(config: CameraConfiguration, candidate) -> bool:
     detected; this is only used to certify *non*-membership.
     """
     # A point is defined only up to scale, so one scale serves.
-    candidate, _ = linalg.integer_rows([parse_vector(vec, 3) for vec in candidate])
+    candidate, _ = integer_rows(candidate, 3)
     if len(candidate) != config.k:
         raise PreconditionError(f"candidate needs {config.k} coordinates")
     forms = [_forms_vanishing_at(x) for x in candidate]
@@ -751,7 +746,7 @@ def sz_membership(
     """
     beta = _tensor_profile(config.k, beta)
     # A point is defined only up to scale, so one scale serves.
-    candidate, _ = linalg.integer_rows([parse_vector(vec, 3) for vec in candidate])
+    candidate, _ = integer_rows(candidate, 3)
     if len(candidate) != config.k:
         raise PreconditionError(f"candidate and tensor must have {config.k} slots")
     if not all(map(any, candidate)):

@@ -440,13 +440,6 @@ def _orbits(sig: SpaceSignature, coded: dict, classes) -> tuple[list, dict]:
     return keys, dict(zip(keys, coded))
 
 
-def _orbit_representatives(sig: SpaceSignature, coded: dict, classes, limit: int) -> set | None:
-    """The largest code of each orbit of :func:`_orbits`, whose entries on a
-    class decrease; ``None`` when there are more than ``limit`` orbits."""
-    orbits = _orbits(sig, coded, classes)[1]
-    return set(orbits.values()) if len(orbits) <= limit else None
-
-
 def _symmetric_orbits(sig: SpaceSignature, coded: dict) -> tuple[list, dict]:
     """:func:`_orbits` under the classes of :func:`_factor_classes`.  Keyed by
     every group at once, the orbit of a key holds the product of multinomials

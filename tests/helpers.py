@@ -7,6 +7,7 @@ tests exercise genuinely varied polymatroids rather than hand-picked ones.
 
 import argparse
 import contextlib
+import importlib.util
 import io
 import random
 import re
@@ -14,6 +15,7 @@ import sys
 from fractions import Fraction
 from itertools import product
 from operator import le
+from pathlib import Path
 
 from multichow import CameraConfiguration, Multidegree, MultifocalTensor, cli, linalg
 from multichow.errors import (
@@ -23,7 +25,9 @@ from multichow.errors import (
     exact_ints,
     field,
     integer,
+    integer_rows,
     ints,
+    vector,
 )
 from multichow.multiview import (
     _image,
@@ -32,7 +36,6 @@ from multichow.multiview import (
     _signature,
     _trial_rngs,
     forms_through,
-    parse_vector,
     random_cameras,
 )
 from multichow import polymatroid as pm
@@ -50,52 +53,22 @@ from multichow.polymatroid import (
     subset_sums,
 )
 
-FIELD_PRIME = 10007
-
-
-def rank_mod_p(rows, ncols, p=FIELD_PRIME):
-    """Rank of an integer matrix over GF(p) by elimination."""
-    rows = [[x % p for x in row] for row in rows]
-    rank = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = pow(rows[rank][col], p - 2, p)
-        rows[rank] = [x * inv % p for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
+#: ``perfbench/exact.py``, the benchmark's references written from the
+#: definitions, loaded by file path so that the tests share its copies.
+EXACT_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "exact.py"
+_spec = importlib.util.spec_from_file_location("perfbench_exact", EXACT_PATH)
+bench_exact = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_exact)
 
 
 def random_polymatroid(rng: random.Random, k: int, max_n: int = 3):
-    """A random valid (signature, rank function) pair.
-
-    Factor i owns n_i random vectors; delta(I) is the rank of the union of
-    the batches over I, which is normalized, monotone, submodular and bounded
-    by sum of n_i over I.  Small entries force plenty of coincidences.
-    """
-    n = tuple(rng.randint(0, max_n) for _ in range(k))
-    dim = rng.randint(1, max(1, sum(n)))
-    batches = [
-        [[rng.randint(0, 2) for _ in range(dim)] for _ in range(n_i)] for n_i in n
-    ]
-    values = []
-    for mask in range(1 << k):
-        vectors = []
-        for i in range(k):
-            if mask >> i & 1:
-                vectors.extend(batches[i])
-        values.append(rank_mod_p(vectors, dim))
-    delta = RankFunction(k, tuple(values))
-    sig = SpaceSignature(n, values[-1])
-    return sig, delta
+    """A random valid (signature, rank function) pair, drawn by
+    ``bench_exact.random_polymatroid``: factor i owns n_i random vectors
+    over GF(p), and delta(I) is the rank of the union of the batches over I,
+    which is normalized, monotone, submodular and bounded by sum of n_i over
+    I.  Small entries force plenty of coincidences."""
+    n, r, values = bench_exact.random_polymatroid(rng, k, max_n)
+    return SpaceSignature(tuple(n), r), RankFunction(k, tuple(values))
 
 
 def planted_symmetric_polymatroid(rng: random.Random, k: int):
@@ -209,11 +182,7 @@ def sum_over(beta, mask: int) -> int:
 def multiview_delta(k: int) -> RankFunction:
     """Projection dimensions of the image closure of P^3 in (P^2)^k:
     2 on singletons, 3 on everything larger."""
-    values = []
-    for mask in range(1 << k):
-        size = bin(mask).count("1")
-        values.append(0 if size == 0 else 2 if size == 1 else 3)
-    return RankFunction(k, tuple(values))
+    return RankFunction(k, tuple(bench_exact.multiview_delta(k)))
 
 
 def multiview_sig(k: int) -> SpaceSignature:
@@ -310,7 +279,7 @@ def reference_sz_membership(config, tensor: MultifocalTensor, candidate, trials:
     with the candidate's coordinates on codimension-2 slots and a random line
     through the coordinate on codimension-1 slots, the same line
     ``sz_membership`` draws."""
-    candidate, _ = linalg.integer_rows([parse_vector(vec, 3) for vec in candidate])
+    candidate, _ = integer_rows(candidate, 3)
     if len(candidate) != config.k or tensor.k != config.k:
         raise PreconditionError(f"candidate and tensor must have {config.k} slots")
     if not all(map(any, candidate)):
@@ -474,9 +443,9 @@ def reference_factor_classes(sig: SpaceSignature, points: frozenset) -> list[lis
     return [run for run in classes if len(run) > 1]
 
 
-def reference_orbit_representatives(points: frozenset, classes, limit: int) -> set | None:
-    """The reference for ``_orbit_representatives``: each point with its
-    entries on a class sorted in decreasing order."""
+def reference_orbit_representatives(points: frozenset, classes) -> set:
+    """The reference for the codes ``_orbits`` keeps, one per orbit: each
+    point with its entries on a class sorted in decreasing order."""
     representatives = set()
     for x in points:
         rep = list(x)
@@ -484,8 +453,6 @@ def reference_orbit_representatives(points: frozenset, classes, limit: int) -> s
             for i, v in zip(members, sorted([x[i] for i in members], reverse=True)):
                 rep[i] = v
         representatives.add(tuple(rep))
-        if len(representatives) > limit:
-            return None
     return representatives
 
 
@@ -518,17 +485,16 @@ def coded_support(sig: SpaceSignature, support) -> dict:
 
 
 def coded_matches_reference(sig: SpaceSignature, support) -> bool:
-    """Whether the coded classes, orbits (past and within a limit) and
-    verdicts, over all points and over the orbits, equal the tuple
-    references and the verdicts agree; ``False`` on any difference."""
+    """Whether the coded classes, orbits and verdicts, over all points and
+    over the orbits, equal the tuple references and the verdicts agree;
+    ``False`` on any difference."""
     points, coded = frozenset(support), coded_support(sig, support)
     classes = reference_factor_classes(sig, points)
-    orbits = reference_orbit_representatives(points, classes, len(points))
+    orbits = reference_orbit_representatives(points, classes)
     verdict = reference_exchange_holds(points, points)
     return (
         pm._factor_classes(sig, coded) == classes
-        and pm._orbit_representatives(sig, coded, classes, len(points)) == set(sig.encode(orbits))
-        and pm._orbit_representatives(sig, coded, classes, len(orbits) - 1) is None
+        and set(pm._orbits(sig, coded, classes)[1].values()) == set(sig.encode(orbits))
         and reference_exchange_holds(points, orbits) == verdict
         and pm._exchange_holds(sig, coded, coded) == verdict
         and pm._exchange_holds(sig, coded, sig.encode(orbits)) == verdict
@@ -587,12 +553,12 @@ def reference_fiber_size(config: CameraConfiguration, rows):
     solutions = linalg.nullspace(rows, 4)
     if len(solutions) != 1:
         return None if solutions else 0
-    (point,), _ = linalg.integer_rows(solutions)
+    (point,), _ = integer_rows(solutions, 4)
     return 0 if any(not any(_image(cam, point)) for cam in config._rows) else 1
 
 
 def reference_has_world_point_preimage(config: CameraConfiguration, candidate) -> bool:
-    candidate = [parse_vector(vec, 3) for vec in candidate]
+    candidate = [vector(vec, 3) for vec in candidate]
     if len(candidate) != config.k:
         raise PreconditionError(f"candidate needs {config.k} coordinates")
     forms = [linalg.nullspace([list(x)], 3) for x in candidate]
@@ -620,7 +586,7 @@ def reference_epsilon_oracle(config: CameraConfiguration, beta, trials, rng_seed
     ]
 
     def draw(r):
-        (point,), _ = linalg.integer_rows([[reference_random_rational(r) for _ in range(4)]])
+        (point,), _ = integer_rows([[reference_random_rational(r) for _ in range(4)]], 4)
         return [_image(cam, point) for cam in config._rows]
 
     def good(images) -> bool:

@@ -1055,6 +1055,16 @@ def test_importing_the_cli_loads_no_dataclasses_typing_or_inspect():
     assert proc.stdout == b"[]\n"
 
 
+def test_importing_the_cli_loads_six_package_modules_and_no_linalg():
+    """No package module imports ``linalg``, which holds only references."""
+    proc = python_process(
+        "-c", "import multichow.cli, sys; print(sorted(m for m in sys.modules if 'multichow' in m))"
+    )
+    assert proc.returncode == 0, proc.stderr
+    modules = ["cli", "errors", "multidegree", "multiview", "polymatroid"]
+    assert proc.stdout.decode() == f"{['multichow', *(f'multichow.{m}' for m in modules)]}\n"
+
+
 def test_importing_the_cli_loads_no_argparse():
     """argv is read from the subcommand table."""
     proc = python_process("-c", "import multichow.cli, sys; print('argparse' in sys.modules)")

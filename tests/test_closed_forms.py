@@ -3,7 +3,8 @@
 Camera centers, the residual and the independence of cutting forms are
 computed from minors in :mod:`multichow.multiview`; ``linalg``'s ``nullspace``,
 ``det`` and ``rank`` are their references here.  A source scan keeps every
-module but ``linalg`` away from the elimination.
+module but ``linalg`` away from the elimination and from importing
+``linalg`` at all.
 """
 
 import ast
@@ -161,6 +162,20 @@ def elimination_references(path):
     return found
 
 
+def imports_linalg(path) -> bool:
+    """Whether the module at ``path`` imports ``linalg`` or a name from it."""
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module or "", *(alias.name for alias in node.names)]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        if any(name.rpartition(".")[2] == "linalg" for name in names):
+            return True
+    return False
+
+
 def test_only_linalg_refers_to_the_elimination():
     modules = sorted(SOURCE.glob("*.py"))
     assert {path.name for path in modules} >= {"linalg.py", "multiview.py", "cli.py"}
@@ -171,3 +186,4 @@ def test_only_linalg_refers_to_the_elimination():
     }
     assert found == {}
     assert elimination_references(SOURCE / "linalg.py")
+    assert [path.name for path in modules if imports_linalg(path)] == []

@@ -104,7 +104,7 @@ def test_library_refuses_a_boolean_as_the_cli_does():
 #: which ``x`` is the one entry that is not an ``int``.
 PUBLIC_READERS = {
     "forms_through": lambda x: forms_through(trial_rng(0, 0), (x, 2, 1), 1),
-    "integer_rows": lambda x: linalg.integer_rows([[x, 1], [1, 10]]),
+    "integer_rows": lambda x: errors.integer_rows([[x, 1], [1, 10]], 2),
     "cross": lambda x: linalg.cross((x, 1, 2), (3, 4, 5)),
     "proportional": lambda x: linalg.proportional((x, 1, 0), (1, 10, 0)),
     "det": lambda x: linalg.det([[x, 1], [1, 10]]),
@@ -328,6 +328,10 @@ def test_camera_checks_keep_their_order():
     for cameras, message in cases:
         with pytest.raises(PreconditionError, match=message):
             CameraConfiguration.from_json({"cameras": cameras})
+        if not message.startswith("malformed"):
+            # The constructor names a shape fault as the CLI's reader does.
+            read = outcome(CameraConfiguration.from_json, {"cameras": cameras})
+            assert outcome(CameraConfiguration, cameras) == read
 
 
 # ---------------------------------------------------------------------------
@@ -352,12 +356,25 @@ INDEX_KEYS = [
 @pytest.mark.parametrize("key", INDEX_KEYS, ids=repr)
 @pytest.mark.parametrize("beta", [(2, 2), (2, 1, 1), (1, 1, 1, 1)])
 def test_index_lookup_accepts_what_exact_ints_accepts(key, beta):
+    indices = list(product((1, 2, 3), repeat=len(beta)))
+    tensor = MultifocalTensor(beta, {index: n for n, index in enumerate(indices, 1)})
+
     def lookup(index):
         (found,) = MultifocalTensor(beta, {index: 7}).entries
         assert all(type(a) is int for a in found)
         return found
 
-    assert outcome(lookup, key) == outcome(reference_index, key, len(beta))
+    def getitem(index):
+        """The index whose entry ``tensor[index]`` reads."""
+        value = tensor[index]
+        assert value.denominator == 1
+        return indices[int(value) - 1]
+
+    expected = outcome(reference_index, key, len(beta))
+    assert outcome(lookup, key) == expected
+    assert outcome(getitem, key) == expected
+    if isinstance(key, tuple):
+        assert outcome(getitem, list(key)) == expected
 
 
 def test_index_refusals_keep_their_messages():

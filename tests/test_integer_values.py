@@ -10,6 +10,7 @@ not the stored denominators; ``project_point`` divides the image of the
 integer rows by the camera's scale.
 """
 
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -17,7 +18,7 @@ import pytest
 
 from multichow import CameraConfiguration, LinearSpaceTuple, MultifocalTensor, linalg
 from multichow import multifocal_tensor, project_point
-from multichow.errors import DegenerateInputError
+from multichow.errors import DegenerateInputError, PreconditionError
 from multichow.multiview import random_cameras
 
 from helpers import ROW_DENOMINATORS, rational_cameras
@@ -113,12 +114,14 @@ def test_views_equal_the_fraction_values(k):
             assert tensor[index] == value and type(tensor[index]) is Fraction
         assert tensor.entries == {index: value for index, value in expected.items() if value}
         assert all(type(value) is Fraction for value in tensor.entries.values())
-    # A sparse tensor, whose zeros are views too, and an index outside it.
+    # A sparse tensor, whose zeros are views too, and an index outside it,
+    # refused as the constructor refuses it.
     sparse = MultifocalTensor(PROFILES[k][0], {(1,) * k: "2/6", (3,) * k: -4})
     for index in product((1, 2, 3), repeat=k):
         expected = {(1,) * k: Fraction(1, 3), (3,) * k: Fraction(-4)}.get(index, Fraction(0))
         assert sparse[index] == expected and type(sparse[index]) is Fraction
-    assert sparse[(4,) * k] == 0 and type(sparse[(4,) * k]) is Fraction
+    with pytest.raises(PreconditionError, match=re.escape(f"bad tensor index {(4,) * k}")):
+        sparse[(4,) * k]
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])

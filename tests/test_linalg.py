@@ -4,7 +4,7 @@
 elimination; each is compared with sympy's ``Matrix`` method of the same name
 on seeded random matrices with integer, rational and string entries, forced
 dependent rows, zero rows and zero columns, and again on the integer rows
-that ``integer_rows`` makes of the same matrices.
+that ``errors.integer_rows`` makes of the same matrices.
 """
 
 import random
@@ -13,6 +13,7 @@ from fractions import Fraction
 import pytest
 
 from multichow import linalg
+from multichow.errors import integer_rows
 
 sympy = pytest.importorskip("sympy")
 
@@ -85,7 +86,7 @@ def test_kernels_match_sympy(m):
 
     # The integer-scaling helper: one scale for the whole matrix, and the
     # kernels take its integer rows as they are.
-    rows, scale = linalg.integer_rows(m)
+    rows, scale = integer_rows(m, ncols)
     assert all(type(x) is int for row in rows for x in row)
     assert [[Fraction(x, scale) for x in row] for row in rows] == linalg.frac_rows(m)
     assert linalg.rank(rows) == ref.rank()

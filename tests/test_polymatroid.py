@@ -366,7 +366,7 @@ def detected_orbits(sig, points):
     """The factor classes ``from_support`` detects and one code per orbit."""
     coded = coded_support(sig, points)
     classes = pm._factor_classes(sig, coded)
-    return classes, pm._orbit_representatives(sig, coded, classes, len(points))
+    return classes, set(pm._orbits(sig, coded, classes)[1].values())
 
 
 def agrees_with_round_trip(sig, support) -> bool:
