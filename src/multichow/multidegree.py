@@ -148,7 +148,8 @@ def criterion_form(md: Multidegree, beta) -> tuple[int, ...]:
     locus is a hypersurface, and has full support iff it determines the
     variety.  Entries where alpha + e_j falls outside the exponent box are 0.
     """
-    return tuple(md.coefficient(g) for g in md.sig.criterion_exponents(beta))
+    alpha = tuple(n - b for n, b in zip(md.sig.n, md.sig.check_profile(beta, md.sig.r + 1)))
+    return tuple(md.coefficient(alpha[:j] + (a + 1,) + alpha[j + 1:]) for j, a in enumerate(alpha))
 
 
 def criterion_forms(md: Multidegree) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:

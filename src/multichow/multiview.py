@@ -83,8 +83,7 @@ class CameraConfiguration(Value):
     """A tuple of rank-3 projection matrices with exact rational entries.
 
     ``_rows[i]`` and ``_scales[i]`` are camera i as :func:`_as_camera`
-    reads it, ``_columns[i]`` are the columns of ``_rows[i]``, and
-    ``_int_centers[i]`` is a nonzero integer multiple of its
+    reads it, and ``_int_centers[i]`` is a nonzero integer multiple of its
     center, the signed 3x3 minors of those rows (Hartley and Zisserman,
     *Multiple View Geometry*, 2nd ed., section 6.2.4), so building one needs
     no elimination.  ``cameras`` builds the ``Fraction`` matrices.
@@ -95,7 +94,6 @@ class CameraConfiguration(Value):
         if not read:
             raise PreconditionError("need at least one camera")
         self._rows, self._scales = zip(*read)
-        self._columns = tuple(tuple(zip(*cam)) for cam in self._rows)
         self._int_centers = tuple(_kernel3(*cam) for cam in self._rows)
         for idx, center in enumerate(self._int_centers):
             if not any(center):
@@ -288,8 +286,8 @@ def _pullback_rows(config: CameraConfiguration, factors):
     integer cutting form l of factor i, factor order then form order; the
     caller has matched the factors to the cameras."""
     rows = []
-    for cols, forms in zip(config._columns, factors):
-        (a0, b0, c0), (a1, b1, c1), (a2, b2, c2), (a3, b3, c3) = cols
+    for cam, forms in zip(config._rows, factors):
+        (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3) = cam
         for x, y, z in forms:
             rows.append((a0 * x + b0 * y + c0 * z, a1 * x + b1 * y + c1 * z,
                          a2 * x + b2 * y + c2 * z, a3 * x + b3 * y + c3 * z))
@@ -306,10 +304,14 @@ _INDEX_POSITIONS = {
 
 
 def _position(k: int, index) -> int:
-    """The position of a tensor index for k cameras: one lookup accepts what
-    exact_ints and the range check accept, as equal numbers hash alike."""
+    """The position of a tensor index for k cameras, equal numbers hashing
+    alike; a miss or an unhashable index is read by exact_ints, then looked up."""
+    try:
+        return _INDEX_POSITIONS[k][index]
+    except (KeyError, TypeError):
+        index = exact_ints(index, "tensor index")
     if (position := _INDEX_POSITIONS[k].get(index)) is None:
-        raise PreconditionError(f"bad tensor index {exact_ints(index, 'tensor index')}")
+        raise PreconditionError(f"bad tensor index {index}")
     return position
 
 
@@ -547,11 +549,10 @@ def _forms_vanishing_at(x) -> list[tuple[int, ...]]:
 
 
 def forms_through(rng: random.Random, point, count: int) -> tuple[tuple[int, ...], ...]:
-    """``count`` independent linear forms on P^2 vanishing at ``point``, as
-    integer vectors: each is ``u * b_0 + v * b_1`` for random integers u, v,
-    over the basis :func:`_forms_vanishing_at` of the point."""
-    if not all(type(a) is int for a in point):
-        (point,), _ = integer_rows([point], 3)
+    """``count`` independent linear forms on P^2 vanishing at ``point``, read
+    by ``errors.integer_rows``, as integer vectors: each is ``u * b_0 + v * b_1``
+    for random integers u, v, over the basis :func:`_forms_vanishing_at` of the point."""
+    (point,), _ = integer_rows([point], 3)
     basis = _forms_vanishing_at(point)
     if len(basis) != 2:
         raise DegenerateInputError("candidate coordinate is the zero vector")
@@ -705,11 +706,10 @@ def epsilon_oracle(
     ]
     results = []
     for rng in _trial_rngs(rng_seed, trials):
-        # Forms through an image do not depend on its scale.
+        # Forms through an image, nonzero by its draw, do not depend on its scale.
         images = _random_world_images(config, center_images, rng)
-        forms = [
-            forms_through(rng, image, b) if b else () for image, b in zip(images, beta)
-        ]
+        forms = [_forms_spanned_by(rng, _forms_vanishing_at(x), b) if b else ()
+                 for x, b in zip(images, beta)]
         results.append(_fiber_size(config, _pullback_rows(config, forms)))
     return results
 

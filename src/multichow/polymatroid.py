@@ -178,13 +178,6 @@ class SpaceSignature(Value):
         columns = [[code // w % (n + 1) for code in codes] for w, n in zip(self.places, self.n)]
         return list(zip(*columns))
 
-    def criterion_exponents(self, beta) -> tuple[tuple[int, ...], ...]:
-        """The k exponents ``alpha + e_j``, ``alpha = n - beta``, of a checked
-        ``beta`` with ``|beta| = r + 1``; the j-th leaves the exponent box
-        exactly when ``beta_j = 0``."""
-        alpha = tuple(n - b for n, b in zip(self.n, self.check_profile(beta, self.r + 1)))
-        return tuple(alpha[:j] + (alpha[j] + 1,) + alpha[j + 1:] for j in range(self.k))
-
 
 class RankFunction(Value):
     """Integer set function on subsets of ``{1,...,k}``, stored densely.
@@ -533,11 +526,12 @@ class Polymatroid:
 
     def tight_set(self, beta) -> tuple[int, ...]:
         """The minimal tight set of ``beta``, empty unless beta is 1-deficient:
-        the j whose ``alpha + e_j`` is in the support (module docstring); an
-        exponent outside the box may share a point's code, never equal it."""
-        exponents = self.sig.criterion_exponents(beta)
-        pairs = zip(self.sig.encode(exponents), exponents)
-        return tuple(j for j, (c, g) in enumerate(pairs, 1) if self._coded.get(c) == g)
+        the j where ``beta_j > 0`` (``alpha + e_j`` is then in the box) and the
+        code ``top - code(beta) + w_j`` of ``alpha + e_j`` is in the support."""
+        beta = self.sig.check_profile(beta, self.sig.r + 1)
+        code = self.sig.top - self.sig.encode([beta])[0]
+        return tuple(j for j, (b, w) in enumerate(zip(beta, self.sig.places), 1)
+                     if b and code + w in self._coded)
 
     def support(self) -> tuple[tuple[int, ...], ...]:
         """The exponent vectors of :func:`support_from_projections`, in

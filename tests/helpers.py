@@ -13,7 +13,6 @@ import random
 import re
 import sys
 from fractions import Fraction
-from itertools import product
 from operator import le
 from pathlib import Path
 
@@ -234,44 +233,19 @@ def rational_cameras(k: int, seed: int) -> CameraConfiguration:
 
 
 def fraction_pullback_rows(config: CameraConfiguration, factors):
-    """Rows l^T P_i in ``Fraction`` arithmetic, factor order then form order."""
+    """Rows l^T P_i in ``Fraction`` arithmetic (``bench_exact.pullback``),
+    factor order then form order."""
     return [
-        linalg.mat_vec(tuple(zip(*cam)), form)
+        tuple(bench_exact.pullback(cam, form))
         for cam, factor in zip(config.cameras, factors)
         for form in factor
     ]
 
 
 def reference_tensor(config: CameraConfiguration, beta) -> MultifocalTensor:
-    """The multifocal tensor by one ``Fraction`` determinant per entry.
-
-    Entry T[a_1,...,a_k] is the determinant of the rows of P_i without row
-    a_i (sign (-1)^(a_i+1)) where beta_i = 2, and row a_i where beta_i = 1.
-    """
-    entries = {}
-    for index in product((1, 2, 3), repeat=config.k):
-        rows = []
-        sign = 1
-        for cam, b, a in zip(config.cameras, beta, index):
-            if b == 2:
-                rows.extend(cam[j] for j in range(3) if j != a - 1)
-                sign *= (-1) ** (a + 1)
-            else:
-                rows.append(cam[a - 1])
-        entries[index] = sign * linalg.det(rows)
-    return MultifocalTensor(tuple(beta), entries)
-
-
-def reference_contract(tensor: MultifocalTensor, coordinates) -> Fraction:
-    """The reference for ``tensor_contract``: ``sum T[a] * prod_i x_i[a_i]``
-    over the stored entries, in ``Fraction`` arithmetic."""
-    coordinates = [[Fraction(x) for x in vec] for vec in coordinates]
-    total = Fraction(0)
-    for index, value in tensor.entries.items():
-        for vec, a in zip(coordinates, index):
-            value *= vec[a - 1]
-        total += value
-    return total
+    """The multifocal tensor by one ``Fraction`` determinant per entry
+    (``bench_exact.tensor``)."""
+    return MultifocalTensor(tuple(beta), bench_exact.tensor(config.cameras, beta))
 
 
 def reference_sz_membership(config, tensor: MultifocalTensor, candidate, trials: int, seed: int):
@@ -288,7 +262,7 @@ def reference_sz_membership(config, tensor: MultifocalTensor, candidate, trials:
         coords = [
             x if b == 2 else forms_through(rng, x, 1)[0] for x, b in zip(candidate, tensor.beta)
         ]
-        if reference_contract(tensor, coords) != 0:
+        if bench_exact.contract(tensor.entries, coords) != 0:
             return False
     return True
 
@@ -506,15 +480,11 @@ def coded_matches_reference(sig: SpaceSignature, support) -> bool:
 # the integer kernels of ``multiview``
 
 
-def reference_random_rational(rng: random.Random) -> Fraction:
-    return Fraction(rng.randint(-10, 10), rng.randint(1, 10))
-
-
 def reference_random_form(rng: random.Random):
     """The reference for ``random_form``: a ``Fraction`` vector."""
     return _sample(
         rng,
-        lambda r: tuple(reference_random_rational(r) for _ in range(3)),
+        lambda r: tuple(bench_exact.random_rational(r) for _ in range(3)),
         lambda v: not linalg.is_zero_vector(v),
         "linear form",
     )
@@ -586,7 +556,7 @@ def reference_epsilon_oracle(config: CameraConfiguration, beta, trials, rng_seed
     ]
 
     def draw(r):
-        (point,), _ = integer_rows([[reference_random_rational(r) for _ in range(4)]], 4)
+        (point,), _ = integer_rows([[bench_exact.random_rational(r) for _ in range(4)]], 4)
         return [_image(cam, point) for cam in config._rows]
 
     def good(images) -> bool:

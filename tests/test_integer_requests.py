@@ -39,8 +39,8 @@ from multichow.errors import PreconditionError, exact, exact_ints
 from multichow.multiview import _image, forms_through, random_cameras, trial_rng
 
 from helpers import (
+    bench_exact,
     rational_cameras,
-    reference_contract,
     reference_sz_membership,
     reference_tensor,
     reference_text_number,
@@ -127,6 +127,12 @@ def test_a_float_tenth_gives_the_exact_answers():
     assert forms_through(trial_rng(0, 0), (0.1, 0.2, 1), 1) == ((-96, 8, 8),)
     assert linalg.proportional((0.1, 1, 0), (1, 10, 0))
     assert linalg.det([[0.1, 1], [1, 10]]) == 0
+
+
+def test_forms_through_refuses_a_point_of_the_wrong_length():
+    for point in ((1, 2), (1, 2, 3, 4), ("1", 2)):
+        with pytest.raises(PreconditionError, match="expected a vector of length 3"):
+            forms_through(trial_rng(0, 0), point, 1)
 
 
 def read_outcome(read, text):
@@ -388,6 +394,21 @@ def test_index_refusals_keep_their_messages():
         assert outcome(MultifocalTensor, (2, 2), {key: 1}) == ("refused", message)
 
 
+def test_a_spent_or_unhashable_index_is_read_by_exact_ints():
+    """An iterator, spent by one read, and so outside ``INDEX_KEYS``, reads
+    its entry, through ``tensor[...]`` and the constructor alike; an
+    unhashable index is refused or read as ``exact_ints`` reads it."""
+    indices = list(product((1, 2, 3), repeat=2))
+    tensor = MultifocalTensor((2, 2), {index: n for n, index in enumerate(indices, 1)})
+    assert tensor[iter((1, 1))] == 1 and tensor[iter([2, 3])] == 6
+    assert outcome(tensor.__getitem__, iter((4, 1))) == ("refused", "bad tensor index (4, 1)")
+    assert MultifocalTensor((2, 2), {iter((2, 3)): 7}).entries == {(2, 3): 7}
+    assert MultifocalTensor((2, 2), {frozenset((1, 2)): 7}) == MultifocalTensor((2, 2), {(1, 2): 7})
+    assert tensor[{1, 2}] == tensor[exact_ints({1, 2}, "tensor index")]
+    for key in ((1, [2]), [1, [2]]):
+        assert outcome(tensor.__getitem__, key) == ("refused", "tensor index (1, [2]) must be integers")
+
+
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_numerators_hold_every_entry_in_index_order(k):
     for config in (random_cameras(k, 40), rational_cameras(k, 41)):
@@ -425,7 +446,7 @@ def test_contract_equals_brute_force_sum(k):
     for tensor in tensors:
         for _ in range(10):
             coords = [[random_number(rng) for _ in range(3)] for _ in range(k)]
-            assert tensor_contract(tensor, coords) == reference_contract(tensor, coords)
+            assert tensor_contract(tensor, coords) == bench_exact.contract(tensor.entries, coords)
 
 
 # ---------------------------------------------------------------------------

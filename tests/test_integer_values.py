@@ -21,7 +21,7 @@ from multichow import multifocal_tensor, project_point
 from multichow.errors import DegenerateInputError, PreconditionError
 from multichow.multiview import random_cameras
 
-from helpers import ROW_DENOMINATORS, rational_cameras
+from helpers import ROW_DENOMINATORS, bench_exact, rational_cameras
 
 PROFILES = {
     k: [beta for beta in product((1, 2), repeat=k) if sum(beta) == 4] for k in (2, 3, 4)
@@ -47,18 +47,6 @@ def expected_cameras(k, seed):
         )
         for i, cam in enumerate(ints)
     )
-
-
-def expected_entry(cameras, beta, index) -> Fraction:
-    """One tensor entry as a ``Fraction`` determinant of the stacked rows."""
-    rows, sign = [], 1
-    for cam, b, a in zip(cameras, beta, index):
-        if b == 2:
-            rows.extend(cam[j] for j in range(3) if j != a - 1)
-            sign *= (-1) ** (a + 1)
-        else:
-            rows.append(cam[a - 1])
-    return sign * linalg.det(rows)
 
 
 def all_fractions(values) -> bool:
@@ -108,8 +96,8 @@ def test_views_equal_the_fraction_values(k):
     assert spaces.forms == RATIONAL_FORMS[:k] and all_fractions(spaces.forms)
     for beta in PROFILES[k]:
         tensor = multifocal_tensor(config, beta)
-        indices = product((1, 2, 3), repeat=k)
-        expected = {index: expected_entry(cameras, beta, index) for index in indices}
+        # Each entry a Fraction determinant of the stacked rows.
+        expected = bench_exact.tensor(cameras, beta)
         for index, value in expected.items():
             assert tensor[index] == value and type(tensor[index]) is Fraction
         assert tensor.entries == {index: value for index, value in expected.items() if value}

@@ -187,8 +187,10 @@ class TestMinimalTightSet:
             (multiview_sig(4), multiview_delta(4), (2, 2, 0, 0), (1, 2)),
             # A point times a line in P^2 x P^2: |beta_1| = 2 > delta({1}) + 1.
             (SpaceSignature((2, 2), 1), rf(2, {(): 0, (1,): 0, (2,): 1, (1, 2): 1}), (2, 0), None),
+            # n_2 = 0: alpha + e_2 = (0, 1) leaves the box with the code of (1, 0).
+            (SpaceSignature((1, 0), 0), rf(2, {(): 0, (1,): 0, (2,): 0, (1, 2): 0}), (1, 0), (1,)),
         ],
-        ids=["multiview-2110", "multiview-2200", "not-one-deficient"],
+        ids=["multiview-2110", "multiview-2200", "not-one-deficient", "zero-factor"],
     )
     def test_no_subset_scan_after_construction(self, sig, delta, beta, tight, monkeypatch):
         """The tight set is read off the support kept at construction: no
