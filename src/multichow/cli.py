@@ -98,17 +98,20 @@ def _parse_multidegree(obj) -> mdg.Multidegree:
 
 
 def _cmd_validate_rank(obj, args):
-    """An explicit rank function or a cycle's projection dimensions,
-    validated.  A variety passed its consistency check, so its support is
-    M-convex, and the projection dimensions of an M-convex support are a
-    polymatroid rank function with ``delta(full) = r`` (Murota, *Discrete
-    Convex Analysis*, SIAM 2003, ch. 4): its report is empty."""
+    """An explicit rank function or a multidegree's projection dimensions, validated.
+    A support that passes the consistency check is M-convex, so its projection dimensions
+    are a polymatroid rank function with ``delta(full) = r`` (Murota, *Discrete Convex
+    Analysis*, SIAM 2003, ch. 4): its report is empty.  A variety passed the check when
+    built; only a cycle that fails it builds its dimensions and has them validated."""
     if "rank_function" in obj:
         return pm.validate_rank_function(*_rank_function(obj)).to_json()
     md = _parse_multidegree(obj)
-    if md.tag == mdg.VARIETY:
-        return pm.ValidationReport(True, ()).to_json()
-    return pm.validate_rank_function(md.sig, md.rank_function()).to_json()
+    try:
+        if md.tag == mdg.CYCLE:
+            pm.Polymatroid.from_support(md.sig, md.coeffs)
+    except PreconditionError:
+        return pm.validate_rank_function(md.sig, md.rank_function()).to_json()
+    return pm.ValidationReport(True, ()).to_json()
 
 
 def _cmd_support(obj, args):

@@ -58,10 +58,12 @@ def field(obj, key, parse):
 
 
 def array(value) -> list:
-    """The items of a JSON array; anything else (a string in particular,
-    which would otherwise be read character by character) is rejected."""
+    """The items of an array: a list, a tuple or any other iterable but a
+    string, which would be read character by character, or a dict, which
+    would be read by its keys; those and a non-iterable are rejected."""
     if not isinstance(value, (list, tuple)):
-        raise TypeError(f"expected an array, got {type(value).__name__}")
+        if isinstance(value, (str, dict)) or not hasattr(value, "__iter__"):
+            raise TypeError(f"expected an array, got {type(value).__name__}")
     return list(value)
 
 
@@ -81,11 +83,11 @@ def ints(value) -> tuple[int, ...]:
 
 
 def exact_ints(values, what: str) -> tuple[int, ...]:
-    """``values`` as a tuple of ints.  An entry that ``int`` would change
-    (1.5, ``"2"``) is refused, not truncated, and so is one it cannot read
-    (``"x"``, ``None``) or ``values`` that are not iterable; 2.0 reads as 2."""
+    """The :func:`array` ``values`` as a tuple of ints.  An entry that ``int``
+    would change (1.5, ``"2"``) is refused, not truncated, and so is one it
+    cannot read (``"x"``, ``None``) or ``values`` not an array; 2.0 reads as 2."""
     try:
-        entries = tuple(values)
+        entries = tuple(array(values))
         exact = tuple(map(int, entries))
     except (TypeError, ValueError, OverflowError):
         raise PreconditionError(f"{what} {values} must be integers") from None
@@ -146,9 +148,9 @@ def vector(entries, width: int) -> tuple[int | Fraction, ...]:
 
 
 def integer_rows(m, width: int) -> tuple[list[tuple[int, ...]], int]:
-    """``(rows, scale)``: each row of m read by :func:`vector` and times
-    ``scale``, the lcm of all denominators, as integers; ints stay as read."""
-    rows = [vector(row, width) for row in m]
+    """``(rows, scale)``: each row of the :func:`array` m read by :func:`vector`
+    and times ``scale``, the lcm of all denominators, as integers; ints stay as read."""
+    rows = [vector(row, width) for row in array(m)]
     if all(type(x) is int for row in rows for x in row):
         return rows, 1
     scale = lcm(*{x.denominator for row in rows for x in row})

@@ -131,11 +131,7 @@ class CameraConfiguration(Value):
         return cls(field(obj, "cameras", cameras))
 
     def to_json(self) -> dict:
-        return {
-            "cameras": [
-                [[str(x) for x in row] for row in cam] for cam in self.cameras
-            ]
-        }
+        return {"cameras": [[[decimal(x) for x in row] for row in cam] for cam in self.cameras]}
 
 
 class LinearSpaceTuple(Value):
@@ -144,11 +140,12 @@ class LinearSpaceTuple(Value):
     ``forms[i]`` builds the cutting forms of the i-th space as ``Fraction``
     vectors; its length is the codimension beta_i, at most 2.  Forms within
     a factor must be independent.  ``_forms[i]`` holds the forms of factor i
-    times ``_scales[i]``, the lcm of their denominators, as integers.
+    times ``_scales[i]``, the lcm of their denominators, as integers, read
+    once by ``integer_rows``; ``from_json`` reads a JSON array through it.
     """
 
     def __post_init__(self, forms):
-        scaled = [integer_rows(factor, 3) for factor in forms]
+        scaled = [integer_rows(factor, 3) for factor in array(forms)]
         for idx, (factor, _) in enumerate(scaled):
             if not _independent(factor):
                 raise PreconditionError(f"factor {idx + 1}: cutting forms are linearly dependent")
@@ -165,9 +162,7 @@ class LinearSpaceTuple(Value):
 
     @classmethod
     def from_json(cls, obj) -> "LinearSpaceTuple":
-        return cls(
-            tuple(tuple(vector(f, 3) for f in array(factor)) for factor in array(obj))
-        )
+        return cls(obj)
 
 
 class MultifocalTensor(Value):

@@ -34,8 +34,8 @@ from multichow import (
     sz_membership,
     tensor_contract,
 )
-from multichow import errors, linalg
-from multichow.errors import PreconditionError, exact, exact_ints
+from multichow import errors, linalg, multiview
+from multichow.errors import PreconditionError, array, exact, exact_ints
 from multichow.multiview import _image, forms_through, random_cameras, trial_rng
 
 from helpers import (
@@ -133,6 +133,56 @@ def test_forms_through_refuses_a_point_of_the_wrong_length():
     for point in ((1, 2), (1, 2, 3, 4), ("1", 2)):
         with pytest.raises(PreconditionError, match="expected a vector of length 3"):
             forms_through(trial_rng(0, 0), point, 1)
+
+
+# ---------------------------------------------------------------------------
+# the one array rule
+
+
+def test_readers_read_any_iterable_as_its_tuple():
+    """A point, a form or a factor given as an iterator or a set reads as
+    its tuple, as a tensor index does."""
+    cam = random_cameras(2, 0).cameras[0]
+    assert forms_through(trial_rng(0, 0), iter((1, 2, 3)), 1) == forms_through(
+        trial_rng(0, 0), (1, 2, 3), 1
+    )
+    assert LinearSpaceTuple(((iter((1, 2, 3)),),)) == LinearSpaceTuple((((1, 2, 3),),))
+    assert project_point(cam, {1, 2, 3, 4}) == project_point(cam, (1, 2, 3, 4))
+
+
+@pytest.mark.parametrize("m", [5, {"a": 1}, "123", None], ids=repr)
+def test_integer_rows_reads_its_outer_array_through_array(m):
+    with pytest.raises(TypeError, match=f"expected an array, got {type(m).__name__}$"):
+        errors.integer_rows(m, 3)
+
+
+def test_array_and_exact_ints_agree_on_what_an_array_is():
+    for value in ((1, 2), [1, 2], iter((1, 2)), {1, 2}, range(1, 3), (x for x in (1, 2))):
+        assert exact_ints(value, "entries") == (1, 2)
+    for value in ("12", {1: 0, 2: 0}, 12, None):
+        with pytest.raises(TypeError, match=f"expected an array, got {type(value).__name__}$"):
+            array(value)
+        with pytest.raises(PreconditionError, match="must be integers"):
+            exact_ints(value, "entries")
+
+
+def test_residual_reads_each_cutting_form_once(monkeypatch, capsys):
+    """``LinearSpaceTuple.from_json`` is its constructor, so each cutting
+    form of a ``residual`` request passes through ``vector`` once."""
+    config = random_cameras(3, 12)
+    cameras = [[[int(x) for x in row] for row in cam] for cam in config.cameras]
+    spaces = [[[1, 2, 3], [0, 1, -1]], [[4, 0, 1]], [[2, -5, 7]]]
+    widths = []
+    for module in (errors, multiview):
+        read = module.vector
+        monkeypatch.setattr(
+            module, "vector", lambda v, width, read=read: widths.append(width) or read(v, width)
+        )
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps({"cameras": cameras, "spaces": spaces})))
+    assert cli.main(["residual"]) == 0
+    assert widths.count(3) == 4
+    residual = chow_residual(config, LinearSpaceTuple(spaces))
+    assert json.loads(capsys.readouterr().out) == {"residual": str(residual)}
 
 
 def read_outcome(read, text):

@@ -147,6 +147,15 @@ def test_camera_json_writes_the_fraction_text(k):
     assert CameraConfiguration.from_json(config.to_json()) == config
 
 
+def test_camera_json_refuses_an_entry_past_the_digit_limit():
+    """An entry is written by ``errors.decimal``, as tensor values are."""
+    config = CameraConfiguration([[[10**5000, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]])
+    tensor = MultifocalTensor((2, 2), {(1, 1): 10**5000})
+    for value in (config, tensor):
+        with pytest.raises(PreconditionError, match="result too large to write"):
+            value.to_json()
+
+
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_project_point_divides_the_integer_image_once(k, monkeypatch):
     config = rational_cameras(k, 100 + k)

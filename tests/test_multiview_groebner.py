@@ -58,6 +58,24 @@ def least_vertex_covers(edges, n: int):
             return covers
 
 
+def multidegree_from_the_initial_ideal(config) -> dict:
+    """The multidegree of the multiview variety of ``config``, read off the
+    initial ideal of its Groebner basis: one ``t^gamma`` per vertex cover of
+    least size, ``gamma_i`` counting the cover's variables in factor i."""
+    k = config.k
+    minors, variables = multiview_minors(config)
+    basis = sympy.groebner(minors, *variables, order="grevlex")
+    leads = [max(p.monoms(), key=sympy.polys.orderings.grevlex) for p in basis.polys]
+    assert all(e <= 1 for lead in leads for e in lead), "initial ideal is not squarefree"
+    covers = least_vertex_covers([{v for v, e in enumerate(lead) if e} for lead in leads], 3 * k)
+    assert len(covers[0]) == 2 * k - 3
+    multidegree = {}
+    for cover in covers:
+        gamma = tuple(sum(v // 3 == i for v in cover) for i in range(k))
+        multidegree[gamma] = multidegree.get(gamma, 0) + 1
+    return multidegree
+
+
 @pytest.mark.parametrize(
     "cameras, k, seed",
     [
@@ -70,14 +88,5 @@ def least_vertex_covers(edges, n: int):
     ],
 )
 def test_multidegree_from_the_initial_ideal(cameras, k, seed):
-    minors, variables = multiview_minors(cameras(k, seed))
-    basis = sympy.groebner(minors, *variables, order="grevlex")
-    leads = [max(p.monoms(), key=sympy.polys.orderings.grevlex) for p in basis.polys]
-    assert all(e <= 1 for lead in leads for e in lead), "initial ideal is not squarefree"
-    covers = least_vertex_covers([{v for v, e in enumerate(lead) if e} for lead in leads], 3 * k)
-    assert len(covers[0]) == 2 * k - 3
-    multidegree = {}
-    for cover in covers:
-        gamma = tuple(sum(v // 3 == i for v in cover) for i in range(k))
-        multidegree[gamma] = multidegree.get(gamma, 0) + 1
+    multidegree = multidegree_from_the_initial_ideal(cameras(k, seed))
     assert multidegree == dict(multiview_multidegree(k).coeffs)

@@ -1,17 +1,21 @@
-"""``validate-rank`` on a variety reads its verdict off the consistency gate.
+"""``validate-rank`` on a multidegree reads its verdict off the consistency gate.
 
 A support that passes ``Polymatroid.from_support`` is M-convex, and the
 projection dimensions of an M-convex support are a polymatroid rank function
 with ``delta(full) = r`` whose support is the same set again.  So
-``validate-rank`` answers a variety with the empty report and builds no
-table.  The computation it no longer runs is kept here as the reference:
-on every support the gate passes, the projection dimensions validate and
-give the support back."""
+``validate-rank`` answers a variety, and a cycle whose support passes, with
+the empty report and builds no table.  The computation it no longer runs is
+kept here as the reference: on every support the gate passes, the
+projection dimensions validate and give the support back."""
 
+import contextlib
+import io
 import json
 import random
+import sys
 import tracemalloc
 from itertools import product
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -99,12 +103,30 @@ def box_subsets(draw):
     return SpaceSignature(n, sum(n) - codim), support
 
 
+def validate_rank(obj) -> tuple[int, dict]:
+    """The exit code and the parsed output of ``validate-rank`` on ``obj``."""
+    out = io.StringIO()
+    with mock.patch.object(sys, "stdin", io.StringIO(json.dumps(obj))):
+        with contextlib.redirect_stdout(out):
+            code = cli.main(["validate-rank"])
+    return code, json.loads(out.getvalue())
+
+
 @settings(derandomize=True, deadline=None, database=None, max_examples=300)
 @given(box_subsets())
 def test_gated_box_subsets_validate(case):
+    """The reference holds on a gated subset, and ``validate-rank`` on the
+    subset tagged ``"cycle"`` prints the empty report when it is gated and
+    otherwise the report of its projection dimensions."""
     sig, support = case
+    cycle = mdg.Multidegree(sig, dict.fromkeys(support, 1), mdg.CYCLE)
     if gated(sig, support):
         assert reference_holds(sig, support)
+        expected = {"ok": True, "violations": []}
+    else:
+        delta = pm.projections_from_support(sig, support)
+        expected = pm.validate_rank_function(sig, delta).to_json()
+    assert validate_rank(cycle.to_json()) == (0, expected)
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=150)
@@ -123,17 +145,23 @@ def refuse(*args):
     raise AssertionError("validate-rank built a rank-function table")
 
 
+ONE_POINT_24 = {"n": [1] * 24, "r": 23, "coefficients": [{"gamma": [1] + [0] * 23, "a": 1}]}
+
+
 @pytest.mark.parametrize(
     "obj",
     [
         multiview_multidegree(24).to_json(),
-        {"n": [1] * 24, "r": 23, "coefficients": [{"gamma": [1] + [0] * 23, "a": 1}]},
+        ONE_POINT_24,
+        {**multiview_multidegree(24).to_json(), "tag": mdg.CYCLE},
+        {**ONE_POINT_24, "tag": mdg.CYCLE},
     ],
-    ids=["multiview-24", "one-point-24"],
+    ids=["multiview-24", "one-point-24", "multiview-24-cycle", "one-point-24-cycle"],
 )
 def test_validate_rank_at_the_factor_cap(obj, tmp_path, capsys, monkeypatch):
-    """At ``MAX_K = 24`` factors a variety's report comes from its gate: no
-    projection dimensions are recovered and none are validated."""
+    """At ``MAX_K = 24`` factors the report of a variety, or of a cycle
+    whose support passes the gate, comes from the gate: no projection
+    dimensions are recovered and none are validated."""
     monkeypatch.setattr(pm, "projections_from_support", refuse)
     monkeypatch.setattr(mdg, "projections_from_support", refuse)
     monkeypatch.setattr(pm, "validate_rank_function", refuse)
