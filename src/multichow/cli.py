@@ -29,7 +29,6 @@ from .errors import (
     field,
     integer,
     ints,
-    vector,
 )
 
 EXIT_CODES = {
@@ -72,10 +71,6 @@ def _polymatroid(obj) -> pm.Polymatroid:
     if "rank_function" in obj:
         return pm.Polymatroid(*_rank_function(obj))
     return _parse_multidegree(obj).polymatroid()
-
-
-def _parse_vectors(obj, key) -> list:
-    return field(obj, key, lambda vecs: [vector(v, 3) for v in array(vecs)])
 
 
 def _parse_multidegree(obj) -> mdg.Multidegree:
@@ -194,8 +189,7 @@ def _cmd_residual(obj, args):
 
 def _cmd_contract(obj, args):
     tensor = field(obj, "tensor", mv.MultifocalTensor.from_json)
-    coords = _parse_vectors(obj, "coordinates")
-    return {"value": decimal(mv.tensor_contract(tensor, coords))}
+    return {"value": decimal(field(obj, "coordinates", lambda c: mv.tensor_contract(tensor, c)))}
 
 
 def _counts_json(counts):
@@ -235,8 +229,9 @@ def _cmd_oracle_epsilon(obj, args):
 def _cmd_sz_test(obj, args):
     config = mv.CameraConfiguration.from_json(obj)
     beta = field(obj, "beta", ints)
-    candidate = _parse_vectors(obj, "candidate")
-    member = mv.sz_membership(config, beta, candidate, args.trials, args.seed)
+    member = field(
+        obj, "candidate", lambda cand: mv.sz_membership(config, beta, cand, args.trials, args.seed)
+    )
     # A non-generic configuration can have an identically zero incidence
     # form, which every candidate would pass.
     _require_generic(config, "'member'")

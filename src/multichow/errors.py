@@ -85,11 +85,15 @@ def ints(value) -> tuple[int, ...]:
 def exact_ints(values, what: str) -> tuple[int, ...]:
     """The :func:`array` ``values`` as a tuple of ints.  An entry that ``int``
     would change (1.5, ``"2"``) is refused, not truncated, and so is one it
-    cannot read (``"x"``, ``None``) or ``values`` not an array; 2.0 reads as 2."""
+    cannot read (``"x"``, ``None``) or ``values`` not an array; 2.0 reads as 2.
+    A refusal names an input whose repr holds an address by its entries or type."""
+    entries = None
     try:
         entries = tuple(array(values))
         exact = tuple(map(int, entries))
     except (TypeError, ValueError, OverflowError):
+        if re.fullmatch(r"<.* at 0x[0-9a-fA-F]+>", repr(values), re.S):
+            values = type(values).__name__ if entries is None else list(entries)
         raise PreconditionError(f"{what} {values} must be integers") from None
     if exact != entries:
         raise PreconditionError(f"{what} {list(entries)} must be integers")

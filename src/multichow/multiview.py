@@ -47,7 +47,7 @@ from math import gcd, lcm, prod
 
 from .errors import (
     DegenerateInputError, PreconditionError, array, decimal, exact, exact_ints, field, integer_rows,
-    ints, vector,
+    ints,
 )
 from .multidegree import Multidegree
 from .polymatroid import SpaceSignature, Value
@@ -63,11 +63,10 @@ def _over(rows, scale) -> tuple[Vec, ...]:
     return tuple(tuple(Fraction(x, scale) for x in row) for row in rows)
 
 
-def _as_camera(rows) -> tuple[tuple, int]:
-    """A camera's rows times its scale, the lcm of its 12 denominators, as
-    integers, and that scale; a camera of ints is its own rows, scale 1.
-    Its rows are read as vectors of length 4, then counted."""
-    rows, scale = integer_rows(rows, 4)
+def _as_camera(read) -> tuple[tuple, int]:
+    """A camera as ``integer_rows(camera, 4)`` reads it (rows times the lcm of
+    its 12 denominators, and that scale), once its three rows are counted."""
+    rows, scale = read
     if len(rows) != 3:
         raise PreconditionError("a camera must be a 3x4 matrix")
     return tuple(rows), scale
@@ -82,15 +81,19 @@ def _image(rows, point) -> tuple[int, ...]:
 class CameraConfiguration(Value):
     """A tuple of rank-3 projection matrices with exact rational entries.
 
-    ``_rows[i]`` and ``_scales[i]`` are camera i as :func:`_as_camera`
-    reads it, and ``_int_centers[i]`` is a nonzero integer multiple of its
-    center, the signed 3x3 minors of those rows (Hartley and Zisserman,
+    ``_rows[i]`` and ``_scales[i]`` are camera i as :func:`_as_camera` keeps
+    it, and ``_int_centers[i]`` is a nonzero integer multiple of its center,
+    the signed 3x3 minors of those rows (Hartley and Zisserman,
     *Multiple View Geometry*, 2nd ed., section 6.2.4), so building one needs
     no elimination.  ``cameras`` builds the ``Fraction`` matrices.
     """
 
-    def __post_init__(self, cameras):
-        read = [_as_camera(cam) for cam in cameras]
+    def __init__(self, cameras):
+        # Every entry is read before any shape or rank check and the traced __post_init__.
+        read = [integer_rows(cam, 4) for cam in array(cameras)]
+        self.__post_init__(list(map(_as_camera, read)))
+
+    def __post_init__(self, read):
         if not read:
             raise PreconditionError("need at least one camera")
         self._rows, self._scales = zip(*read)
@@ -125,10 +128,7 @@ class CameraConfiguration(Value):
 
     @classmethod
     def from_json(cls, obj) -> "CameraConfiguration":
-        def cameras(cams):
-            return tuple(tuple(vector(row, 4) for row in array(c)) for c in array(cams))
-
-        return cls(field(obj, "cameras", cameras))
+        return field(obj, "cameras", cls)
 
     def to_json(self) -> dict:
         return {"cameras": [[[decimal(x) for x in row] for row in cam] for cam in self.cameras]}
@@ -238,7 +238,7 @@ class MultifocalTensor(Value):
 
 def project_point(camera, world_point) -> Vec:
     """Apply a camera to a world point; undefined at the camera center."""
-    rows, scale = _as_camera(camera)
+    rows, scale = _as_camera(integer_rows(camera, 4))
     (point,), point_scale = integer_rows([world_point], 4)
     image = _image(rows, point)  # times both scales
     if not any(image):
@@ -739,9 +739,9 @@ def sz_membership(
     line through the origin.  The Schwartz-Zippel lemma (Schwartz, J. ACM
     1980), taken one pair at a time, bounds a trial's miss by ``m * 20/440``.
     """
-    beta = _tensor_profile(config.k, beta)
     # A point is defined only up to scale, so one scale serves.
     candidate, _ = integer_rows(candidate, 3)
+    beta = _tensor_profile(config.k, beta)
     if len(candidate) != config.k:
         raise PreconditionError(f"candidate and tensor must have {config.k} slots")
     if not all(map(any, candidate)):

@@ -93,9 +93,9 @@ def subset_lists(k: int) -> list[list[int]]:
 
 
 class Value:
-    """A value whose attributes ``__post_init__``, which ``__init__`` calls
-    with its arguments, sets once; nothing changes them after.  ``==`` and
-    ``hash`` read :meth:`_key`."""
+    """A value whose attributes ``__post_init__`` sets once from what ``__init__``
+    hands it: its arguments, or, in ``CameraConfiguration``, the cameras read
+    whole first.  Nothing changes them after; ``==`` and ``hash`` read :meth:`_key`."""
 
     def __init__(self, *args, **kwargs):
         self.__post_init__(*args, **kwargs)
@@ -450,7 +450,7 @@ def _symmetric_orbits(sig: SpaceSignature, coded: dict) -> tuple[list, dict]:
     return keys, orbits
 
 
-def _exchange_holds(sig: SpaceSignature, coded: dict, representatives, tops=None) -> bool:
+def _exchange_holds(sig: SpaceSignature, coded: dict, representatives, tops) -> bool:
     """The weak exchange axiom on the support ``coded`` for x among the codes
     ``representatives``: for every y != x in it there are i, j with
     ``x_i > y_i`` and ``x_j < y_j`` such that ``x - e_i + e_j`` and
@@ -458,13 +458,13 @@ def _exchange_holds(sig: SpaceSignature, coded: dict, representatives, tops=None
     of a symmetry group of the support this is the whole axiom, since a
     symmetry carries the witnesses of x to those of its image, and as
     ``(j, i)`` serves ``(y, x)`` when ``(i, j)`` serves ``(x, y)``, y runs
-    over the orbits whose largest code, ``tops`` in the order of ``coded``
-    (by default the codes), is at most x's.  The moves ``c - w_i + w_j`` of
-    x are listed once; the guards ``x_i > 0`` and ``x_j < n_j``, and the
-    comparisons for y, keep every code in the box.  Each move in turn drops
-    the points y it serves, until none is left."""
+    over the orbits whose largest code, ``tops`` in the order of ``coded``, is
+    at most x's.  The moves ``c - w_i + w_j`` of x are listed once; the guards
+    ``x_i > 0`` and ``x_j < n_j``, and the comparisons for y, keep every code
+    in the box.  Each move in turn drops the points y it serves, until none is
+    left."""
     places, n, k = sig.places, sig.n, sig.k
-    tops = list(coded if tops is None else tops)
+    tops = list(tops)
     for c in representatives:
         x = coded[c]
         left = [point for point, top in zip(coded.items(), tops) if top <= c and point[0] != c]

@@ -470,8 +470,8 @@ def coded_matches_reference(sig: SpaceSignature, support) -> bool:
         pm._factor_classes(sig, coded) == classes
         and set(pm._orbits(sig, coded, classes)[1].values()) == set(sig.encode(orbits))
         and reference_exchange_holds(points, orbits) == verdict
-        and pm._exchange_holds(sig, coded, coded) == verdict
-        and pm._exchange_holds(sig, coded, sig.encode(orbits)) == verdict
+        and pm._exchange_holds(sig, coded, coded, coded) == verdict
+        and pm._exchange_holds(sig, coded, sig.encode(orbits), coded) == verdict
     )
 
 

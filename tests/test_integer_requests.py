@@ -166,23 +166,78 @@ def test_array_and_exact_ints_agree_on_what_an_array_is():
             exact_ints(value, "entries")
 
 
+def spy_on_vector(monkeypatch) -> list:
+    """The ``(width, row)`` of each call of ``errors.vector``, patched in
+    every package module that binds it."""
+    calls, read = [], errors.vector
+
+    def spy(row, width):
+        calls.append((width, list(row)))
+        return read(row, width)
+
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "multichow" and vars(module).get("vector") is read:
+            monkeypatch.setattr(module, "vector", spy)
+    return calls
+
+
 def test_residual_reads_each_cutting_form_once(monkeypatch, capsys):
     """``LinearSpaceTuple.from_json`` is its constructor, so each cutting
     form of a ``residual`` request passes through ``vector`` once."""
     config = random_cameras(3, 12)
     cameras = [[[int(x) for x in row] for row in cam] for cam in config.cameras]
     spaces = [[[1, 2, 3], [0, 1, -1]], [[4, 0, 1]], [[2, -5, 7]]]
-    widths = []
-    for module in (errors, multiview):
-        read = module.vector
-        monkeypatch.setattr(
-            module, "vector", lambda v, width, read=read: widths.append(width) or read(v, width)
-        )
+    read = spy_on_vector(monkeypatch)
     monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps({"cameras": cameras, "spaces": spaces})))
     assert cli.main(["residual"]) == 0
+    widths = [width for width, _ in read]
     assert widths.count(3) == 4
     residual = chow_residual(config, LinearSpaceTuple(spaces))
     assert json.loads(capsys.readouterr().out) == {"residual": str(residual)}
+
+
+def rows_of_request(command):
+    """A request of ``command`` on three integer cameras, with the rows it
+    holds as ``(width, row)`` in the order they are read: camera rows, then
+    cutting forms, tensor values (one dense row) and coordinates."""
+    cameras = [[[int(x) for x in row] for row in cam] for cam in random_cameras(3, 13).cameras]
+    camera_rows = [(4, row) for cam in cameras for row in cam]
+    tensor = {"beta": [2, 2], "entries": [{"index": [1, 2], "value": "-3/4"}, {"index": [3, 3], "value": 5}]}
+    dense = [0, Fraction(-3, 4), 0, 0, 0, 0, 0, 0, 5]
+    vectors = [[1, 2, 3], [0, 1, -1], [4, 0, 1]]
+    obj, rows = {
+        "tensor": ({"cameras": cameras, "beta": [2, 1, 1]}, camera_rows),
+        "residual": (
+            {"cameras": cameras, "spaces": [vectors[:2], [vectors[2]], [[2, -5, 7]]]},
+            camera_rows + [(3, v) for v in vectors + [[2, -5, 7]]],
+        ),
+        "contract": (
+            {"tensor": tensor, "coordinates": vectors[:2]},
+            [(9, dense)] + [(3, v) for v in vectors[:2]],
+        ),
+        "oracle-epsilon": ({"cameras": cameras, "beta": [2, 1, 1]}, camera_rows),
+        "oracle-multidegree": ({"cameras": cameras, "gamma": [1, 1, 1]}, camera_rows),
+        "sz-test": (
+            {"cameras": cameras, "beta": [2, 1, 1], "candidate": vectors},
+            camera_rows + [(3, v) for v in vectors],
+        ),
+    }[command]
+    return obj, rows
+
+
+@pytest.mark.parametrize(
+    "command", ["tensor", "residual", "contract", "oracle-epsilon", "oracle-multidegree", "sz-test"]
+)
+def test_each_geometry_row_is_read_once(command, monkeypatch, capsys):
+    """``errors.integer_rows`` is the one reader of every geometry number
+    array, called once by the value or operation that keeps it: each camera
+    row, form, tensor-value row, coordinate and candidate row of a request
+    passes through ``errors.vector`` exactly once."""
+    obj, rows = rows_of_request(command)
+    read = spy_on_vector(monkeypatch)
+    status, _ = run_request(monkeypatch, capsys, command, obj)
+    assert status == 0
+    assert read == rows
 
 
 def read_outcome(read, text):
@@ -457,6 +512,18 @@ def test_a_spent_or_unhashable_index_is_read_by_exact_ints():
     assert tensor[{1, 2}] == tensor[exact_ints({1, 2}, "tensor index")]
     for key in ((1, [2]), [1, [2]]):
         assert outcome(tensor.__getitem__, key) == ("refused", "tensor index (1, [2]) must be integers")
+
+
+def test_exact_ints_names_an_iterator_by_its_entries():
+    """A refusal names an input that prints with its address by the entries
+    read from it, or else by its type, so equal inputs give one message."""
+    for make in (lambda: iter(("x", 1)), lambda: (v for v in ("x", 1))):
+        first, second = (outcome(exact_ints, make(), "tensor index") for _ in range(2))
+        assert first == second == ("refused", "tensor index ['x', 1] must be integers")
+        assert "0x" not in first[1]
+    assert outcome(exact_ints, object(), "tensor index") == (
+        "refused", "tensor index object must be integers"
+    )
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])

@@ -470,7 +470,8 @@ class TestExchangeAxiom:
             classes, representatives = detected_orbits(sig, points)
             assert classes == [list(range(k))]
             assert len(representatives) == 2
-            assert pm._exchange_holds(sig, coded_support(sig, points), representatives)
+            coded = coded_support(sig, points)
+            assert pm._exchange_holds(sig, coded, representatives, coded)
 
     def test_both_sides_of_the_selection(self, monkeypatch):
         """The exchange test runs when ``2 * |orbits| * k <= 2**k``, else the

@@ -4,14 +4,20 @@
 entry of its ``TARGETS`` the owner (the module, or the class named before
 the dot) must hold the attribute in its own ``__dict__``, which is how
 ``Tracer.install`` finds it, and building each multiview value and a
-``Multidegree`` from JSON runs the ``__post_init__`` that the tracer wraps.
+``Multidegree`` from JSON runs the ``__post_init__`` that the tracer wraps,
+while a malformed camera entry is refused before any of them runs.
 """
 
 import importlib
 import importlib.util
+import io
+import json
+import sys
 from pathlib import Path
 
 import pytest
+
+from multichow import cli
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -74,3 +80,35 @@ def test_building_from_json_runs_the_traced_post_init(module_name, name, obj):
         tracer.uninstall()
     roots = [span[0] for span in tracer.spans if span[3] == -1]
     assert roots == [f"{module_name}.{name}.__post_init__"]
+
+
+GOOD_CAMERA = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]
+
+
+@pytest.mark.parametrize("entry", ["x", "1/0"])
+@pytest.mark.parametrize(
+    "command, obj",
+    [
+        ("tensor", {"beta": [2, 1, 1]}),
+        ("residual", {"spaces": [[[1, 0, 0], [0, 1, 0]], [[0, 0, 1]], [[1, 1, 1]]]}),
+        ("oracle-epsilon", {"beta": [2, 1, 1]}),
+    ],
+    ids=["tensor", "residual", "oracle-epsilon"],
+)
+def test_a_malformed_camera_opens_no_multiview_span(command, obj, entry, monkeypatch, capsys):
+    """The camera constructor reads every entry before the traced
+    ``CameraConfiguration.__post_init__`` runs, so a request refused for a
+    malformed camera entry records no ``multiview`` span."""
+    cameras = [GOOD_CAMERA, GOOD_CAMERA, [[entry, 0, 0, 0], *GOOD_CAMERA[1:]]]
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps({"cameras": cameras, **obj})))
+    tracer = _load_tracer().Tracer()
+    tracer.install()
+    try:
+        status = cli.main([command])
+    finally:
+        tracer.uninstall()
+    assert status == 2
+    assert "malformed 'cameras'" in capsys.readouterr().err
+    names = [span[0] for span in tracer.spans]
+    assert "cli.run" in names
+    assert not [name for name in names if name.startswith("multiview.")]
